@@ -48,9 +48,6 @@ from .transalg import (
     PermutationOp,
     invariance_defect,
     invariant_subspace_basis,
-    op_add,
-    op_adjoint,
-    op_mul,
     operator_from_text,
     operator_to_text,
     row_sum_diagonal,

@@ -35,6 +35,7 @@ from .spectral import (
     DEFAULT_TOL,
     DENSE_CUTOFF,
     SpectralResult,
+    dense_extreme_eig,
     dense_power_norms,
     extreme_eig_matvec,
     matvec_power_norm,
@@ -264,12 +265,9 @@ def _component_gap(avg: AveragingOp, m: int, ks: list[int], *,
     s = len(idx)
     csr = avg.op.to_float().to_csr()
     block = csr[idx][:, idx]
-    if s <= dense_cutoff:
+    if s <= max(dense_cutoff, 2):
         mdense = block.toarray() - 1.0 / s
-        w, v = np.linalg.eigh(mdense)
-        best = int(np.argmax(np.abs(w)))
-        lam = float(w[best])
-        residual = float(np.linalg.norm(mdense @ v[:, best] - lam * v[:, best]))
+        lam, residual = dense_extreme_eig(mdense)
         rho = abs(lam)
         spectral = SpectralResult(rho, "dense", 0, residual)
         norms = dense_power_norms(mdense, ks)

@@ -32,6 +32,7 @@ __all__ = [
     "require_self_adjoint",
     "sym_extreme_eig",
     "op_norm",
+    "dense_extreme_eig",
     "extreme_eig_matvec",
     "dense_power_norms",
     "matvec_power_norm",
@@ -92,6 +93,16 @@ def require_self_adjoint(op: FinitePropOp, tol: float = 1e-12) -> None:
                 f"entries ({x}, {y}) and ({y}, {x}) differ beyond tolerance")
 
 
+def dense_extreme_eig(mat: np.ndarray) -> tuple[float, float]:
+    """Signed eigenvalue of largest modulus of a dense hermitian matrix,
+    and the residual ``||mat v - value v||`` of its unit eigenvector."""
+    w, v = np.linalg.eigh(mat)
+    best = int(np.argmax(np.abs(w)))
+    lam = float(w[best])
+    residual = float(np.linalg.norm(mat @ v[:, best] - lam * v[:, best]))
+    return lam, residual
+
+
 def extreme_eig_matvec(matvec: Callable, n: int, seed: int, *,
                        k: int = 4, tol: float = DEFAULT_TOL,
                        ncv: int = 64, maxiter: int | None = None):
@@ -147,7 +158,7 @@ def sym_extreme_eig(op: FinitePropOp, which: str = "max_abs", *,
     ``which`` currently only supports ``"max_abs"``: the signed eigenvalue
     of largest modulus.  Spaces up to ``dense_cutoff`` points use a dense
     symmetric eigendecomposition; larger ones use seeded Lanczos on the
-    sparse matrix.
+    sparse matrix.  Spaces under 3 points always take the dense path.
     """
     if which != "max_abs":
         raise ValueError(f"unsupported selector {which!r}")
@@ -155,12 +166,8 @@ def sym_extreme_eig(op: FinitePropOp, which: str = "max_abs", *,
     n = op.space.n_points
     if op.nnz == 0:
         return SpectralResult(0.0, "dense", 0, 0.0)
-    if n <= dense_cutoff:
-        dense = op.to_dense()
-        w, v = np.linalg.eigh(dense)
-        best = int(np.argmax(np.abs(w)))
-        lam = float(w[best])
-        residual = float(np.linalg.norm(dense @ v[:, best] - lam * v[:, best]))
+    if n <= max(dense_cutoff, 2):
+        lam, residual = dense_extreme_eig(op.to_dense())
         return _checked(SpectralResult(abs(lam), "dense", 0, residual), tol)
     csr = op.to_csr()
     if np.iscomplexobj(csr):

@@ -41,9 +41,6 @@ __all__ = [
     "FinitePropOp",
     "PartialTranslation",
     "PermutationOp",
-    "op_add",
-    "op_mul",
-    "op_adjoint",
     "row_sum_diagonal",
     "uniform_sum_value",
     "uniform_sum",
@@ -61,6 +58,11 @@ Scalar = Union[int, Fraction, float, complex]
 
 _RATIONAL_TYPES = (int, Fraction)
 _FLOAT_TYPES = (int, float, complex, Fraction)
+
+
+def _check_mode(mode: str):
+    if mode not in (MODE_RATIONAL, MODE_FLOAT):
+        raise ValueError(f"unknown scalar mode {mode!r}")
 
 
 def _check_value(v, mode: str):
@@ -85,16 +87,15 @@ class FinitePropOp:
     values are dropped at construction, so two operators are equal exactly
     when their spaces, modes and entry dicts agree.  Entries are stored in
     sorted pair order, which makes row sums, serialisation and float
-    arithmetic deterministic.
+    arithmetic deterministic.  The constructor validates caller input; the
+    results of ``+``, ``@``, scalar ``*``, :meth:`adjoint` and
+    :meth:`to_float` are valid by construction and skip that check.
     """
 
-    __slots__ = ("space", "mode", "entries", "propagation", "_rows", "_csr", "_float")
+    __slots__ = ("space", "mode", "entries", "propagation", "_csr", "_float")
 
     def __init__(self, space: FiniteSpace, entries: Mapping, mode: str = MODE_RATIONAL):
-        if mode not in (MODE_RATIONAL, MODE_FLOAT):
-            raise ValueError(f"unknown scalar mode {mode!r}")
-        self.space = space
-        self.mode = mode
+        _check_mode(mode)
         n = space.n_points
         clean: dict[tuple[int, int], Scalar] = {}
         for (x, y), v in sorted(entries.items()):
@@ -110,18 +111,25 @@ class FinitePropOp:
                     f"entry ({space.points[x]}, {space.points[y]}) connects "
                     "points at infinite distance")
             clean[(x, y)] = v
-        self.entries = clean
-        rows: dict[int, dict[int, Scalar]] = {}
-        prop = 0.0
-        for (x, y), v in clean.items():
-            rows.setdefault(x, {})[y] = v
-            d = float(space.dist[x, y])
-            if d > prop:
-                prop = d
-        self._rows = rows
-        self.propagation = prop
+        self._store(space, clean, mode)
+
+    def _store(self, space: FiniteSpace, entries: dict, mode: str):
+        """Keep sorted, zero-free ``entries`` and set their exact propagation."""
+        self.space = space
+        self.mode = mode
+        self.entries = entries
+        keys = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+        self.propagation = float(space.dist[keys[:, 0], keys[:, 1]].max(initial=0.0))
         self._csr = None
         self._float = None
+
+    @classmethod
+    def _sealed(cls, space: FiniteSpace, entries: Mapping, mode: str) -> "FinitePropOp":
+        """Result of a closed *-algebra operation: valid by construction, so
+        zeros are dropped and keys sorted, with no per-entry checks."""
+        op = cls.__new__(cls)
+        op._store(space, {k: entries[k] for k in sorted(entries) if entries[k] != 0}, mode)
+        return op
 
     # -- constructors ------------------------------------------------------
 
@@ -187,7 +195,7 @@ class FinitePropOp:
         out = dict(self.entries)
         for k, v in other.entries.items():
             out[k] = out.get(k, 0) + v
-        return FinitePropOp(self.space, out, self.mode)
+        return FinitePropOp._sealed(self.space, out, self.mode)
 
     def __sub__(self, other: "FinitePropOp") -> "FinitePropOp":
         if not isinstance(other, FinitePropOp):
@@ -200,10 +208,10 @@ class FinitePropOp:
     def __rmul__(self, scalar) -> "FinitePropOp":
         scalar = _check_value(scalar, self.mode)
         if scalar == 0:
-            return FinitePropOp.zero(self.space, self.mode)
-        return FinitePropOp(self.space,
-                            {k: scalar * v for k, v in self.entries.items()},
-                            self.mode)
+            return FinitePropOp._sealed(self.space, {}, self.mode)
+        return FinitePropOp._sealed(self.space,
+                                    {k: scalar * v for k, v in self.entries.items()},
+                                    self.mode)
 
     def __mul__(self, scalar) -> "FinitePropOp":
         if isinstance(scalar, FinitePropOp):
@@ -214,22 +222,20 @@ class FinitePropOp:
         if not isinstance(other, FinitePropOp):
             return NotImplemented
         self._require_compatible(other)
+        orows: dict[int, list[tuple[int, Scalar]]] = {}
+        for (z, y), b in other.entries.items():
+            orows.setdefault(z, []).append((y, b))
         acc: dict[tuple[int, int], Scalar] = {}
-        orows = other._rows
-        for x, row in self._rows.items():
-            for z, a in row.items():
-                brow = orows.get(z)
-                if brow is None:
-                    continue
-                for y, b in brow.items():
-                    key = (x, y)
-                    acc[key] = acc.get(key, 0) + a * b
-        return FinitePropOp(self.space, acc, self.mode)
+        for (x, z), a in self.entries.items():
+            for y, b in orows.get(z, ()):
+                key = (x, y)
+                acc[key] = acc.get(key, 0) + a * b
+        return FinitePropOp._sealed(self.space, acc, self.mode)
 
     def adjoint(self) -> "FinitePropOp":
-        return FinitePropOp(self.space,
-                            {(y, x): v.conjugate() for (x, y), v in self.entries.items()},
-                            self.mode)
+        return FinitePropOp._sealed(
+            self.space, {(y, x): v.conjugate() for (x, y), v in self.entries.items()},
+            self.mode)
 
     # -- conversions -------------------------------------------------------
 
@@ -238,48 +244,34 @@ class FinitePropOp:
         if self.mode == MODE_FLOAT:
             return self
         if self._float is None:
-            self._float = FinitePropOp(
-                self.space, {k: float(v) for k, v in self.entries.items()},
-                MODE_FLOAT)
+            self._float = FinitePropOp._sealed(
+                self.space, {k: float(v) for k, v in self.entries.items()}, MODE_FLOAT)
         return self._float
 
-    def _dtype(self):
-        if any(isinstance(v, complex) for v in self.entries.values()):
-            return complex
-        return float
+    def _coo(self):
+        """Row, column and value arrays; values complex if any entry is, else float."""
+        nnz = len(self.entries)
+        keys = np.array(list(self.entries), dtype=np.int64).reshape(nnz, 2)
+        vals = self.entries.values()
+        dtype = complex if any(isinstance(v, complex) for v in vals) else float
+        return keys[:, 0], keys[:, 1], np.fromiter(vals, dtype=dtype, count=nnz)
 
     def to_dense(self) -> np.ndarray:
+        rows, cols, vals = self._coo()
         n = self.space.n_points
-        out = np.zeros((n, n), dtype=self._dtype())
-        for (x, y), v in self.entries.items():
-            out[x, y] = v
+        out = np.zeros((n, n), dtype=vals.dtype)
+        out[rows, cols] = vals
         return out
 
     def to_csr(self) -> sp.csr_matrix:
         if self._csr is None:
+            rows, cols, vals = self._coo()
             n = self.space.n_points
-            if self.entries:
-                keys = np.array(list(self.entries.keys()), dtype=np.int64)
-                vals = np.array([self._dtype()(v) for v in self.entries.values()])
-                self._csr = sp.csr_matrix((vals, (keys[:, 0], keys[:, 1])), shape=(n, n))
-            else:
-                self._csr = sp.csr_matrix((n, n), dtype=float)
+            self._csr = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         return self._csr
 
     def matvec(self, x) -> np.ndarray:
         return self.to_csr() @ np.asarray(x)
-
-
-def op_add(a: FinitePropOp, b: FinitePropOp) -> FinitePropOp:
-    return a + b
-
-
-def op_mul(a: FinitePropOp, b: FinitePropOp) -> FinitePropOp:
-    return a @ b
-
-
-def op_adjoint(a: FinitePropOp) -> FinitePropOp:
-    return a.adjoint()
 
 
 # -- row sums and the uniform-sum subalgebra -------------------------------
@@ -290,8 +282,10 @@ def row_sum_diagonal(op: FinitePropOp) -> FinitePropOp:
     This map is linear, fixes diagonal operators, and for a partial
     translation matrix it returns the indicator of the image.
     """
-    sums = {x: sum(row.values()) for x, row in op._rows.items()}
-    return FinitePropOp.diagonal(op.space, sums, op.mode)
+    sums: dict[tuple[int, int], Scalar] = {}
+    for (x, _), v in op.entries.items():
+        sums[(x, x)] = sums.get((x, x), 0) + v
+    return FinitePropOp._sealed(op.space, sums, op.mode)
 
 
 def _all_sums(op: FinitePropOp):
@@ -402,8 +396,10 @@ class PartialTranslation:
                 f"propagation={self.propagation})")
 
     def as_operator(self, mode: str = MODE_RATIONAL) -> FinitePropOp:
+        _check_mode(mode)
         one = 1 if mode == MODE_RATIONAL else 1.0
-        return FinitePropOp(self.space, {(x, y): one for y, x in self.mapping.items()}, mode)
+        return FinitePropOp._sealed(self.space,
+                                    {(x, y): one for y, x in self.mapping.items()}, mode)
 
 
 class PermutationOp:
@@ -448,9 +444,9 @@ class PermutationOp:
     @property
     def op(self) -> FinitePropOp:
         if self._op is None:
-            self._op = FinitePropOp(
-                self.space,
-                {(int(self.perm[y]), y): 1 for y in range(self.space.n_points)})
+            self._op = FinitePropOp._sealed(
+                self.space, {(x, y): 1 for y, x in enumerate(self.perm.tolist())},
+                MODE_RATIONAL)
         return self._op
 
     @property
@@ -490,10 +486,10 @@ def invariance_defect(v_op: FinitePropOp, xi) -> float:
             raise ValueError("operator is not a partial translation matrix")
         seen_rows.add(x)
         seen_cols.add(y)
-    xi = np.asarray(xi, dtype=v_op._dtype())
+    a = v_op.to_csr()
+    xi = np.asarray(xi, dtype=a.dtype)
     if xi.shape != (v_op.space.n_points,):
         raise ValueError(f"vector has shape {xi.shape}, expected ({v_op.space.n_points},)")
-    a = v_op.to_csr()
     diff = a @ xi - a @ (a.conj().T @ xi)
     return float(np.linalg.norm(diff))
 

@@ -196,6 +196,19 @@ def test_gap_report_multi_component():
     assert rep.uniform_gap is True  # 0.854 < 0.95
 
 
+def test_gap_report_small_components_take_dense_path():
+    # a 2-point component is below the Lanczos minimum whatever the cutoff
+    sp = rf.disjoint_union([rf.make_complete(2), rf.make_cycle(8)])
+    rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp),
+                        kmax=2, dense_cutoff=0)
+    small, big = rep.components
+    assert small.size == 2 and small.spectral.method == "dense"
+    assert big.size == 8 and big.spectral.method == "iterative"
+    full = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=2)
+    assert small.rho == full.components[0].rho
+    assert big.rho == pytest.approx(full.components[1].rho, abs=1e-9)
+
+
 def test_gap_report_threshold_verdict():
     sp = rf.make_cycle(8)
     rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp),

@@ -98,6 +98,14 @@ def test_tiny_spaces_refuse_iterative():
         extreme_eig_matvec(lambda x: x, 2, seed=0)
 
 
+def test_tiny_spaces_take_dense_path_at_any_cutoff():
+    sp = rf.make_complete(2)
+    op = FinitePropOp(sp, {(0, 1): Fraction(2), (1, 0): Fraction(2)})
+    for cutoff in (0, 1, 2):
+        res = rf.sym_extreme_eig(op, dense_cutoff=cutoff)
+        assert res.method == "dense" and res.value == pytest.approx(2.0)
+
+
 def test_operator_seed_sensitivity():
     sp = rf.make_cycle(4)
     a = FinitePropOp.diagonal(sp, {0: Fraction(1)})

@@ -86,9 +86,6 @@ def test_arithmetic_matches_dense():
     assert np.array_equal((a @ b).to_dense(), a.to_dense() @ b.to_dense())
     assert np.array_equal((-a).to_dense(), -a.to_dense())
     assert np.array_equal((3 * a).to_dense(), 3 * a.to_dense())
-    assert rf.op_add(a, b) == a + b
-    assert rf.op_mul(a, b) == a @ b
-    assert rf.op_adjoint(a) == a.adjoint()
 
 
 def test_scalar_multiplication_by_fraction():
@@ -137,6 +134,14 @@ def test_dense_csr_matvec_agree():
     assert np.allclose(op.to_csr() @ x, d @ x)
     assert np.allclose(op.matvec(x), d @ x)
     assert op.to_csr() is op.to_csr()
+    # one dtype for all entries: a single complex entry makes both forms complex
+    mixed = FinitePropOp(sp, {(0, 1): 0.5, (1, 0): 1 + 2j, (2, 2): -1.0}, mode="float")
+    dense = mixed.to_dense()
+    assert dense.dtype == complex and mixed.to_csr().dtype == complex
+    assert np.array_equal(dense, mixed.to_csr().toarray())
+    for mode in ("rational", "float"):
+        zero = FinitePropOp.zero(sp, mode=mode).to_csr()
+        assert zero.shape == (5, 5) and zero.dtype == float and zero.nnz == 0
 
 
 def test_sup_entry_norm_and_support():
@@ -195,6 +200,9 @@ def test_partial_translation_basics():
     assert t.graph == ((1, 0), (3, 2))
     op = t.as_operator()
     assert op.entries == {(1, 0): 1, (3, 2): 1}
+    assert t.as_operator("float").entries == {(1, 0): 1.0, (3, 2): 1.0}
+    with pytest.raises(ValueError):
+        t.as_operator("decimal")
     assert op @ op.adjoint() == FinitePropOp.diagonal(sp, {1: 1, 3: 1})
 
 
@@ -354,6 +362,14 @@ def test_star_and_propagation_axioms(seed, n):
     assert (a @ b).propagation <= a.propagation + b.propagation
     assert (a + b).propagation <= max(a.propagation, b.propagation)
     assert a.adjoint().propagation == a.propagation
+    af, bf = a.to_float(), b.to_float()
+    for r in (a + b, a @ b, a.adjoint(), Fraction(-3, 2) * a, af,
+              af + bf, af @ bf, af.adjoint(), 0.5 * af):
+        # closed results skip validation; the validating constructor agrees
+        rebuilt = FinitePropOp(r.space, r.entries, r.mode)
+        assert rebuilt == r
+        assert rebuilt.propagation == r.propagation
+        assert list(rebuilt.entries) == list(r.entries)
 
 
 @settings(deadline=None, max_examples=40)
