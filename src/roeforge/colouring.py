@@ -20,13 +20,20 @@ function of the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
 from .errors import SpaceMismatchError, SupportOutsideTubeError
 from .space import FiniteSpace
-from .transalg import MODE_RATIONAL, FinitePropOp, PartialTranslation, PermutationOp
+from .transalg import (
+    MODE_RATIONAL,
+    FinitePropOp,
+    PartialTranslation,
+    PermutationOp,
+    operator_sum,
+)
 
 __all__ = [
     "EdgeColouring",
@@ -70,6 +77,15 @@ class EdgeColouring:
         for e in self.edges:
             out[self.colour_of[e] - 1].append(e)
         return out
+
+    @cached_property
+    def _permutations(self) -> tuple:
+        """Built once per colouring, so every decomposition shares the
+        same permutations and their cached operators."""
+        perms = [PermutationOp.identity(self.space)]
+        for matching in self.classes():
+            perms.append(PermutationOp.from_swaps(self.space, matching))
+        return tuple(perms)
 
 
 def _misra_gries(n: int, edges: list[tuple[int, int]], n_colours: int) -> dict:
@@ -211,12 +227,10 @@ def colour_permutations(col: EdgeColouring) -> list[PermutationOp]:
 
     Entry 0 is the identity; entry i >= 1 swaps the endpoints of every
     colour-i edge and fixes all other points.  Each is symmetric, equal to
-    its own inverse, and has unit row and column sums.
+    its own inverse, and has unit row and column sums.  The permutations
+    are built once per colouring; each call returns a new list of them.
     """
-    out = [PermutationOp.identity(col.space)]
-    for matching in col.classes():
-        out.append(PermutationOp.from_swaps(col.space, matching))
-    return out
+    return list(col._permutations)
 
 
 @dataclass(frozen=True)
@@ -235,16 +249,11 @@ class TranslationDecomposition:
     idempotents: tuple
 
     def reconstruct(self) -> FinitePropOp:
-        out = FinitePropOp.zero(self.perms[0].space)
-        for f, a in zip(self.idempotents, self.perms):
-            out = out + f @ a.op
-        return out
+        return operator_sum(self.perms[0].space,
+                            (f @ a.op for f, a in zip(self.idempotents, self.perms)))
 
     def range_projection(self) -> FinitePropOp:
-        out = FinitePropOp.zero(self.perms[0].space)
-        for f in self.idempotents:
-            out = out + f
-        return out
+        return operator_sum(self.perms[0].space, self.idempotents)
 
 
 def decompose_translation(t: PartialTranslation, col: EdgeColouring) -> TranslationDecomposition:

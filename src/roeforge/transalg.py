@@ -39,6 +39,7 @@ __all__ = [
     "MODE_RATIONAL",
     "MODE_FLOAT",
     "FinitePropOp",
+    "operator_sum",
     "PartialTranslation",
     "PermutationOp",
     "row_sum_diagonal",
@@ -59,10 +60,49 @@ Scalar = Union[int, Fraction, float, complex]
 _RATIONAL_TYPES = (int, Fraction)
 _FLOAT_TYPES = (int, float, complex, Fraction)
 
+# Bit bound on the common denominator of a rational product operand.  Past
+# it, multiplying the scaled numerators costs more than the Fraction
+# arithmetic they replace (an operand with many distinct ~70-bit
+# denominators has an lcm of thousands of bits), so the operand keeps its
+# Fraction values.
+_SCALE_BITS = 64
+
 
 def _check_mode(mode: str):
     if mode not in (MODE_RATIONAL, MODE_FLOAT):
         raise ValueError(f"unknown scalar mode {mode!r}")
+
+
+def _scaled(entries: dict):
+    """``(d, {key: v * d})`` for the lcm ``d`` of the entries' denominators.
+
+    The scaled values are ints.  Entries that are all ints already, or
+    whose lcm would need more than ``_SCALE_BITS`` bits, come back
+    unchanged with ``d = 1``.
+    """
+    d = 1
+    ints = True
+    for v in entries.values():
+        if type(v) is not int:
+            ints = False
+            q = v.denominator
+            if d % q:
+                d = math.lcm(d, q)
+                if d.bit_length() > _SCALE_BITS:
+                    return 1, entries
+    if ints:
+        return 1, entries
+    return d, {k: v.numerator * (d // v.denominator) for k, v in entries.items()}
+
+
+def _check_compatible(space: FiniteSpace, mode: str, op: "FinitePropOp"):
+    """Refuse to combine ``op`` with operators over ``space`` in ``mode``."""
+    if op.space is not space:
+        raise SpaceMismatchError("operators live over different spaces")
+    if op.mode != mode:
+        raise ScalarModeError(
+            f"cannot mix {mode} and {op.mode} operators; "
+            "convert explicitly with to_float()")
 
 
 def _check_value(v, mode: str):
@@ -90,6 +130,15 @@ class FinitePropOp:
     arithmetic deterministic.  The constructor validates caller input; the
     results of ``+``, ``@``, scalar ``*``, :meth:`adjoint` and
     :meth:`to_float` are valid by construction and skip that check.
+
+    A rational product multiplies integers: each operand's entries are
+    scaled by the lcm of their denominators, the sparse row loop runs on
+    those numerators, and each nonzero sum is divided once by the product
+    of the two lcms (an int when it divides evenly, else a Fraction).  An
+    operand whose lcm would pass ``_SCALE_BITS`` bits keeps its Fraction
+    values instead, because products of numerators that wide cost more than
+    the Fraction arithmetic they replace.  Either way the result is the
+    exact product; float products are the plain loop over the floats.
     """
 
     __slots__ = ("space", "mode", "entries", "propagation", "_csr", "_float")
@@ -178,24 +227,12 @@ class FinitePropOp:
         """The support as a controlled set (exact diameter = propagation)."""
         return controlled(self.space, self.entries.keys())
 
-    def _require_compatible(self, other: "FinitePropOp"):
-        if self.space is not other.space:
-            raise SpaceMismatchError("operators live over different spaces")
-        if self.mode != other.mode:
-            raise ScalarModeError(
-                f"cannot mix {self.mode} and {other.mode} operators; "
-                "convert explicitly with to_float()")
-
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "FinitePropOp") -> "FinitePropOp":
         if not isinstance(other, FinitePropOp):
             return NotImplemented
-        self._require_compatible(other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) + v
-        return FinitePropOp._sealed(self.space, out, self.mode)
+        return operator_sum(self.space, (self, other), self.mode)
 
     def __sub__(self, other: "FinitePropOp") -> "FinitePropOp":
         if not isinstance(other, FinitePropOp):
@@ -221,15 +258,27 @@ class FinitePropOp:
     def __matmul__(self, other: "FinitePropOp") -> "FinitePropOp":
         if not isinstance(other, FinitePropOp):
             return NotImplemented
-        self._require_compatible(other)
+        _check_compatible(self.space, self.mode, other)
+        # rational operands become integer numerators over a common
+        # denominator, so the loop below multiplies ints, not Fractions
+        da, left = 1, self.entries
+        db, right = 1, other.entries
+        if self.mode == MODE_RATIONAL:
+            da, left = _scaled(left)
+            db, right = _scaled(right)
         orows: dict[int, list[tuple[int, Scalar]]] = {}
-        for (z, y), b in other.entries.items():
+        for (z, y), b in right.items():
             orows.setdefault(z, []).append((y, b))
         acc: dict[tuple[int, int], Scalar] = {}
-        for (x, z), a in self.entries.items():
+        for (x, z), a in left.items():
             for y, b in orows.get(z, ()):
                 key = (x, y)
                 acc[key] = acc.get(key, 0) + a * b
+        denom = da * db
+        if denom != 1:
+            # an int where the sum divides evenly, else a Fraction
+            acc = {k: Fraction(s, denom) if s % denom else s // denom
+                   for k, s in acc.items() if s}
         return FinitePropOp._sealed(self.space, acc, self.mode)
 
     def adjoint(self) -> "FinitePropOp":
@@ -272,6 +321,25 @@ class FinitePropOp:
 
     def matvec(self, x) -> np.ndarray:
         return self.to_csr() @ np.asarray(x)
+
+
+def operator_sum(space: FiniteSpace, ops: Iterable[FinitePropOp],
+                 mode: str = MODE_RATIONAL) -> FinitePropOp:
+    """The sum of ``ops``, all over ``space`` in ``mode``.
+
+    ``a + b`` is ``operator_sum(a.space, (a, b), a.mode)``.  Each entry is
+    summed left to right in the order of ``ops``, so the result equals
+    folding ``+`` over ``ops``, float bits included; it is accumulated in
+    one pass and sorted once rather than once per term.
+    """
+    _check_mode(mode)
+    acc: dict[tuple[int, int], Scalar] = {}
+    for op in ops:
+        _check_compatible(space, mode, op)
+        for k, v in op.entries.items():
+            s = acc.get(k)
+            acc[k] = v if s is None else s + v
+    return FinitePropOp._sealed(space, acc, mode)
 
 
 # -- row sums and the uniform-sum subalgebra -------------------------------

@@ -123,6 +123,21 @@ def test_colour_permutations_structure():
         assert moved == {p for uv in expected for p in (uv, uv[::-1])}
 
 
+def test_colour_permutations_are_built_once_per_colouring():
+    col = rf.edge_colouring(rf.make_cycle(6), 1)
+    first = rf.colour_permutations(col)
+    second = rf.colour_permutations(col)
+    assert first == second
+    assert all(p is q for p, q in zip(first, second))
+    first.pop()
+    assert len(rf.colour_permutations(col)) == col.n_colours + 1
+    dec = rf.decompose_translation(PartialTranslation(col.space, {0: 1}), col)
+    assert all(p is q for p, q in zip(dec.perms, second))
+    # a modified copy of a colouring gets its own permutations
+    other = dataclasses.replace(col, colour_of=dict(col.colour_of))
+    assert rf.colour_permutations(other)[1] is not second[1]
+
+
 def test_decompose_round_trip():
     """A translation splits into colour pieces that reassemble exactly."""
     sp = rf.make_cycle(6)

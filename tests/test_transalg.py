@@ -16,6 +16,7 @@ from roeforge import (
     SpaceMismatchError,
     UncontrolledSupportError,
 )
+from roeforge.transalg import _SCALE_BITS, _scaled
 from conftest import random_rational_op, random_space
 
 
@@ -86,6 +87,123 @@ def test_arithmetic_matches_dense():
     assert np.array_equal((a @ b).to_dense(), a.to_dense() @ b.to_dense())
     assert np.array_equal((-a).to_dense(), -a.to_dense())
     assert np.array_equal((3 * a).to_dense(), 3 * a.to_dense())
+
+
+# -- exact products against the plain Fraction loop -------------------------
+
+def _reference_matmul(a, b):
+    """The sparse row loop over the entry values as stored: the reference
+    for ``@`` in both modes."""
+    rows = {}
+    for (z, y), v in b.entries.items():
+        rows.setdefault(z, []).append((y, v))
+    acc = {}
+    for (x, z), u in a.entries.items():
+        for y, v in rows.get(z, ()):
+            acc[(x, y)] = acc.get((x, y), 0) + u * v
+    return FinitePropOp(a.space, acc, a.mode)
+
+
+def _assert_reference_product(a, b):
+    got, want = a @ b, _reference_matmul(a, b)
+    assert got == want
+    assert list(got.entries) == list(want.entries)
+    assert [str(v) for v in got.entries.values()] == [str(v) for v in want.entries.values()]
+    assert got.propagation == want.propagation
+
+
+# entry kinds: integers; small denominators (the scaled path); distinct
+# ~40-bit denominators, whose lcm passes the bit bound (the Fraction path)
+_ENTRY_KINDS = {
+    "int": lambda rng, num: num,
+    "small": lambda rng, num: Fraction(num, int(rng.integers(1, 5))),
+    "big": lambda rng, num: Fraction(num, int(rng.integers(2**40, 2**41))),
+}
+
+
+def _op_of_kind(rng, sp, kind, density=0.5):
+    make = _ENTRY_KINDS[kind]
+    entries = {}
+    for x, y in sorted(rf.tube(sp, 2).pairs):
+        if rng.random() < density:
+            entries[(x, y)] = make(rng, int(rng.integers(-6, 7)))
+    return FinitePropOp(sp, entries)
+
+
+def test_exact_product_paths():
+    """Each operand kind takes the path it is meant to, and every pairing
+    of kinds equals the Fraction loop."""
+    rng = np.random.default_rng(5)
+    sp = rf.make_cycle(6)
+    ops = {kind: _op_of_kind(rng, sp, kind) for kind in _ENTRY_KINDS}
+    assert _scaled(ops["int"].entries) == (1, ops["int"].entries)
+    d, scaled = _scaled(ops["small"].entries)
+    assert 1 < d <= 12 and all(type(v) is int for v in scaled.values())
+    assert _scaled(ops["big"].entries) == (1, ops["big"].entries)
+    for a in ops.values():
+        for b in ops.values():
+            _assert_reference_product(a, b)
+
+
+def test_exact_product_integer_valued_sums():
+    sp = pair_space()
+    half = FinitePropOp(sp, {(0, 0): Fraction(1, 2), (0, 1): Fraction(3, 2)})
+    two = FinitePropOp(sp, {(0, 0): 2, (1, 1): Fraction(4)})
+    prod = half @ two
+    assert prod.entries == {(0, 0): 1, (0, 1): 6}
+    assert [str(v) for v in prod.entries.values()] == ["1", "6"]
+    _assert_reference_product(half, two)
+
+
+def test_exact_product_drops_cancelled_sums():
+    """Row (1/p, 1/q) times column (p/r, -q/r) cancels to zero, whichever
+    path each operand takes."""
+    sp = pair_space()
+    big_p, big_q, big_r = 2**61 - 1, 2**31 - 1, 2**89 - 1  # primes
+    for p, q, r in ((1, 1, 1), (2, 3, 5), (big_p, big_q, 5), (big_p, big_q, big_r)):
+        row = FinitePropOp(sp, {(0, 0): Fraction(1, p), (0, 1): Fraction(1, q)})
+        col = FinitePropOp(sp, {(0, 0): Fraction(p, r), (1, 0): Fraction(-q, r),
+                                (1, 1): Fraction(1, r)})
+        for op, d in ((row, p * q), (col, r)):
+            assert (_scaled(op.entries)[0] == 1) == (d.bit_length() > _SCALE_BITS or d == 1)
+        assert (row @ col).entries == {(0, 1): Fraction(1, q * r)}
+        _assert_reference_product(row, col)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10**6), st.integers(3, 8),
+       st.sampled_from(sorted(_ENTRY_KINDS)), st.sampled_from(sorted(_ENTRY_KINDS)))
+def test_exact_product_matches_fraction_loop(seed, n, left, right):
+    rng = np.random.default_rng(seed)
+    sp = random_space(rng, max_points=n, max_blocks=2)
+    a = _op_of_kind(rng, sp, left)
+    b = _op_of_kind(rng, sp, right)
+    _assert_reference_product(a, b)
+    _assert_reference_product(a, a.adjoint() - b)
+    # float products are the same loop over floats, bit for bit
+    _assert_reference_product(a.to_float(), b.to_float())
+
+
+def test_operator_sum():
+    sp = rf.make_cycle(5)
+    rng = np.random.default_rng(2)
+    ops = [random_rational_op(rng, sp) for _ in range(4)]
+    floats = [(1 / 3) * op.to_float() for op in ops]
+    for terms, mode in ((ops, "rational"), (floats, "float")):
+        folded = FinitePropOp.zero(sp, mode)
+        for op in terms:
+            folded = folded + op
+        total = rf.operator_sum(sp, terms, mode)
+        assert total == folded and list(total.entries) == list(folded.entries)
+        assert total.propagation == folded.propagation
+    assert rf.operator_sum(sp, ops + [-op for op in ops]) == FinitePropOp.zero(sp)
+    assert rf.operator_sum(sp, []) == FinitePropOp.zero(sp)
+    with pytest.raises(ScalarModeError):
+        rf.operator_sum(sp, floats)
+    with pytest.raises(SpaceMismatchError):
+        rf.operator_sum(rf.make_cycle(4), ops)
+    with pytest.raises(ValueError):
+        rf.operator_sum(sp, [], mode="decimal")
 
 
 def test_scalar_multiplication_by_fraction():
