@@ -49,7 +49,6 @@ from .transalg import (
     invariance_defect,
     invariant_subspace_basis,
     operator_from_text,
-    operator_sum,
     operator_to_text,
     row_sum_diagonal,
     single_pair_translations,

@@ -250,10 +250,11 @@ class TranslationDecomposition:
 
     def reconstruct(self) -> FinitePropOp:
         return operator_sum(self.perms[0].space,
-                            (f @ a.op for f, a in zip(self.idempotents, self.perms)))
+                            (f @ a.op for f, a in zip(self.idempotents, self.perms)),
+                            MODE_RATIONAL)
 
     def range_projection(self) -> FinitePropOp:
-        return operator_sum(self.perms[0].space, self.idempotents)
+        return operator_sum(self.perms[0].space, self.idempotents, MODE_RATIONAL)
 
 
 def decompose_translation(t: PartialTranslation, col: EdgeColouring) -> TranslationDecomposition:

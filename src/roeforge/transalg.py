@@ -39,7 +39,6 @@ __all__ = [
     "MODE_RATIONAL",
     "MODE_FLOAT",
     "FinitePropOp",
-    "operator_sum",
     "PartialTranslation",
     "PermutationOp",
     "row_sum_diagonal",
@@ -60,39 +59,34 @@ Scalar = Union[int, Fraction, float, complex]
 _RATIONAL_TYPES = (int, Fraction)
 _FLOAT_TYPES = (int, float, complex, Fraction)
 
-# Bit bound on the common denominator of a rational product operand.  Past
-# it, multiplying the scaled numerators costs more than the Fraction
-# arithmetic they replace (an operand with many distinct ~70-bit
-# denominators has an lcm of thousands of bits), so the operand keeps its
-# Fraction values.
-_SCALE_BITS = 64
-
 
 def _check_mode(mode: str):
     if mode not in (MODE_RATIONAL, MODE_FLOAT):
         raise ValueError(f"unknown scalar mode {mode!r}")
 
 
-def _scaled(entries: dict):
-    """``(d, {key: v * d})`` for the lcm ``d`` of the entries' denominators.
+def _scaled(entries: dict, axis: int, n: int):
+    """``(lcms, scaled)``: each row (``axis`` 0) or column (1) made integer.
 
-    The scaled values are ints.  Entries that are all ints already, or
-    whose lcm would need more than ``_SCALE_BITS`` bits, come back
-    unchanged with ``d = 1``.
+    ``lcms[i]`` is the lcm of the denominators in line ``i`` of an
+    ``n``-point operator, and ``scaled`` maps each key to the int value
+    times its line's lcm.  Entries that are all ints come back unchanged,
+    with ``lcms`` None.
     """
-    d = 1
-    ints = True
-    for v in entries.values():
+    lcms = None
+    for k, v in entries.items():
         if type(v) is not int:
-            ints = False
+            if lcms is None:
+                lcms = [1] * n
+            line = k[axis]
+            m = lcms[line]
             q = v.denominator
-            if d % q:
-                d = math.lcm(d, q)
-                if d.bit_length() > _SCALE_BITS:
-                    return 1, entries
-    if ints:
-        return 1, entries
-    return d, {k: v.numerator * (d // v.denominator) for k, v in entries.items()}
+            if m % q:
+                lcms[line] = math.lcm(m, q)
+    if lcms is None:
+        return None, entries
+    return lcms, {k: v.numerator * (lcms[k[axis]] // v.denominator)
+                  for k, v in entries.items()}
 
 
 def _check_compatible(space: FiniteSpace, mode: str, op: "FinitePropOp"):
@@ -131,14 +125,16 @@ class FinitePropOp:
     results of ``+``, ``@``, scalar ``*``, :meth:`adjoint` and
     :meth:`to_float` are valid by construction and skip that check.
 
-    A rational product multiplies integers: each operand's entries are
-    scaled by the lcm of their denominators, the sparse row loop runs on
-    those numerators, and each nonzero sum is divided once by the product
-    of the two lcms (an int when it divides evenly, else a Fraction).  An
-    operand whose lcm would pass ``_SCALE_BITS`` bits keeps its Fraction
-    values instead, because products of numerators that wide cost more than
-    the Fraction arithmetic they replace.  Either way the result is the
-    exact product; float products are the plain loop over the floats.
+    A rational product multiplies integers.  Row ``x`` of the left operand
+    is scaled by the lcm of that row's denominators and column ``y`` of the
+    right operand by the lcm of that column's, the sparse row loop runs on
+    those numerators, and each nonzero sum is divided once by its row and
+    column lcms (an int when it divides evenly, else a Fraction).  One lcm
+    per operand would be simpler, but an operand with many distinct wide
+    denominators has an lcm thousands of bits wide, and products of
+    numerators that wide cost far more than the Fraction arithmetic they
+    replace; a row's lcm only spans the denominators that meet in that
+    row's sums.  Float products are the plain loop over the floats.
     """
 
     __slots__ = ("space", "mode", "entries", "propagation", "_csr", "_float")
@@ -259,13 +255,14 @@ class FinitePropOp:
         if not isinstance(other, FinitePropOp):
             return NotImplemented
         _check_compatible(self.space, self.mode, other)
-        # rational operands become integer numerators over a common
-        # denominator, so the loop below multiplies ints, not Fractions
-        da, left = 1, self.entries
-        db, right = 1, other.entries
+        left, right = self.entries, other.entries
+        rows = cols = None
         if self.mode == MODE_RATIONAL:
-            da, left = _scaled(left)
-            db, right = _scaled(right)
+            # integer numerators: row x of self times rows[x], column y of
+            # other times cols[y], so the loop below multiplies ints
+            n = self.space.n_points
+            rows, left = _scaled(left, 0, n)
+            cols, right = _scaled(right, 1, n)
         orows: dict[int, list[tuple[int, Scalar]]] = {}
         for (z, y), b in right.items():
             orows.setdefault(z, []).append((y, b))
@@ -274,11 +271,15 @@ class FinitePropOp:
             for y, b in orows.get(z, ()):
                 key = (x, y)
                 acc[key] = acc.get(key, 0) + a * b
-        denom = da * db
-        if denom != 1:
-            # an int where the sum divides evenly, else a Fraction
-            acc = {k: Fraction(s, denom) if s % denom else s // denom
-                   for k, s in acc.items() if s}
+        if rows or cols:
+            rows = rows or [1] * n
+            cols = cols or [1] * n
+            exact = {}
+            for (x, y), s in acc.items():
+                if s:
+                    d = rows[x] * cols[y]
+                    exact[(x, y)] = Fraction(s, d) if s % d else s // d
+            acc = exact
         return FinitePropOp._sealed(self.space, acc, self.mode)
 
     def adjoint(self) -> "FinitePropOp":
@@ -323,8 +324,7 @@ class FinitePropOp:
         return self.to_csr() @ np.asarray(x)
 
 
-def operator_sum(space: FiniteSpace, ops: Iterable[FinitePropOp],
-                 mode: str = MODE_RATIONAL) -> FinitePropOp:
+def operator_sum(space: FiniteSpace, ops: Iterable[FinitePropOp], mode: str) -> FinitePropOp:
     """The sum of ``ops``, all over ``space`` in ``mode``.
 
     ``a + b`` is ``operator_sum(a.space, (a, b), a.mode)``.  Each entry is
@@ -333,13 +333,16 @@ def operator_sum(space: FiniteSpace, ops: Iterable[FinitePropOp],
     one pass and sorted once rather than once per term.
     """
     _check_mode(mode)
-    acc: dict[tuple[int, int], Scalar] = {}
+    acc = None
     for op in ops:
         _check_compatible(space, mode, op)
+        if acc is None:
+            acc = dict(op.entries)
+            continue
         for k, v in op.entries.items():
             s = acc.get(k)
             acc[k] = v if s is None else s + v
-    return FinitePropOp._sealed(space, acc, mode)
+    return FinitePropOp._sealed(space, acc or {}, mode)
 
 
 # -- row sums and the uniform-sum subalgebra -------------------------------

@@ -16,7 +16,7 @@ from roeforge import (
     SpaceMismatchError,
     UncontrolledSupportError,
 )
-from roeforge.transalg import _SCALE_BITS, _scaled
+from roeforge.transalg import _scaled, operator_sum
 from conftest import random_rational_op, random_space
 
 
@@ -112,8 +112,8 @@ def _assert_reference_product(a, b):
     assert got.propagation == want.propagation
 
 
-# entry kinds: integers; small denominators (the scaled path); distinct
-# ~40-bit denominators, whose lcm passes the bit bound (the Fraction path)
+# entry kinds: integers; small denominators; distinct ~40-bit denominators,
+# whose lcm over a whole operand is hundreds of bits wide
 _ENTRY_KINDS = {
     "int": lambda rng, num: num,
     "small": lambda rng, num: Fraction(num, int(rng.integers(1, 5))),
@@ -130,16 +130,24 @@ def _op_of_kind(rng, sp, kind, density=0.5):
     return FinitePropOp(sp, entries)
 
 
-def test_exact_product_paths():
-    """Each operand kind takes the path it is meant to, and every pairing
-    of kinds equals the Fraction loop."""
+def test_exact_product_kinds():
+    """Each row or column is scaled by the lcm of its own denominators, not
+    the operand's, and every pairing of kinds equals the Fraction loop."""
     rng = np.random.default_rng(5)
     sp = rf.make_cycle(6)
     ops = {kind: _op_of_kind(rng, sp, kind) for kind in _ENTRY_KINDS}
-    assert _scaled(ops["int"].entries) == (1, ops["int"].entries)
-    d, scaled = _scaled(ops["small"].entries)
-    assert 1 < d <= 12 and all(type(v) is int for v in scaled.values())
-    assert _scaled(ops["big"].entries) == (1, ops["big"].entries)
+    assert _scaled(ops["int"].entries, 0, 6) == (None, ops["int"].entries)
+    for kind in ("small", "big"):
+        entries = ops[kind].entries
+        for axis in (0, 1):
+            lcms, scaled = _scaled(entries, axis, 6)
+            for k, v in entries.items():
+                m = math.lcm(*(w.denominator for j, w in entries.items()
+                               if j[axis] == k[axis]))
+                assert lcms[k[axis]] == m
+                assert type(scaled[k]) is int and scaled[k] == v * m
+    whole = math.lcm(*(v.denominator for v in ops["big"].entries.values()))
+    assert max(_scaled(ops["big"].entries, 0, 6)[0]) < whole
     for a in ops.values():
         for b in ops.values():
             _assert_reference_product(a, b)
@@ -156,16 +164,14 @@ def test_exact_product_integer_valued_sums():
 
 
 def test_exact_product_drops_cancelled_sums():
-    """Row (1/p, 1/q) times column (p/r, -q/r) cancels to zero, whichever
-    path each operand takes."""
+    """Row (1/p, 1/q) times column (p/r, -q/r) cancels to zero, for small
+    and wide denominators alike."""
     sp = pair_space()
     big_p, big_q, big_r = 2**61 - 1, 2**31 - 1, 2**89 - 1  # primes
     for p, q, r in ((1, 1, 1), (2, 3, 5), (big_p, big_q, 5), (big_p, big_q, big_r)):
         row = FinitePropOp(sp, {(0, 0): Fraction(1, p), (0, 1): Fraction(1, q)})
         col = FinitePropOp(sp, {(0, 0): Fraction(p, r), (1, 0): Fraction(-q, r),
                                 (1, 1): Fraction(1, r)})
-        for op, d in ((row, p * q), (col, r)):
-            assert (_scaled(op.entries)[0] == 1) == (d.bit_length() > _SCALE_BITS or d == 1)
         assert (row @ col).entries == {(0, 1): Fraction(1, q * r)}
         _assert_reference_product(row, col)
 
@@ -193,17 +199,20 @@ def test_operator_sum():
         folded = FinitePropOp.zero(sp, mode)
         for op in terms:
             folded = folded + op
-        total = rf.operator_sum(sp, terms, mode)
+        total = operator_sum(sp, terms, mode)
         assert total == folded and list(total.entries) == list(folded.entries)
         assert total.propagation == folded.propagation
-    assert rf.operator_sum(sp, ops + [-op for op in ops]) == FinitePropOp.zero(sp)
-    assert rf.operator_sum(sp, []) == FinitePropOp.zero(sp)
+    assert operator_sum(sp, ops + [-op for op in ops], "rational") == FinitePropOp.zero(sp)
+    assert operator_sum(sp, [], "rational") == FinitePropOp.zero(sp)
+    assert operator_sum(sp, ops[:1], "rational") == ops[0]
     with pytest.raises(ScalarModeError):
-        rf.operator_sum(sp, floats)
+        operator_sum(sp, floats, "rational")
+    with pytest.raises(ScalarModeError):
+        operator_sum(sp, ops[:1] + floats, "rational")
     with pytest.raises(SpaceMismatchError):
-        rf.operator_sum(rf.make_cycle(4), ops)
+        operator_sum(rf.make_cycle(4), ops, "rational")
     with pytest.raises(ValueError):
-        rf.operator_sum(sp, [], mode="decimal")
+        operator_sum(sp, [], "decimal")
 
 
 def test_scalar_multiplication_by_fraction():
