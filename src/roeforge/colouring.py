@@ -284,7 +284,7 @@ def decompose_translation(t: PartialTranslation, col: EdgeColouring) -> Translat
         marks[c].append(x)
     perms = colour_permutations(col)
     idems = tuple(
-        FinitePropOp.diagonal(col.space, {x: 1 for x in marks[i]}, MODE_RATIONAL)
+        FinitePropOp._sealed(col.space, {(x, x): 1 for x in marks[i]}, MODE_RATIONAL)
         for i in range(col.n_colours + 1))
     return TranslationDecomposition(radius=col.radius, perms=tuple(perms),
                                     idempotents=idems)

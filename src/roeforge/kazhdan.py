@@ -35,6 +35,7 @@ from .spectral import (
     DEFAULT_TOL,
     DENSE_CUTOFF,
     SpectralResult,
+    _checked,
     dense_extreme_eig,
     dense_power_norms,
     extreme_eig_matvec,
@@ -84,7 +85,8 @@ def build_averaging(perms: Iterable[PermutationOp]) -> AveragingOp:
     """Average the projections (1 + A_i)/2 over symmetric permutations A_i.
 
     Exact rational arithmetic: entry (x, y) is 1/(2n) times the number of
-    permutations mapping y to x, plus 1/2 on the diagonal.
+    permutations mapping y to x, plus 1/2 on the diagonal; each entry is
+    counted in integers and divided once.
     """
     perms = tuple(perms)
     if not perms:
@@ -97,14 +99,12 @@ def build_averaging(perms: Iterable[PermutationOp]) -> AveragingOp:
             raise ValueError("averaging needs symmetric permutations "
                              "(each equal to its own inverse)")
     n = len(perms)
-    w = Fraction(1, 2 * n)
-    entries: dict[tuple[int, int], Fraction] = {
-        (i, i): Fraction(1, 2) for i in range(space.n_points)}
+    hits = {(i, i): n for i in range(space.n_points)}
     for p in perms:
-        for y in range(space.n_points):
-            key = (int(p.perm[y]), y)
-            entries[key] = entries.get(key, 0) + w
-    op = FinitePropOp(space, entries, MODE_RATIONAL)
+        for y, x in enumerate(p.perm.tolist()):
+            hits[(x, y)] = hits.get((x, y), 0) + 1
+    op = FinitePropOp._sealed(
+        space, {k: Fraction(c, 2 * n) for k, c in hits.items()}, MODE_RATIONAL)
     if uniform_sum(op) != 1:
         raise RuntimeError("averaging operator failed the unit row-sum check")
     return AveragingOp(op=op, perms=perms, n=n)
@@ -134,11 +134,11 @@ class KazhdanProjection:
         if self._op is None:
             entries = {}
             for m, val in self.component_value.items():
-                idx = self.space.component_points(m)
+                idx = self.space.component_points(m).tolist()
                 for x in idx:
                     for y in idx:
-                        entries[(int(x), int(y))] = val
-            self._op = FinitePropOp(self.space, entries, MODE_RATIONAL)
+                        entries[(x, y)] = val
+            self._op = FinitePropOp._sealed(self.space, entries, MODE_RATIONAL)
         return self._op
 
     def matvec(self, x) -> np.ndarray:
@@ -169,13 +169,13 @@ def restrict(t: FinitePropOp, m: int) -> FinitePropOp:
     """
     sub = t.space.component_space(m)
     idx = t.space.component_points(m)
-    pos = {int(g): i for i, g in enumerate(idx)}
+    pos = {g: i for i, g in enumerate(idx.tolist())}
     entries = {}
     for (x, y), v in t.entries.items():
         px = pos.get(x)
         if px is not None:
             entries[(px, pos[y])] = v
-    return FinitePropOp(sub, entries, t.mode)
+    return FinitePropOp._sealed(sub, entries, t.mode)
 
 
 class RateConstants(NamedTuple):
@@ -263,13 +263,12 @@ def _component_gap(avg: AveragingOp, m: int, ks: list[int], *,
     space = avg.op.space
     idx = space.component_points(m)
     s = len(idx)
-    csr = avg.op.to_float().to_csr()
-    block = csr[idx][:, idx]
+    block = avg.op.to_csr()[idx][:, idx]
     if s <= max(dense_cutoff, 2):
         mdense = block.toarray() - 1.0 / s
         lam, residual = dense_extreme_eig(mdense)
         rho = abs(lam)
-        spectral = SpectralResult(rho, "dense", 0, residual)
+        spectral = _checked(SpectralResult(rho, "dense", 0, residual), tol)
         norms = dense_power_norms(mdense, ks)
         rtol = CURVE_RTOL_DENSE
     else:
@@ -279,7 +278,7 @@ def _component_gap(avg: AveragingOp, m: int, ks: list[int], *,
         seed = operator_seed(avg.op, extra=f"component:{m}".encode())
         lam, count, residual = extreme_eig_matvec(deflated, s, seed, tol=tol)
         rho = abs(lam)
-        spectral = SpectralResult(rho, "iterative", count, residual, seed)
+        spectral = _checked(SpectralResult(rho, "iterative", count, residual, seed), tol)
         norms = {}
         for k in ks:
             kseed = operator_seed(avg.op, extra=f"component:{m}:power:{k}".encode())
@@ -329,7 +328,7 @@ def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
     rates = rate_constants(c, avg.n) if c is not None else None
     ks = _curve_powers(kmax)
     space = avg.op.space
-    avg.op.to_float().to_csr()  # build the shared matrix once, not per thread
+    avg.op.to_csr()  # build the shared matrix once, not per thread
     mids = range(space.n_components)
 
     def work(m):

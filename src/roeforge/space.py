@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import SpaceParseError
+from .errors import SpaceMismatchError, SpaceParseError, UncontrolledSupportError
 
 __all__ = [
     "INF",
@@ -35,6 +35,7 @@ __all__ = [
     "space_from_graph",
     "disjoint_union",
     "check_triangle",
+    "support_diameter",
     "controlled",
     "tube",
     "compose",
@@ -195,8 +196,6 @@ def space_from_graph(points: Sequence[str],
         vals = np.fromiter(best.values(), dtype=float, count=len(best))
         graph = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         d = shortest_path(graph, directed=False, unweighted=unit)
-        if unit:
-            d = d.astype(float)
     else:
         d = np.full((n, n), INF)
         np.fill_diagonal(d, 0.0)
@@ -273,20 +272,35 @@ class ControlledSet:
                              self.diameter)
 
 
+def support_diameter(space: FiniteSpace, rows, cols) -> float:
+    """Largest distance over the pairs ``(rows[i], cols[i])`` (0.0 for none).
+
+    This is the one place that decides whether a support is controlled:
+    an index outside the space, negative included, raises ValueError, and
+    a pair of points at infinite distance raises UncontrolledSupportError.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    n = space.n_points
+    outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"pair ({rows[i]}, {cols[i]}) out of range for {n} points")
+    d = space.dist[rows, cols]
+    infinite = np.isinf(d)
+    if infinite.any():
+        i = int(np.argmax(infinite))
+        raise UncontrolledSupportError(
+            f"pair ({space.points[rows[i]]}, {space.points[cols[i]]}) "
+            "connects points at infinite distance")
+    return float(d.max(initial=0.0))
+
+
 def controlled(space: FiniteSpace, pairs: Iterable[tuple[int, int]]) -> ControlledSet:
     """Wrap explicit pairs as a controlled set, validating finiteness."""
     ps = frozenset((int(x), int(y)) for x, y in pairs)
-    n = space.n_points
-    diameter = 0.0
-    for x, y in ps:
-        if not (0 <= x < n and 0 <= y < n):
-            raise ValueError(f"pair ({x}, {y}) out of range for a {n}-point space")
-        d = space.dist[x, y]
-        if not math.isfinite(d):
-            raise ValueError(f"pair ({space.points[x]}, {space.points[y]}) "
-                             "has infinite distance; not controlled")
-        diameter = max(diameter, d)
-    return ControlledSet(space, ps, diameter)
+    keys = np.array(list(ps), dtype=np.int64).reshape(-1, 2)
+    return ControlledSet(space, ps, support_diameter(space, keys[:, 0], keys[:, 1]))
 
 
 def tube(space: FiniteSpace, radius: float) -> ControlledSet:
@@ -310,7 +324,6 @@ def compose(e: ControlledSet, f: ControlledSet) -> ControlledSet:
     two diameters (triangle inequality).
     """
     if e.space is not f.space:
-        from .errors import SpaceMismatchError
         raise SpaceMismatchError("cannot compose controlled sets over different spaces")
     by_first: dict[int, list[int]] = {}
     for z, y in f.pairs:
@@ -319,9 +332,7 @@ def compose(e: ControlledSet, f: ControlledSet) -> ControlledSet:
     for x, z in e.pairs:
         for y in by_first.get(z, ()):
             out.add((x, y))
-    dist = e.space.dist
-    diameter = max((float(dist[x, y]) for x, y in out), default=0.0)
-    return ControlledSet(e.space, frozenset(out), diameter)
+    return controlled(e.space, out)
 
 
 def coarse_components(space: FiniteSpace) -> list[list[int]]:
@@ -354,7 +365,6 @@ def is_generating(space: FiniteSpace, e: ControlledSet,
     points squared) bounds the search otherwise.
     """
     if e.space is not space:
-        from .errors import SpaceMismatchError
         raise SpaceMismatchError("controlled set belongs to a different space")
     n_pts = space.n_points
     if n_max is None:

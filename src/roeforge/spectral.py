@@ -40,6 +40,8 @@ __all__ = [
 
 DENSE_CUTOFF = 512
 DEFAULT_TOL = 1e-10
+_LANCZOS_K = 4           # Ritz values computed per Lanczos solve
+_LANCZOS_NCV = 64        # Lanczos basis size (capped at the dimension)
 
 
 @dataclass(frozen=True)
@@ -104,14 +106,15 @@ def dense_extreme_eig(mat: np.ndarray) -> tuple[float, float]:
 
 
 def extreme_eig_matvec(matvec: Callable, n: int, seed: int, *,
-                       k: int = 4, tol: float = DEFAULT_TOL,
-                       ncv: int = 64, maxiter: int | None = None):
+                       tol: float = DEFAULT_TOL):
     """Signed eigenvalue of largest modulus of a symmetric matvec, by Lanczos.
 
     Returns ``(value, matvec_count, residual)`` — ``value`` keeps its sign
     here; the public wrappers report |value|.  The start vector is drawn
     from ``default_rng(seed)``, which makes the whole computation a pure
-    function of its arguments.
+    function of its arguments.  ARPACK gets ``10 * n`` update
+    iterations; a solve that does not converge in them raises
+    :class:`~roeforge.errors.SpectralError`.
     """
     if n < 3:
         raise ValueError("iterative path needs at least 3 points; use the dense path")
@@ -125,11 +128,10 @@ def extreme_eig_matvec(matvec: Callable, n: int, seed: int, *,
     lin = spla.LinearOperator((n, n), matvec=counting, dtype=float)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
-    k_eff = min(k, n - 2)
+    k = min(_LANCZOS_K, n - 2)
     try:
-        vals, vecs = spla.eigsh(lin, k=k_eff, which="LM", v0=v0,
-                                tol=tol, ncv=min(n, max(ncv, k_eff + 2)),
-                                maxiter=maxiter if maxiter is not None else 10 * n)
+        vals, vecs = spla.eigsh(lin, k=k, which="LM", v0=v0, tol=tol,
+                                ncv=min(n, max(_LANCZOS_NCV, k + 2)), maxiter=10 * n)
     except spla.ArpackNoConvergence as exc:
         raise SpectralError(f"Lanczos iteration did not converge: {exc}") from exc
     best = int(np.argmax(np.abs(vals)))
@@ -151,8 +153,7 @@ def _checked(res: SpectralResult, tol: float) -> SpectralResult:
 
 def sym_extreme_eig(op: FinitePropOp, which: str = "max_abs", *,
                     tol: float = DEFAULT_TOL,
-                    dense_cutoff: int = DENSE_CUTOFF,
-                    maxiter: int | None = None) -> SpectralResult:
+                    dense_cutoff: int = DENSE_CUTOFF) -> SpectralResult:
     """Extreme eigenvalue of a self-adjoint operator.
 
     ``which`` currently only supports ``"max_abs"``: the signed eigenvalue
@@ -175,7 +176,7 @@ def sym_extreme_eig(op: FinitePropOp, which: str = "max_abs", *,
                             "complex hermitian operators must fit under dense_cutoff")
     seed = operator_seed(op)
     lam, count, residual = extreme_eig_matvec(
-        lambda x: csr @ x, n, seed, tol=tol, maxiter=maxiter)
+        lambda x: csr @ x, n, seed, tol=tol)
     return _checked(SpectralResult(abs(lam), "iterative", count, residual, seed), tol)
 
 

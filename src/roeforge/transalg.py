@@ -31,9 +31,8 @@ from .errors import (
     OperatorParseError,
     ScalarModeError,
     SpaceMismatchError,
-    UncontrolledSupportError,
 )
-from .space import ControlledSet, FiniteSpace, controlled
+from .space import ControlledSet, FiniteSpace, support_diameter
 
 __all__ = [
     "MODE_RATIONAL",
@@ -118,12 +117,17 @@ class FinitePropOp:
     """A finite-propagation matrix over a fixed space.
 
     ``entries`` maps ordered index pairs ``(x, y)`` to nonzero values; zero
-    values are dropped at construction, so two operators are equal exactly
-    when their spaces, modes and entry dicts agree.  Entries are stored in
-    sorted pair order, which makes row sums, serialisation and float
-    arithmetic deterministic.  The constructor validates caller input; the
-    results of ``+``, ``@``, scalar ``*``, :meth:`adjoint` and
-    :meth:`to_float` are valid by construction and skip that check.
+    values are dropped at construction, before the support is checked, so
+    two operators are equal exactly when their spaces, modes and entry
+    dicts agree.  Entries are stored in sorted pair order, which makes row
+    sums, serialisation and float arithmetic deterministic.  The
+    constructor validates caller input: each value, then the support, in
+    one call to :func:`~roeforge.space.support_diameter`.  Every operator
+    the package derives from operators it already holds (``+``, ``@``,
+    scalar ``*``, :meth:`adjoint`, :meth:`to_float`, :meth:`identity`,
+    :meth:`zero`, restrictions, projections, averaging operators,
+    decomposition idempotents) is valid by construction and skips that
+    check; its ``propagation`` is computed when first read.
 
     A rational product multiplies integers.  Row ``x`` of the left operand
     is scaled by the lcm of that row's denominators and column ``y`` of the
@@ -137,55 +141,54 @@ class FinitePropOp:
     row's sums.  Float products are the plain loop over the floats.
     """
 
-    __slots__ = ("space", "mode", "entries", "propagation", "_csr", "_float")
+    __slots__ = ("space", "mode", "entries", "_propagation", "_csr", "_float")
 
     def __init__(self, space: FiniteSpace, entries: Mapping, mode: str = MODE_RATIONAL):
         _check_mode(mode)
-        n = space.n_points
-        clean: dict[tuple[int, int], Scalar] = {}
-        for (x, y), v in sorted(entries.items()):
-            x = int(x)
-            y = int(y)
-            if not (0 <= x < n and 0 <= y < n):
-                raise ValueError(f"entry index ({x}, {y}) out of range for {n} points")
-            v = _check_value(v, mode)
-            if v == 0:
-                continue
-            if not math.isfinite(space.dist[x, y]):
-                raise UncontrolledSupportError(
-                    f"entry ({space.points[x]}, {space.points[y]}) connects "
-                    "points at infinite distance")
-            clean[(x, y)] = v
-        self._store(space, clean, mode)
+        self._store(space, {(int(x), int(y)): _check_value(v, mode)
+                            for (x, y), v in entries.items()}, mode)
+        self._propagation = support_diameter(space, *self._pairs())
 
-    def _store(self, space: FiniteSpace, entries: dict, mode: str):
-        """Keep sorted, zero-free ``entries`` and set their exact propagation."""
+    def _store(self, space: FiniteSpace, entries: Mapping, mode: str):
+        """Keep ``entries`` with zeros dropped and keys sorted."""
         self.space = space
         self.mode = mode
-        self.entries = entries
-        keys = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
-        self.propagation = float(space.dist[keys[:, 0], keys[:, 1]].max(initial=0.0))
+        self.entries = {k: entries[k] for k in sorted(entries) if entries[k] != 0}
+        self._propagation = None
         self._csr = None
         self._float = None
 
     @classmethod
     def _sealed(cls, space: FiniteSpace, entries: Mapping, mode: str) -> "FinitePropOp":
-        """Result of a closed *-algebra operation: valid by construction, so
-        zeros are dropped and keys sorted, with no per-entry checks."""
+        """An operator whose support is controlled by construction: the
+        package's own results skip the checks and run no numpy."""
+        _check_mode(mode)
         op = cls.__new__(cls)
-        op._store(space, {k: entries[k] for k in sorted(entries) if entries[k] != 0}, mode)
+        op._store(space, entries, mode)
         return op
+
+    @property
+    def propagation(self) -> float:
+        """Largest distance over the support, computed when first read."""
+        if self._propagation is None:
+            self._propagation = support_diameter(self.space, *self._pairs())
+        return self._propagation
+
+    def _pairs(self):
+        """Row and column index arrays of the support, in entry order."""
+        keys = np.array(list(self.entries), dtype=np.int64).reshape(-1, 2)
+        return keys[:, 0], keys[:, 1]
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, space: FiniteSpace, mode: str = MODE_RATIONAL) -> "FinitePropOp":
-        return cls(space, {}, mode)
+        return cls._sealed(space, {}, mode)
 
     @classmethod
     def identity(cls, space: FiniteSpace, mode: str = MODE_RATIONAL) -> "FinitePropOp":
         one = 1 if mode == MODE_RATIONAL else 1.0
-        return cls(space, {(i, i): one for i in range(space.n_points)}, mode)
+        return cls._sealed(space, {(i, i): one for i in range(space.n_points)}, mode)
 
     @classmethod
     def diagonal(cls, space: FiniteSpace, values, mode: str = MODE_RATIONAL) -> "FinitePropOp":
@@ -221,7 +224,7 @@ class FinitePropOp:
 
     def support(self) -> ControlledSet:
         """The support as a controlled set (exact diameter = propagation)."""
-        return controlled(self.space, self.entries.keys())
+        return ControlledSet(self.space, frozenset(self.entries), self.propagation)
 
     # -- algebra -----------------------------------------------------------
 
@@ -300,11 +303,9 @@ class FinitePropOp:
 
     def _coo(self):
         """Row, column and value arrays; values complex if any entry is, else float."""
-        nnz = len(self.entries)
-        keys = np.array(list(self.entries), dtype=np.int64).reshape(nnz, 2)
         vals = self.entries.values()
         dtype = complex if any(isinstance(v, complex) for v in vals) else float
-        return keys[:, 0], keys[:, 1], np.fromiter(vals, dtype=dtype, count=nnz)
+        return (*self._pairs(), np.fromiter(vals, dtype=dtype, count=len(vals)))
 
     def to_dense(self) -> np.ndarray:
         rows, cols, vals = self._coo()
@@ -416,27 +417,12 @@ class PartialTranslation:
     __slots__ = ("space", "mapping", "propagation")
 
     def __init__(self, space: FiniteSpace, mapping: Mapping[int, int]):
-        self.space = space
-        n = space.n_points
-        m = {}
-        for y, x in sorted(mapping.items()):
-            x = int(x)
-            y = int(y)
-            if not (0 <= x < n and 0 <= y < n):
-                raise ValueError(f"pair ({x}, {y}) out of range for {n} points")
-            m[y] = x
+        m = dict(sorted((int(y), int(x)) for y, x in mapping.items()))
         if len(set(m.values())) != len(m):
             raise ValueError("partial translation must be injective")
-        prop = 0.0
-        for y, x in m.items():
-            d = float(space.dist[x, y])
-            if not math.isfinite(d):
-                raise UncontrolledSupportError(
-                    f"translation moves {space.points[y]} across components")
-            if d > prop:
-                prop = d
+        self.propagation = support_diameter(space, list(m.values()), list(m))
+        self.space = space
         self.mapping = m
-        self.propagation = prop
 
     @classmethod
     def identity_on(cls, space: FiniteSpace, subset: Iterable[int]) -> "PartialTranslation":
@@ -488,8 +474,7 @@ class PermutationOp:
         n = space.n_points
         if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
             raise ValueError("perm must be a bijection of the point indices")
-        if not np.isfinite(space.dist[p, np.arange(n)]).all():
-            raise UncontrolledSupportError("permutation moves a point across components")
+        support_diameter(space, p, np.arange(n))
         p.setflags(write=False)
         self.space = space
         self.perm = p
@@ -571,13 +556,10 @@ def single_pair_translations(space: FiniteSpace) -> list[PartialTranslation]:
     Together with the identity these generate the whole algebra on each
     component, which makes them a convenient test family for invariance.
     """
-    out = []
-    n = space.n_points
-    for x in range(n):
-        for y in range(n):
-            if x != y and math.isfinite(space.dist[x, y]):
-                out.append(PartialTranslation(space, {y: x}))
-    return out
+    comp = space.component_of.tolist()
+    return [PartialTranslation(space, {y: x})
+            for x, cx in enumerate(comp) for y, cy in enumerate(comp)
+            if x != y and cx == cy]
 
 
 def invariant_subspace_basis(space: FiniteSpace, ops=None, rtol: float = 1e-9) -> np.ndarray:

@@ -11,9 +11,11 @@ from roeforge import (
     GapBoundError,
     PermutationOp,
     SpaceMismatchError,
+    SpectralError,
 )
+from roeforge import kazhdan
 from roeforge.kazhdan import EXACT_POWER_CAP
-from conftest import random_space, spectral_norm
+from conftest import random_rational_op, random_space, random_translation, spectral_norm
 
 
 def averaging_for(space, radius=1.0):
@@ -122,6 +124,38 @@ def test_restrict_rejects_bad_component():
         rf.restrict(FinitePropOp.identity(sp), 1)
 
 
+SEALED_SPACES = {
+    "random-3": lambda: random_space(np.random.default_rng(3)),
+    "random-11": lambda: random_space(np.random.default_rng(11)),
+    "random-29": lambda: random_space(np.random.default_rng(29)),
+    # components {0, 2, 4} and {1, 3} interleave in index order
+    "interleaved": lambda: rf.space_from_graph(
+        list("abcde"), [(0, 2, 1), (2, 4, 1), (1, 3, 1)], name="il"),
+}
+
+
+@pytest.mark.parametrize("make", SEALED_SPACES.values(), ids=SEALED_SPACES)
+def test_sealed_builders_match_the_validating_constructor(make):
+    """Operators the package derives from its own operators skip the
+    boundary check; rebuilding each through the validating constructor
+    gives the same operator, key order and propagation."""
+    rng = np.random.default_rng(5)
+    sp = make()
+    col = rf.edge_colouring(sp, 1.0)
+    dec = rf.decompose_translation(random_translation(rng, sp), col)
+    t = random_rational_op(rng, sp)
+    built = [rf.kazhdan_projection(sp).op, averaging_for(sp).op, *dec.idempotents,
+             *(rf.restrict(op, m) for op in (t, t.to_float())
+               for m in range(sp.n_components))]
+    for mode in ("rational", "float"):
+        built += [FinitePropOp.identity(sp, mode), FinitePropOp.zero(sp, mode)]
+    for op in built:
+        rebuilt = FinitePropOp(op.space, op.entries, op.mode)
+        assert rebuilt == op
+        assert list(rebuilt.entries) == list(op.entries)
+        assert rebuilt.propagation == op.propagation
+
+
 def test_rate_constants_known_values():
     rc = rf.rate_constants(1, 2)
     assert rc.delta == math.sqrt(15) / 4
@@ -207,6 +241,49 @@ def test_gap_report_small_components_take_dense_path():
     full = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=2)
     assert small.rho == full.components[0].rho
     assert big.rho == pytest.approx(full.components[1].rho, abs=1e-9)
+
+
+@pytest.mark.parametrize("path", ["dense", "iterative"])
+def test_gap_report_rejects_uncertified_residual(monkeypatch, path):
+    # the residual bounds the distance from rho to the spectrum, so a
+    # solver answer whose residual is far above the tolerance is an error
+    if path == "dense":
+        real = kazhdan.dense_extreme_eig
+        monkeypatch.setattr(kazhdan, "dense_extreme_eig",
+                            lambda mat: (real(mat)[0], 1e-3))
+    else:
+        real = kazhdan.extreme_eig_matvec
+        monkeypatch.setattr(kazhdan, "extreme_eig_matvec",
+                            lambda *a, **k: (*real(*a, **k)[:2], 1e-3))
+    sp = rf.make_cycle(8)
+    with pytest.raises(SpectralError, match="residual"):
+        rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=1,
+                      dense_cutoff=8 if path == "dense" else 0)
+
+
+@pytest.mark.parametrize("make, radius", [
+    (lambda: rf.make_margulis(8), 1.0),
+    (lambda: rf.make_margulis(16), 1.0),
+    (lambda: rf.make_cycle(9), 1.0),
+    (lambda: rf.make_hypercube(5), 2.0),
+    (lambda: rf.make_cycle(600), 1.0),
+], ids=["Mg8", "Mg16", "C9", "Q5-R2", "C600"])
+def test_rho_matches_laplacian_oracle(make, radius):
+    """Each colour involution fixes the points it does not touch, so
+    A = 1 - L_R/(2c) for the tube graph's Laplacian L_R and c colours, and
+    on a connected space rho = 1 - lambda_2(L_R)/(2c)."""
+    sp = make()
+    col = rf.edge_colouring(sp, radius)
+    avg = rf.build_averaging(rf.colour_permutations(col)[1:])
+    (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=1).components
+    n = sp.n_points
+    lap = np.zeros((n, n))
+    for u, v in rf.tube_graph_edges(sp, radius):
+        lap[u, v] = lap[v, u] = -1.0
+    np.fill_diagonal(lap, -lap.sum(axis=1))
+    lam2 = np.linalg.eigvalsh(lap)[1]
+    assert abs(comp.rho - (1.0 - lam2 / (2 * col.n_colours))) <= 1e-9
+    assert comp.spectral.method == ("iterative" if n > rf.DENSE_CUTOFF else "dense")
 
 
 def test_gap_report_threshold_verdict():

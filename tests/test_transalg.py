@@ -16,6 +16,7 @@ from roeforge import (
     SpaceMismatchError,
     UncontrolledSupportError,
 )
+from roeforge import transalg
 from roeforge.transalg import _scaled, operator_sum
 from conftest import random_rational_op, random_space
 
@@ -41,6 +42,38 @@ def test_construction_rejects_infinite_pairs():
     sp = two_blocks()
     with pytest.raises(UncontrolledSupportError):
         FinitePropOp(sp, {(0, 2): Fraction(1)})
+
+
+SUPPORT_BUILDERS = {
+    "FinitePropOp": lambda sp, x, y: FinitePropOp(sp, {(x, y): Fraction(1, 3)}),
+    "PartialTranslation": lambda sp, x, y: PartialTranslation(sp, {y: x}),
+    # the transposition of x and y, written out as a list of images
+    "PermutationOp": lambda sp, x, y: PermutationOp(
+        sp, [x if i == y else y if i == x else i for i in range(sp.n_points)]),
+    "controlled": lambda sp, x, y: rf.controlled(sp, [(1, 1), (x, y)]),
+}
+
+
+def _diameter(built):
+    if isinstance(built, PermutationOp):
+        return built.op.propagation
+    if isinstance(built, rf.ControlledSet):
+        return built.diameter
+    return built.propagation
+
+
+@pytest.mark.parametrize("build", SUPPORT_BUILDERS.values(), ids=SUPPORT_BUILDERS)
+def test_public_constructors_check_the_support(build):
+    """Every public constructor rejects an index outside the space and a
+    pair at infinite distance when it is called, not when first read."""
+    sp = two_blocks()
+    assert _diameter(build(sp, 1, 0)) == 1.0
+    for x, y in ((4, 0), (0, 4), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError) as info:
+            build(sp, x, y)
+        assert not isinstance(info.value, UncontrolledSupportError)
+    with pytest.raises(UncontrolledSupportError):
+        build(sp, 2, 0)
 
 
 def test_construction_rejects_bool_entries():
@@ -75,6 +108,24 @@ def test_propagation_is_max_support_distance():
     sp = rf.make_cycle(6)
     op = FinitePropOp(sp, {(0, 2): Fraction(1), (1, 2): Fraction(1)})
     assert op.propagation == 2.0
+
+
+def test_propagation_is_computed_once_when_read(monkeypatch):
+    sp = rf.make_cycle(6)
+    a = FinitePropOp(sp, {(0, 1): Fraction(1), (1, 2): Fraction(1)})
+    calls = []
+    real = transalg.support_diameter
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(transalg, "support_diameter", counting)
+    prod = a @ a
+    assert calls == []  # a sealed result runs no check
+    assert prod.propagation == 2.0
+    assert prod.propagation == 2.0
+    assert len(calls) == 1
 
 
 def test_arithmetic_matches_dense():
