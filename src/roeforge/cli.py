@@ -11,8 +11,8 @@ Three subcommands:
 Exit codes are part of the contract: 0 means a uniform gap below the
 threshold (or a verify pass), 2 means the mathematical answer is "no"
 (gap above threshold / invariant failure), 1 means an operational error
-(bad file, bad flags).  Reports are byte-identical across runs for the
-same inputs, seeds included.
+(bad file, bad flags, an input too large to allocate).  Reports are
+byte-identical across runs for the same inputs, seeds included.
 """
 
 from __future__ import annotations
@@ -122,6 +122,9 @@ def main(argv=None) -> int:
         return _cmd_verify(args)
     except (RoeforgeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

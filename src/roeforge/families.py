@@ -167,15 +167,27 @@ def random_bounded_degree_space(n: int, max_degree: int, seed: int = 0,
     if max_degree < 0:
         raise FamilyError("max_degree must be >= 0")
     rng = np.random.default_rng(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    rng.shuffle(pairs)
+    # shuffling the pair indices draws exactly what shuffling the list of
+    # pairs (u < v, in row order) would, and leaves the stream in the same state
+    order = np.arange(n * (n - 1) // 2)
+    rng.shuffle(order)
+    us, vs = np.triu_indices(n, 1)
+    us, vs = us[order], vs[order]
     degree = [0] * n
+    spare = np.full(n, max_degree > 0)
     edges = []
-    for u, v in pairs:
-        if degree[u] < max_degree and degree[v] < max_degree and rng.random() < edge_prob:
-            degree[u] += 1
-            degree[v] += 1
-            edges.append((u, v, 1.0))
+    # a saturated point stays saturated, so a chunk's pairs with a
+    # saturated endpoint are dropped up front; they never drew a number
+    for lo in range(0, len(order), n):
+        u_chunk, v_chunk = us[lo:lo + n], vs[lo:lo + n]
+        keep = spare[u_chunk] & spare[v_chunk]
+        for u, v in zip(u_chunk[keep].tolist(), v_chunk[keep].tolist()):
+            if degree[u] < max_degree and degree[v] < max_degree and rng.random() < edge_prob:
+                for w in (u, v):
+                    degree[w] += 1
+                    if degree[w] == max_degree:
+                        spare[w] = False
+                edges.append((u, v, 1.0))
     if name is None:
         name = f"G{n}d{max_degree}s{seed}"
     return space_from_graph([str(k) for k in range(n)], edges, name=name)

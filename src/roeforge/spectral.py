@@ -7,7 +7,9 @@ on the same operator produce identical results.  Every answer comes back
 as a :class:`SpectralResult` carrying the method used, the matvec count
 and an a-posteriori residual ``||A v - lambda v||``; for self-adjoint
 operators that residual bounds the distance from ``lambda`` to the true
-spectrum, so it is a certificate, not a diagnostic.
+spectrum, so it is a certificate, not a diagnostic.  The solvers also
+return the certified eigenvector, on which :func:`eigvec_power_norms`
+measures the norms of powers.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "op_norm",
     "dense_extreme_eig",
     "extreme_eig_matvec",
+    "eigvec_power_norms",
     "dense_power_norms",
     "matvec_power_norm",
 ]
@@ -95,26 +98,29 @@ def require_self_adjoint(op: FinitePropOp, tol: float = 1e-12) -> None:
                 f"entries ({x}, {y}) and ({y}, {x}) differ beyond tolerance")
 
 
-def dense_extreme_eig(mat: np.ndarray) -> tuple[float, float]:
+def dense_extreme_eig(mat: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Signed eigenvalue of largest modulus of a dense hermitian matrix,
-    and the residual ``||mat v - value v||`` of its unit eigenvector."""
+    its unit eigenvector ``v``, and the residual ``||mat v - value v||``."""
     w, v = np.linalg.eigh(mat)
     best = int(np.argmax(np.abs(w)))
     lam = float(w[best])
-    residual = float(np.linalg.norm(mat @ v[:, best] - lam * v[:, best]))
-    return lam, residual
+    vec = v[:, best]
+    residual = float(np.linalg.norm(mat @ vec - lam * vec))
+    return lam, vec, residual
 
 
 def extreme_eig_matvec(matvec: Callable, n: int, seed: int, *,
                        tol: float = DEFAULT_TOL):
     """Signed eigenvalue of largest modulus of a symmetric matvec, by Lanczos.
 
-    Returns ``(value, matvec_count, residual)`` — ``value`` keeps its sign
-    here; the public wrappers report |value|.  The start vector is drawn
-    from ``default_rng(seed)``, which makes the whole computation a pure
+    Returns ``(value, vec, matvec_count, residual)`` — ``value`` keeps its
+    sign here; the public wrappers report |value|; ``vec`` is the Ritz
+    vector whose residual is reported.  The start vector is drawn from
+    ``default_rng(seed)``, which makes the whole computation a pure
     function of its arguments.  ARPACK gets ``10 * n`` update
     iterations; a solve that does not converge in them raises
-    :class:`~roeforge.errors.SpectralError`.
+    :class:`~roeforge.errors.SpectralError` naming ``n`` and the matvecs
+    spent.
     """
     if n < 3:
         raise ValueError("iterative path needs at least 3 points; use the dense path")
@@ -133,12 +139,13 @@ def extreme_eig_matvec(matvec: Callable, n: int, seed: int, *,
         vals, vecs = spla.eigsh(lin, k=k, which="LM", v0=v0, tol=tol,
                                 ncv=min(n, max(_LANCZOS_NCV, k + 2)), maxiter=10 * n)
     except spla.ArpackNoConvergence as exc:
-        raise SpectralError(f"Lanczos iteration did not converge: {exc}") from exc
+        raise SpectralError(f"Lanczos iteration did not converge on {n} points "
+                            f"after {count} matvecs: {exc}") from exc
     best = int(np.argmax(np.abs(vals)))
     value = float(vals[best])
     vec = vecs[:, best]
     residual = float(np.linalg.norm(counting(vec) - value * vec))
-    return value, count, residual
+    return value, vec, count, residual
 
 
 def _checked(res: SpectralResult, tol: float) -> SpectralResult:
@@ -168,14 +175,14 @@ def sym_extreme_eig(op: FinitePropOp, which: str = "max_abs", *,
     if op.nnz == 0:
         return SpectralResult(0.0, "dense", 0, 0.0)
     if n <= max(dense_cutoff, 2):
-        lam, residual = dense_extreme_eig(op.to_dense())
+        lam, _, residual = dense_extreme_eig(op.to_dense())
         return _checked(SpectralResult(abs(lam), "dense", 0, residual), tol)
     csr = op.to_csr()
     if np.iscomplexobj(csr):
         raise SpectralError("iterative path handles real symmetric operators only; "
                             "complex hermitian operators must fit under dense_cutoff")
     seed = operator_seed(op)
-    lam, count, residual = extreme_eig_matvec(
+    lam, _, count, residual = extreme_eig_matvec(
         lambda x: csr @ x, n, seed, tol=tol)
     return _checked(SpectralResult(abs(lam), "iterative", count, residual, seed), tol)
 
@@ -191,6 +198,27 @@ def op_norm(op: FinitePropOp, *, tol: float = DEFAULT_TOL,
                           res.iterations, res.residual, res.seed)
 
 
+def eigvec_power_norms(matvec: Callable, vec: np.ndarray,
+                       ks: Iterable[int]) -> dict[int, float]:
+    """``||M^k v||`` for the unit vector ``v = vec/||vec||`` at each k.
+
+    For a self-adjoint M and an eigenvector of its largest |eigenvalue|
+    this is ``||M^k||_2``: the norm of a power is attained on that vector.
+    One sweep of ``max(ks)`` matvecs, with no renormalisation in between,
+    so a curve like 0.5, 0.25, 0.0625 comes back exact.
+    """
+    ks = sorted(set(int(k) for k in ks))
+    if not ks or ks[0] < 1:
+        raise ValueError("powers must be >= 1")
+    x = vec / np.linalg.norm(vec)
+    out = {}
+    for k in range(1, ks[-1] + 1):
+        x = matvec(x)
+        if k in ks:
+            out[k] = float(np.linalg.norm(x))
+    return out
+
+
 def dense_power_norms(mat: np.ndarray, ks: Iterable[int]) -> dict[int, float]:
     """``||mat^k||_2`` for each k, by scaled repeated squaring.
 
@@ -198,7 +226,8 @@ def dense_power_norms(mat: np.ndarray, ks: Iterable[int]) -> dict[int, float]:
     binary expansion.  Each cached power is renormalised and the log of
     the scale carried separately, so norms far below float range (decay
     like rho^k) come back as accurate small floats instead of underflowing
-    inside the matrix product.
+    inside the matrix product.  It needs no eigenvector, so it is an
+    independent check on :func:`eigvec_power_norms`.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
@@ -250,7 +279,8 @@ def matvec_power_norm(matvec: Callable, n: int, k: int, seed: int, *,
     """``||M^k||_2`` for a symmetric matvec: top |eigenvalue| of the k-fold map.
 
     Returns ``(norm, matvec_count, residual)``; the matvec count is of the
-    underlying single application.
+    underlying single application.  One solve per power: an independent
+    check on :func:`eigvec_power_norms`, not the gap report's path.
     """
     if k < 1:
         raise ValueError("power must be >= 1")
@@ -263,5 +293,5 @@ def matvec_power_norm(matvec: Callable, n: int, k: int, seed: int, *,
             x = matvec(x)
         return x
 
-    value, _, residual = extreme_eig_matvec(mk, n, seed, tol=tol)
+    value, _, _, residual = extreme_eig_matvec(mk, n, seed, tol=tol)
     return abs(value), inner, residual

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import roeforge as rf
+from roeforge import cli
 from roeforge.cli import main
 
 
@@ -132,6 +133,28 @@ def test_gap_lanczos_non_convergence_exits_one(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "did not converge" in captured.err
+    assert "on 600 points" in captured.err and "after 0 matvecs" in captured.err
+
+
+def test_gap_too_large_to_allocate_exits_one(tmp_path, capsys):
+    # the cycle's 10^7 x 10^7 metric (728 TiB) exceeds the 128 TiB user
+    # address space of x86-64 Linux, so the allocation fails at once
+    path = write(tmp_path, "big.json", json.dumps({"family": "cycle", "members": [10_000_000]}))
+    assert main(["gap", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory: Unable to allocate")
+    assert captured.err.count("\n") == 1
+
+
+def test_bare_memory_error_still_gets_a_message(tmp_path, capsys, monkeypatch):
+    def exhausted(text):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "load_manifest", exhausted)
+    path = write(tmp_path, "c.json", json.dumps({"family": "cycle", "members": [5]}))
+    assert main(["gap", path]) == 1
+    assert capsys.readouterr().err == "error: out of memory: allocation failed\n"
 
 
 def test_bad_arguments_exit_one(tmp_path, capsys):

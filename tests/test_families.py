@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import roeforge as rf
-from roeforge import FamilyError, ManifestError
+from roeforge import FamilyError, ManifestError, families
 
 
 def test_cycle_metric_matches_shortest_paths():
@@ -113,6 +113,61 @@ def test_random_bounded_degree_space():
     assert np.array_equal(sp.dist, again.dist)
     empty = rf.random_bounded_degree_space(6, 3, seed=0, edge_prob=0.0)
     assert empty.n_components == 6
+
+
+def _reference_bounded_degree_edges(n, max_degree, seed, edge_prob):
+    """The generator's original pair loop: the edges it keeps and the
+    stream's next draw after it."""
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    degree = [0] * n
+    edges = []
+    for u, v in pairs:
+        if degree[u] < max_degree and degree[v] < max_degree and rng.random() < edge_prob:
+            degree[u] += 1
+            degree[v] += 1
+            edges.append((u, v, 1.0))
+    return edges, rng.random()
+
+
+_BOUNDED_DEGREE_CASES = [
+    (1, 3, 0, 0.5), (1, 0, 4, 1.0), (2, 1, 5, 1.0), (2, 0, 5, 1.0),
+    (3, 2, 1, 0.5), (6, 3, 0, 0.0), (12, 0, 9, 0.5), (12, 11, 2, 1.0),
+    (40, 8, 17, 1.0), (40, 39, 3, 0.5), (75, 4, 8, 0.0), (200, 8, 21, 0.5),
+] + [
+    (int(n), int(d), int(seed), float(p))
+    for n, d, seed, p in zip(
+        np.random.default_rng(2024).integers(1, 160, 18),
+        np.random.default_rng(2025).integers(0, 10, 18),
+        np.random.default_rng(2026).integers(0, 2**31, 18),
+        np.random.default_rng(2027).choice([0.0, 0.2, 0.5, 0.9, 1.0], 18))
+]
+
+
+@pytest.mark.parametrize("n, max_degree, seed, edge_prob", _BOUNDED_DEGREE_CASES)
+def test_random_bounded_degree_space_matches_pair_loop(monkeypatch, n, max_degree,
+                                                       seed, edge_prob):
+    # the generated graphs are test data throughout the suite: the numpy
+    # filter must keep exactly the edges, and the draws, of the pair loop
+    made = []
+
+    def recording_rng(*args, **kwargs):
+        made.append(real_rng(*args, **kwargs))
+        return made[-1]
+
+    real_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    monkeypatch.setattr(families, "space_from_graph",
+                        lambda points, edges, name: (points, edges, name))
+    points, edges, name = rf.random_bounded_degree_space(
+        n, max_degree, seed=seed, edge_prob=edge_prob)
+    monkeypatch.undo()
+    want_edges, want_next = _reference_bounded_degree_edges(n, max_degree, seed, edge_prob)
+    assert edges == want_edges
+    assert made[0].random() == want_next
+    assert points == [str(k) for k in range(n)]
+    assert name == f"G{n}d{max_degree}s{seed}"
 
 
 def test_family_registry():

@@ -13,8 +13,9 @@ from roeforge import (
     SpaceMismatchError,
     SpectralError,
 )
-from roeforge import kazhdan
+from roeforge import kazhdan, spectral
 from roeforge.kazhdan import EXACT_POWER_CAP
+from roeforge.spectral import dense_power_norms, matvec_power_norm
 from conftest import random_rational_op, random_space, random_translation, spectral_norm
 
 
@@ -250,11 +251,11 @@ def test_gap_report_rejects_uncertified_residual(monkeypatch, path):
     if path == "dense":
         real = kazhdan.dense_extreme_eig
         monkeypatch.setattr(kazhdan, "dense_extreme_eig",
-                            lambda mat: (real(mat)[0], 1e-3))
+                            lambda mat: (*real(mat)[:2], 1e-3))
     else:
         real = kazhdan.extreme_eig_matvec
         monkeypatch.setattr(kazhdan, "extreme_eig_matvec",
-                            lambda *a, **k: (*real(*a, **k)[:2], 1e-3))
+                            lambda *a, **k: (*real(*a, **k)[:3], 1e-3))
     sp = rf.make_cycle(8)
     with pytest.raises(SpectralError, match="residual"):
         rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=1,
@@ -324,14 +325,60 @@ def test_gap_report_records_rate_bound():
     assert rep.params["c"] == 1.0
 
 
-def test_curve_follows_rho_powers():
+@pytest.mark.parametrize("dense_cutoff", [rf.DENSE_CUTOFF, 0], ids=["default", "cutoff0"])
+def test_curve_follows_rho_powers(dense_cutoff):
+    """The curve is measured on rho's eigenvector; it must follow rho^k and
+    match an independent norm of each power: scaled repeated squaring on the
+    dense path, a Lanczos solve of the k-fold map on the iterative one."""
     rng = np.random.default_rng(77)
+    methods = set()
     for _ in range(5):
         sp = random_space(rng, max_points=10)
-        rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=16)
+        avg = averaging_for(sp)
+        rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=16,
+                            dense_cutoff=dense_cutoff)
         for comp in rep.components:
+            idx = sp.component_points(comp.id)
+            s = len(idx)
+            block = avg.op.to_csr()[idx][:, idx]
+            ks = [k for k, _ in comp.curve]
+            methods.add(comp.spectral.method)
+            if comp.spectral.method == "dense":
+                ref = dense_power_norms(block.toarray() - 1.0 / s, ks)
+                rtol = kazhdan.CURVE_RTOL_DENSE
+            else:
+                ref = {k: matvec_power_norm(lambda x: block @ x - x.mean(), s, k,
+                                            seed=k)[0]
+                       for k in ks}
+                rtol = kazhdan.CURVE_RTOL_ITER
             for k, norm in comp.curve:
                 assert norm == pytest.approx(comp.rho**k, rel=1e-7, abs=1e-11)
+                assert norm == pytest.approx(ref[k], rel=rtol, abs=kazhdan.CURVE_ATOL)
+    assert methods == ({"dense", "iterative"} if dense_cutoff == 0 else {"dense"})
+
+
+def test_one_eigensolve_per_component(monkeypatch):
+    """The curve reuses rho's eigenvector: no solve and no seed per power."""
+    calls = {"solve": 0, "seed": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # the solver is counted where spectral binds it too, so a k-fold solve
+    # made through spectral.matvec_power_norm would show
+    solve = counted(kazhdan.extreme_eig_matvec, "solve")
+    monkeypatch.setattr(kazhdan, "extreme_eig_matvec", solve)
+    monkeypatch.setattr(spectral, "extreme_eig_matvec", solve)
+    monkeypatch.setattr(kazhdan, "operator_seed", counted(kazhdan.operator_seed, "seed"))
+    sp = rf.make_cycle(600)
+    rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=32)
+    (comp,) = rep.components
+    assert comp.spectral.method == "iterative"
+    assert [k for k, _ in comp.curve] == [1, 2, 4, 8, 16, 32]
+    assert calls == {"solve": 1, "seed": 1}
 
 
 def test_gap_report_jobs_parity():

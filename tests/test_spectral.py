@@ -7,7 +7,9 @@ import pytest
 import roeforge as rf
 from roeforge import FinitePropOp, NotSelfAdjointError, SpectralError
 from roeforge.spectral import (
+    dense_extreme_eig,
     dense_power_norms,
+    eigvec_power_norms,
     extreme_eig_matvec,
     matvec_power_norm,
     operator_seed,
@@ -167,6 +169,35 @@ def test_dense_power_norms_survives_tiny_norms():
 def test_dense_power_norms_k_one_is_plain_norm():
     m = np.diag([0.25, -0.75])
     assert dense_power_norms(m, [1])[1] == pytest.approx(0.75)
+
+
+def test_eigvec_power_norms_match_matrix_power():
+    """On the eigenvector of the largest |eigenvalue| the norm of each power
+    is attained, so one sweep of matvecs gives ||M^k||_2."""
+    rng = np.random.default_rng(43)
+    m = rng.normal(size=(9, 9))
+    m = (m + m.T) / 9
+    _, vec, _ = dense_extreme_eig(m)
+    ks = [1, 2, 3, 8, 13]
+    got = eigvec_power_norms(lambda x: m @ x, 5.0 * vec, ks)
+    assert sorted(got) == ks
+    for k in ks:
+        want = spectral_norm(np.linalg.matrix_power(m, k))
+        assert got[k] == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueError):
+        eigvec_power_norms(lambda x: m @ x, vec, [0, 2])
+
+
+def test_eigvec_power_norms_on_the_lanczos_vector():
+    rng = np.random.default_rng(47)
+    sp = rf.make_cycle(30)
+    op = sym_op(rng, sp)
+    csr = op.to_csr()
+    value, vec, count, _ = extreme_eig_matvec(lambda x: csr @ x, 30, seed=5)
+    assert count > 0 and vec.shape == (30,)
+    got = eigvec_power_norms(lambda x: csr @ x, vec, [1, 4])
+    for k in (1, 4):
+        assert got[k] == pytest.approx(abs(value) ** k, rel=1e-9)
 
 
 def test_matvec_power_norm_matches_dense():
