@@ -214,20 +214,18 @@ def _random_space(rng) -> FiniteSpace:
 
 def _random_op(rng, space: FiniteSpace, density: float = 0.3) -> FinitePropOp:
     entries = {}
-    n = space.n_points
-    for x in range(n):
-        for y in range(n):
-            if np.isfinite(space.dist[x, y]) and rng.random() < density:
+    comp = space.component_of.tolist()
+    for x, cx in enumerate(comp):
+        for y, cy in enumerate(comp):
+            if cx == cy and rng.random() < density:
                 entries[(x, y)] = Fraction(int(rng.integers(-6, 7)),
                                            int(rng.integers(1, 5)))
     return FinitePropOp(space, entries)
 
 
 def _random_translation(rng, space: FiniteSpace, radius: float) -> PartialTranslation:
-    pairs = [(x, y)
-             for x in range(space.n_points)
-             for y in range(space.n_points)
-             if space.dist[x, y] <= radius]
+    rows, cols, _ = space.pairs_within(radius)
+    pairs = list(zip(rows.tolist(), cols.tolist()))
     rng.shuffle(pairs)
     mapping = {}
     used_img = set()

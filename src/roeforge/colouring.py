@@ -49,10 +49,9 @@ __all__ = [
 
 def tube_graph_edges(space: FiniteSpace, radius: float) -> list[tuple[int, int]]:
     """Unordered pairs (u < v) of distinct points at distance <= radius."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    close = np.triu(space.dist <= radius, k=1)
-    return [(int(u), int(v)) for u, v in np.argwhere(close)]
+    rows, cols, _ = space.pairs_within(radius)
+    upper = rows < cols
+    return list(zip(rows[upper].tolist(), cols[upper].tolist()))
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,12 @@ class EdgeColouring:
         same permutations and their cached operators."""
         perms = [PermutationOp.identity(self.space)]
         for matching in self.classes():
-            perms.append(PermutationOp.from_swaps(self.space, matching))
+            # a matching of tube edges: a bijection moving points finitely
+            u, v = np.array(matching, dtype=np.int64).T
+            perm = np.arange(self.space.n_points)
+            perm[u] = v
+            perm[v] = u
+            perms.append(PermutationOp._sealed(self.space, perm))
         return tuple(perms)
 
 

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import FamilyError, ManifestError
-from .space import FiniteSpace, disjoint_union, space_from_graph
+from .space import FiniteSpace, _check_size, space_from_graph
 
 __all__ = [
     "make_cycle",
@@ -33,22 +33,27 @@ __all__ = [
 
 
 def make_cycle(n: int) -> FiniteSpace:
-    """The n-cycle with its path metric (closed form, no search)."""
+    """The n-cycle with its path metric."""
     n = int(n)
     if n < 3:
         raise FamilyError("a cycle needs at least 3 points")
-    i = np.arange(n)
-    gap = np.abs(i[:, None] - i[None, :])
-    dist = np.minimum(gap, n - gap).astype(float)
-    return FiniteSpace([str(k) for k in range(n)], dist, name=f"C{n}")
+    _check_size(n)
+    return space_from_graph([str(k) for k in range(n)], _cycle_edges(n), name=f"C{n}")
+
+
+def _cycle_edges(n: int, at: int = 0) -> list[tuple[int, int, float]]:
+    """Unit edges of the n-cycle on the points at, at + 1, ..., at + n - 1."""
+    return [(at + k, at + (k + 1) % n, 1.0) for k in range(n)]
 
 
 def make_complete(n: int) -> FiniteSpace:
     n = int(n)
     if n < 1:
         raise FamilyError("a complete graph needs at least 1 point")
-    dist = np.ones((n, n)) - np.eye(n)
-    return FiniteSpace([str(k) for k in range(n)], dist, name=f"K{n}")
+    _check_size(n)
+    return space_from_graph([str(k) for k in range(n)],
+                            [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)],
+                            name=f"K{n}")
 
 
 def make_hypercube(d: int) -> FiniteSpace:
@@ -57,10 +62,9 @@ def make_hypercube(d: int) -> FiniteSpace:
     if d < 1:
         raise FamilyError("hypercube dimension must be >= 1")
     n = 1 << d
-    pop = np.array([bin(v).count("1") for v in range(n)])
-    i = np.arange(n)
-    dist = pop[np.bitwise_xor.outer(i, i)].astype(float)
-    return FiniteSpace([format(v, f"0{d}b") for v in range(n)], dist, name=f"Q{d}")
+    _check_size(n)
+    edges = [(v, v ^ (1 << b), 1.0) for v in range(n) for b in range(d) if not v >> b & 1]
+    return space_from_graph([format(v, f"0{d}b") for v in range(n)], edges, name=f"Q{d}")
 
 
 def make_random_regular(n: int, d: int, seed: int = 0) -> FiniteSpace:
@@ -77,6 +81,7 @@ def make_random_regular(n: int, d: int, seed: int = 0) -> FiniteSpace:
         raise FamilyError("degree must satisfy 0 <= d < n")
     if (n * d) % 2:
         raise FamilyError("n*d must be even for a d-regular graph to exist")
+    _check_size(n)
     name = f"RR{n}x{d}s{seed}"
     if d == 0:
         return space_from_graph([str(k) for k in range(n)], [], name=name)
@@ -111,6 +116,7 @@ def make_margulis(n: int) -> FiniteSpace:
     n = int(n)
     if n < 2:
         raise FamilyError("torus side must be >= 2")
+    _check_size(n * n)
     edges = set()
     for x in range(n):
         for y in range(n):
@@ -147,8 +153,13 @@ def make_box_space_Z(sizes: Sequence[int]) -> FiniteSpace:
         raise FamilyError("cycle sizes must be >= 3")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise FamilyError("cycle sizes must be strictly increasing")
+    _check_size(sum(sizes))
     name = "boxZ-" + "-".join(str(s) for s in sizes)
-    return disjoint_union([make_cycle(s) for s in sizes], name=name)
+    # one block-diagonal graph, its points named as disjoint_union names them
+    points = [f"C{s}:{k}" for s in sizes for k in range(s)]
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    edges = [e for at, s in zip(starts, sizes) for e in _cycle_edges(s, at)]
+    return space_from_graph(points, edges, name=name)
 
 
 def random_bounded_degree_space(n: int, max_degree: int, seed: int = 0,
@@ -166,6 +177,7 @@ def random_bounded_degree_space(n: int, max_degree: int, seed: int = 0,
         raise FamilyError("need at least one point")
     if max_degree < 0:
         raise FamilyError("max_degree must be >= 0")
+    _check_size(n)
     rng = np.random.default_rng(seed)
     # shuffling the pair indices draws exactly what shuffling the list of
     # pairs (u < v, in row order) would, and leaves the stream in the same state

@@ -41,7 +41,7 @@ from .spectral import (
     extreme_eig_matvec,
     operator_seed,
 )
-from .transalg import MODE_RATIONAL, FinitePropOp, PermutationOp, uniform_sum
+from .transalg import MODE_RATIONAL, FinitePropOp, PermutationOp
 
 __all__ = [
     "AveragingOp",
@@ -102,10 +102,16 @@ def build_averaging(perms: Iterable[PermutationOp]) -> AveragingOp:
     for p in perms:
         for y, x in enumerate(p.perm.tolist()):
             hits[(x, y)] = hits.get((x, y), 0) + 1
+    # unit row and column sums of A, checked on the counts: each is 2n
+    row_hits = [0] * space.n_points
+    col_hits = [0] * space.n_points
+    for (x, y), c in hits.items():
+        row_hits[x] += c
+        col_hits[y] += c
+    if any(s != 2 * n for s in row_hits) or any(s != 2 * n for s in col_hits):
+        raise RuntimeError("averaging operator failed the unit row-sum check")
     op = FinitePropOp._sealed(
         space, {k: Fraction(c, 2 * n) for k, c in hits.items()}, MODE_RATIONAL)
-    if uniform_sum(op) != 1:
-        raise RuntimeError("averaging operator failed the unit row-sum check")
     return AveragingOp(op=op, perms=perms, n=n)
 
 

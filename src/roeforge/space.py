@@ -23,12 +23,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
 
 from .errors import SpaceMismatchError, SpaceParseError, UncontrolledSupportError
 
 __all__ = [
     "INF",
+    "MAX_POINTS",
     "FiniteSpace",
     "ControlledSet",
     "GeneratingResult",
@@ -46,6 +47,8 @@ __all__ = [
 ]
 
 INF = math.inf
+MAX_POINTS = 1 << 20    # larger spaces are refused with MemoryError
+_CHUNK = 1 << 20        # most distances held at once by a graph-backed query
 
 
 class FiniteSpace:
@@ -67,6 +70,11 @@ class FiniteSpace:
         and consistency of the finite-distance relation with a partition.
         The triangle inequality is O(n^3); use :func:`check_triangle`
         separately when that guarantee is needed.
+
+    Spaces built from graphs (:func:`space_from_graph`, and
+    :func:`disjoint_union` of such spaces) hold their weighted graph and
+    component labels instead of a matrix.  Their distances are answered
+    from the graph, and ``dist`` is computed only when it is first read.
     """
 
     def __init__(self, points: Sequence[str], dist, name: str = "space",
@@ -76,12 +84,7 @@ class FiniteSpace:
         d = np.array(dist, dtype=float)
         n = len(self.points)
         if validate:
-            if n == 0:
-                raise ValueError("a space needs at least one point")
-            if len(set(self.points)) != n:
-                raise ValueError("point names must be distinct")
-            if not self.name or any(c.isspace() for c in self.name):
-                raise ValueError("space name must be a single non-empty token")
+            _check_names(self.points, self.name)
             if d.shape != (n, n):
                 raise ValueError(f"distance matrix must be {n}x{n}, got {d.shape}")
             if np.isnan(d).any():
@@ -94,7 +97,8 @@ class FiniteSpace:
             if offdiag.size and offdiag.min() <= 0:
                 raise ValueError("off-diagonal distances must be positive")
         d.setflags(write=False)
-        self.dist = d
+        self._dist = d
+        self._graph = None
 
         finite = np.isfinite(d)
         comp = np.full(n, -1, dtype=np.int64)
@@ -113,6 +117,67 @@ class FiniteSpace:
         self.component_of = comp
         self.n_components = next_id
         self._component_spaces: dict[int, FiniteSpace] = {}
+
+    @classmethod
+    def _from_graph(cls, points: Sequence[str], graph: sp.csr_matrix, unit: bool,
+                    name: str, dist: np.ndarray | None = None) -> "FiniteSpace":
+        """A space on a symmetric CSR graph (positive weights, no self-loops).
+
+        ``unit`` says that every weight is 1; ``dist``, when given, is the
+        graph's path metric, kept as the cached ``dist``.  Components are
+        numbered by their smallest point, as the matrix constructor does.
+        """
+        space = cls.__new__(cls)
+        space.points = tuple(points)
+        space.name = str(name)
+        space._dist = dist
+        space._graph = graph
+        space._unit = unit
+        n_components, labels = connected_components(graph, directed=False)
+        comp = labels.astype(np.int64)
+        comp.setflags(write=False)
+        space.component_of = comp
+        space.n_components = int(n_components)
+        space._component_spaces = {}
+        return space
+
+    @property
+    def dist(self) -> np.ndarray:
+        """The read-only n x n distance matrix (built on first read for a graph)."""
+        if self._dist is None:
+            # scipy picks Dijkstra or Floyd-Warshall by the edge count, and the
+            # two can differ in the last bit on weights that are not dyadic;
+            # the upper triangle counts each edge once, as the edge list does
+            d = shortest_path(sp.triu(self._graph, format="csr"), directed=False,
+                              unweighted=self._unit)
+            d.setflags(write=False)
+            self._dist = d
+        return self._dist
+
+    def _distance_rows(self, rows=None, limit: float = INF):
+        """Yield ``(lo, block)``: the distances from ``rows[lo:lo + len(block)]``.
+
+        ``rows`` defaults to every point.  Each block has at most
+        ``_CHUNK`` entries.  Entries above ``limit`` may read +inf.  The
+        blocks are rows of ``dist`` when the space holds it, or is small
+        enough that it fits in one block, and otherwise one Dijkstra
+        search per row, cut off at ``limit`` (inclusive).
+        """
+        n = self.n_points
+        step = max(1, _CHUNK // n)
+        if self._dist is None and n * n <= _CHUNK:
+            self.dist  # computes the one block and keeps it
+        whole = rows is None
+        if whole:
+            rows = np.arange(n)
+        for lo in range(0, len(rows), step):
+            if self._dist is None:
+                block = dijkstra(self._graph, indices=rows[lo:lo + step], limit=limit)
+            elif whole:
+                block = self._dist[lo:lo + step]
+            else:
+                block = self._dist[rows[lo:lo + step]]
+            yield lo, block
 
     @property
     def n_points(self) -> int:
@@ -143,25 +208,60 @@ class FiniteSpace:
         got = self._component_spaces.get(component_id)
         if got is None:
             idx = self.component_points(component_id)
-            got = FiniteSpace(
-                [self.points[i] for i in idx],
-                self.dist[np.ix_(idx, idx)],
-                name=f"{self.name}.{component_id}",
-                validate=False,
-            )
+            points = [self.points[i] for i in idx]
+            name = f"{self.name}.{component_id}"
+            if self._dist is not None:
+                got = FiniteSpace(points, self._dist[np.ix_(idx, idx)], name=name,
+                                  validate=False)
+            else:
+                got = FiniteSpace._from_graph(points, self._graph[idx][:, idx],
+                                              self._unit, name)
             self._component_spaces[component_id] = got
         return got
+
+    def pairs_within(self, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every ordered pair at distance <= radius, as row, column and distance arrays.
+
+        Pairs come in row-major order and include the diagonal.
+        """
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
+        rows, cols, dists = [], [], []
+        for lo, block in self._distance_rows(limit=radius):
+            # flat indices: far faster than a 2-d nonzero, same row-major order
+            r, c = np.divmod(np.flatnonzero(block <= radius), block.shape[1])
+            rows.append(r + lo)
+            cols.append(c)
+            dists.append(block[r, c])
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
 
     def max_ball_size(self, radius: float) -> int:
         """Largest number of points in any closed ball of the given radius."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        return int(np.max(np.sum(self.dist <= radius, axis=1)))
+        return max(int(np.count_nonzero(block <= radius, axis=1).max())
+                   for _, block in self._distance_rows(limit=radius))
 
     def finite_diameter(self) -> float:
         """Largest finite distance in the space (0.0 for a single point)."""
-        finite = self.dist[np.isfinite(self.dist)]
-        return float(finite.max())
+        return max(float(block[np.isfinite(block)].max())
+                   for _, block in self._distance_rows())
+
+
+def _check_names(points: tuple, name: str) -> None:
+    if not points:
+        raise ValueError("a space needs at least one point")
+    if len(set(points)) != len(points):
+        raise ValueError("point names must be distinct")
+    if not name or any(c.isspace() for c in name):
+        raise ValueError("space name must be a single non-empty token")
+
+
+def _check_size(n: int) -> None:
+    """Refuse a space of more than MAX_POINTS points, before building any of it."""
+    if n > MAX_POINTS:
+        raise MemoryError(f"Unable to allocate a space of {n} points "
+                          f"(the limit is {MAX_POINTS})")
 
 
 def space_from_graph(points: Sequence[str],
@@ -172,9 +272,12 @@ def space_from_graph(points: Sequence[str],
     ``edges`` yields ``(u, v, w)`` index triples with ``w > 0``.  Points not
     reached by any edge sit at +inf from everything else.  Parallel edges
     keep the smallest weight; self-loops are ignored (they cannot change
-    any shortest path).
+    any shortest path).  The space keeps the graph, not a distance matrix.
     """
     n = len(points)
+    _check_size(n)
+    points = tuple(str(p) for p in points)
+    _check_names(points, str(name))
     best: dict[tuple[int, int], float] = {}
     unit = True
     for u, v, w in edges:
@@ -190,38 +293,48 @@ def space_from_graph(points: Sequence[str],
             best[key] = w
         if w != 1.0:
             unit = False
-    if best:
-        rows = np.fromiter((k[0] for k in best), dtype=np.int64, count=len(best))
-        cols = np.fromiter((k[1] for k in best), dtype=np.int64, count=len(best))
-        vals = np.fromiter(best.values(), dtype=float, count=len(best))
-        graph = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        d = shortest_path(graph, directed=False, unweighted=unit)
-    else:
-        d = np.full((n, n), INF)
-        np.fill_diagonal(d, 0.0)
-    return FiniteSpace(points, d, name=name)
+    rows = np.fromiter((k[0] for k in best), dtype=np.int64, count=len(best))
+    cols = np.fromiter((k[1] for k in best), dtype=np.int64, count=len(best))
+    vals = np.fromiter(best.values(), dtype=float, count=len(best))
+    graph = sp.csr_matrix((np.concatenate([vals, vals]),
+                           (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+                          shape=(n, n))
+    return FiniteSpace._from_graph(points, graph, unit, name)
+
+
+def _union_dist(spaces: Sequence[FiniteSpace], total: int) -> np.ndarray:
+    d = np.full((total, total), INF)
+    at = 0
+    for s in spaces:
+        d[at:at + s.n_points, at:at + s.n_points] = s.dist
+        at += s.n_points
+    return d
 
 
 def disjoint_union(spaces: Sequence[FiniteSpace], name: str | None = None) -> FiniteSpace:
     """Disjoint union: distances kept within each part, +inf across parts.
 
     Point names are qualified as ``<part-name>:<point-name>`` so the union
-    has distinct names even when parts repeat.
+    has distinct names even when parts repeat.  A union of spaces built
+    from graphs keeps their graphs, as one block-diagonal graph.
     """
     if not spaces:
         raise ValueError("disjoint_union needs at least one space")
-    sizes = [s.n_points for s in spaces]
-    total = sum(sizes)
-    d = np.full((total, total), INF)
-    names: list[str] = []
-    at = 0
-    for s in spaces:
-        d[at:at + s.n_points, at:at + s.n_points] = s.dist
-        names.extend(f"{s.name}:{p}" for p in s.points)
-        at += s.n_points
+    total = sum(s.n_points for s in spaces)
+    _check_size(total)
+    names = [f"{s.name}:{p}" for s in spaces for p in s.points]
     if name is None:
         name = "+".join(s.name for s in spaces)
-    return FiniteSpace(names, d, name=name)
+    if any(s._graph is None for s in spaces):
+        return FiniteSpace(names, _union_dist(spaces, total), name=name)
+    _check_names(tuple(names), str(name))
+    # a small union keeps the parts' matrices, and so their bits
+    dist = None
+    if total * total <= _CHUNK:
+        dist = _union_dist(spaces, total)
+        dist.setflags(write=False)
+    graph = sp.block_diag([s._graph for s in spaces], format="csr")
+    return FiniteSpace._from_graph(names, graph, all(s._unit for s in spaces), name, dist)
 
 
 def check_triangle(space: FiniteSpace) -> None:
@@ -286,14 +399,24 @@ def support_diameter(space: FiniteSpace, rows, cols) -> float:
     if outside.any():
         i = int(np.argmax(outside))
         raise ValueError(f"pair ({rows[i]}, {cols[i]}) out of range for {n} points")
-    d = space.dist[rows, cols]
-    infinite = np.isinf(d)
-    if infinite.any():
-        i = int(np.argmax(infinite))
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    apart = space.component_of[rows] != space.component_of[cols]
+    if apart.any():
+        i = int(np.argmax(apart))
         raise UncontrolledSupportError(
             f"pair ({space.points[rows[i]]}, {space.points[cols[i]]}) "
             "connects points at infinite distance")
-    return float(d.max(initial=0.0))
+    # one search per distinct row: sort the pairs by row, then read each
+    # block's pairs off the block
+    sources, at = np.unique(rows, return_inverse=True)
+    order = np.argsort(at, kind="stable")
+    at, cols = at[order], cols[order]
+    diameter = 0.0
+    for lo, block in space._distance_rows(sources):
+        a, b = np.searchsorted(at, (lo, lo + len(block)))
+        diameter = max(diameter, float(block[at[a:b] - lo, cols[a:b]].max(initial=0.0)))
+    return diameter
 
 
 def controlled(space: FiniteSpace, pairs: Iterable[tuple[int, int]]) -> ControlledSet:
@@ -309,12 +432,9 @@ def tube(space: FiniteSpace, radius: float) -> ControlledSet:
     Always contains the diagonal.  The +inf convention makes every tube a
     subset of the union of component squares, whatever the radius.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    inside = space.dist <= radius
-    pairs = frozenset((int(x), int(y)) for x, y in np.argwhere(inside))
-    diameter = float(space.dist[inside].max())
-    return ControlledSet(space, pairs, diameter)
+    rows, cols, dists = space.pairs_within(radius)
+    pairs = frozenset(zip(rows.tolist(), cols.tolist()))
+    return ControlledSet(space, pairs, float(dists.max()))
 
 
 def compose(e: ControlledSet, f: ControlledSet) -> ControlledSet:

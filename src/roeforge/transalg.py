@@ -286,9 +286,12 @@ class FinitePropOp:
         return FinitePropOp._sealed(self.space, acc, self.mode)
 
     def adjoint(self) -> "FinitePropOp":
-        return FinitePropOp._sealed(
-            self.space, {(y, x): v.conjugate() for (x, y), v in self.entries.items()},
-            self.mode)
+        if self.mode == MODE_RATIONAL:
+            # rational entries are real; Fraction.conjugate() would copy each one
+            flipped = {(y, x): v for (x, y), v in self.entries.items()}
+        else:
+            flipped = {(y, x): v.conjugate() for (x, y), v in self.entries.items()}
+        return FinitePropOp._sealed(self.space, flipped, self.mode)
 
     # -- conversions -------------------------------------------------------
 
@@ -475,14 +478,25 @@ class PermutationOp:
         if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
             raise ValueError("perm must be a bijection of the point indices")
         support_diameter(space, p, np.arange(n))
+        self._store(space, p)
+
+    def _store(self, space: FiniteSpace, p: np.ndarray):
         p.setflags(write=False)
         self.space = space
         self.perm = p
         self._op = None
 
     @classmethod
+    def _sealed(cls, space: FiniteSpace, perm: np.ndarray) -> "PermutationOp":
+        """A permutation valid by construction: ``perm``, an int64 array the
+        caller gives up, is kept without the checks."""
+        op = cls.__new__(cls)
+        op._store(space, perm)
+        return op
+
+    @classmethod
     def identity(cls, space: FiniteSpace) -> "PermutationOp":
-        return cls(space, np.arange(space.n_points))
+        return cls._sealed(space, np.arange(space.n_points, dtype=np.int64))
 
     @classmethod
     def from_swaps(cls, space: FiniteSpace, swaps: Iterable[tuple[int, int]]) -> "PermutationOp":

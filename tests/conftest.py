@@ -4,6 +4,7 @@ Everything is driven by explicit numpy Generators so failures reproduce
 from the printed seed alone.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -58,3 +59,15 @@ def random_translation(rng, space, radius=1.0, keep=0.6):
 def spectral_norm(mat):
     """Dense 2-norm oracle used to cross-check the library's solvers."""
     return float(np.linalg.norm(np.asarray(mat, dtype=float), 2))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), peak)``: the call's result and the most bytes
+    traced by tracemalloc while it ran (numpy arrays included)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

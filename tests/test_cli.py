@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -137,8 +138,8 @@ def test_gap_lanczos_non_convergence_exits_one(tmp_path, capsys, monkeypatch):
 
 
 def test_gap_too_large_to_allocate_exits_one(tmp_path, capsys):
-    # the cycle's 10^7 x 10^7 metric (728 TiB) exceeds the 128 TiB user
-    # address space of x86-64 Linux, so the allocation fails at once
+    # 10^7 points is over the space size limit, so the cycle is refused
+    # before any of it is built
     path = write(tmp_path, "big.json", json.dumps({"family": "cycle", "members": [10_000_000]}))
     assert main(["gap", path]) == 1
     captured = capsys.readouterr()
@@ -245,3 +246,46 @@ def test_console_script_wiring():
     eps = md.entry_points()
     scripts = eps.select(group="console_scripts", name="roeforge")
     assert [ep.value for ep in scripts] == ["roeforge.cli:main"]
+
+
+# the verify generators as they were when every space held its matrix: the
+# draws, and so the corpora, must not change
+
+def _dense_random_op(rng, space, density=0.3):
+    entries = {}
+    n = space.n_points
+    for x in range(n):
+        for y in range(n):
+            if np.isfinite(space.dist[x, y]) and rng.random() < density:
+                entries[(x, y)] = Fraction(int(rng.integers(-6, 7)),
+                                           int(rng.integers(1, 5)))
+    return rf.FinitePropOp(space, entries)
+
+
+def _dense_random_translation(rng, space, radius):
+    pairs = [(x, y)
+             for x in range(space.n_points)
+             for y in range(space.n_points)
+             if space.dist[x, y] <= radius]
+    rng.shuffle(pairs)
+    mapping = {}
+    used_img = set()
+    for x, y in pairs:
+        if y not in mapping and x not in used_img and rng.random() < 0.6:
+            mapping[y] = x
+            used_img.add(x)
+    return rf.PartialTranslation(space, mapping)
+
+
+def test_verify_generators_match_the_dense_loops():
+    unions = 0
+    for i in range(30):
+        space = cli._random_space(np.random.default_rng([5, i]))
+        unions += space.name == "u"
+        for radius in (1.0, 2.0):
+            new, old = np.random.default_rng([6, i]), np.random.default_rng([6, i])
+            assert cli._random_op(new, space) == _dense_random_op(old, space)
+            assert (cli._random_translation(new, space, radius)
+                    == _dense_random_translation(old, space, radius))
+            assert new.random() == old.random()
+    assert unions >= 5

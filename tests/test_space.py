@@ -239,3 +239,98 @@ def test_tube_monotone_and_diameter_bounded(seed, n, r):
     t = rf.tube(sp, r)
     assert t.issubset(rf.tube(sp, r + 1))
     assert t.diameter <= r
+
+
+# -- graph-backed spaces against the dense metric of the same graph ------------
+
+WEIGHTS = (0.25, 0.5, 1.0, 1.5, 2.0)  # dyadic: every path sum is exact
+
+
+@st.composite
+def graph_parts(draw):
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 8))
+        edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(WEIGHTS))
+        parts.append((n, draw(st.lists(edge, max_size=2 * n))))
+    return parts
+
+
+@settings(deadline=None, max_examples=150)
+@given(graph_parts(), st.sampled_from([1, 5, 20, 1 << 20]), st.integers(1, 3))
+def test_graph_backed_space_matches_dense_metric(parts, chunk, stride):
+    from scipy.sparse.csgraph import shortest_path
+
+    from roeforge import space as space_mod
+    from roeforge.space import support_diameter
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space_mod, "_CHUNK", chunk)  # several chunks for all but the largest
+        built = [rf.space_from_graph([str(i) for i in range(n)], edges, name=f"b{b}")
+                 for b, (n, edges) in enumerate(parts)]
+        g = built[0] if len(built) == 1 else rf.disjoint_union(built)
+        d = shortest_path(g._graph, directed=False)
+        n = g.n_points
+
+        oracle = rf.FiniteSpace(g.points, d, name=g.name)
+        assert np.array_equal(g.component_of, oracle.component_of)
+        assert g.n_components == oracle.n_components
+        for r in (0, 1, 1.5, 2):
+            inside = d <= r
+            t = rf.tube(g, r)
+            assert t.pairs == {(int(x), int(y)) for x, y in np.argwhere(inside)}
+            assert t.diameter == d[inside].max()
+            assert rf.tube_graph_edges(g, r) == [
+                (int(u), int(v)) for u, v in np.argwhere(np.triu(inside, k=1))]
+            assert g.max_ball_size(r) == inside.sum(axis=1).max()
+        assert g.finite_diameter() == d[np.isfinite(d)].max()
+
+        rows, cols = np.nonzero(g.component_of[:, None] == g.component_of[None, :])
+        rows, cols = rows[::stride], cols[::stride]
+        assert support_diameter(g, rows, cols) == d[rows, cols].max()
+        if g.n_components > 1:
+            far = int(g.component_points(1)[0])
+            with pytest.raises(rf.UncontrolledSupportError) as err:
+                support_diameter(g, [0, 0], [0, far])
+            assert str(err.value) == (f"pair ({g.points[0]}, {g.points[far]}) "
+                                      "connects points at infinite distance")
+        with pytest.raises(ValueError, match=f"out of range for {n} points"):
+            support_diameter(g, [0], [n])
+
+        for m in range(g.n_components):
+            idx = g.component_points(m)
+            sub = g.component_space(m)
+            assert sub.points == tuple(g.points[i] for i in idx)
+            assert sub.n_components == 1
+            assert np.array_equal(sub.dist, d[np.ix_(idx, idx)])
+
+        # only a space that fits in one chunk has built its matrix
+        assert (g._dist is None) == (n * n > chunk)
+        assert np.array_equal(g.dist, d)
+        assert not g.dist.flags.writeable
+
+
+def test_box_space_colouring_builds_no_dense_metric():
+    from conftest import traced_peak
+
+    def build():
+        space = rf.make_box_space_Z([64, 128, 256, 512, 1024])
+        return space, rf.edge_colouring(space, 1)
+
+    (space, col), peak = traced_peak(build)
+    assert len(col.edges) == 1984 and col.n_colours == 2
+    assert space._dist is None
+    # one 1984 x 1984 float matrix is 31.5 MB; building it densely peaked at 148.7 MB
+    assert peak < 1984 * 1984 * 8
+
+
+def test_spaces_above_the_size_limit_are_refused_up_front():
+    from roeforge.space import MAX_POINTS
+
+    over = MAX_POINTS + 1
+    for n, build in ((over, lambda: rf.make_cycle(over)),
+                     (1025 * 1025, lambda: rf.make_margulis(1025)),
+                     (over, lambda: rf.make_box_space_Z([3, over - 3])),
+                     (over, lambda: rf.space_from_graph(range(over), []))):
+        with pytest.raises(MemoryError, match=f"^Unable to allocate a space of {n} points"):
+            build()
