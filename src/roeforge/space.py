@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import SpaceMismatchError, SpaceParseError, UncontrolledSupportError
 
@@ -73,8 +73,9 @@ class FiniteSpace:
 
     Spaces built from graphs (:func:`space_from_graph`, and
     :func:`disjoint_union` of such spaces) hold their weighted graph and
-    component labels instead of a matrix.  Their distances are answered
-    from the graph, and ``dist`` is computed only when it is first read.
+    component labels instead of a matrix.  Every distance they report
+    comes from Dijkstra's algorithm on that graph, and ``dist`` is
+    computed only when it is first read.
     """
 
     def __init__(self, points: Sequence[str], dist, name: str = "space",
@@ -119,20 +120,18 @@ class FiniteSpace:
         self._component_spaces: dict[int, FiniteSpace] = {}
 
     @classmethod
-    def _from_graph(cls, points: Sequence[str], graph: sp.csr_matrix, unit: bool,
-                    name: str, dist: np.ndarray | None = None) -> "FiniteSpace":
+    def _from_graph(cls, points: Sequence[str], graph: sp.csr_matrix,
+                    name: str) -> "FiniteSpace":
         """A space on a symmetric CSR graph (positive weights, no self-loops).
 
-        ``unit`` says that every weight is 1; ``dist``, when given, is the
-        graph's path metric, kept as the cached ``dist``.  Components are
-        numbered by their smallest point, as the matrix constructor does.
+        Components are numbered by their smallest point, as the matrix
+        constructor does.
         """
         space = cls.__new__(cls)
         space.points = tuple(points)
         space.name = str(name)
-        space._dist = dist
+        space._dist = None
         space._graph = graph
-        space._unit = unit
         n_components, labels = connected_components(graph, directed=False)
         comp = labels.astype(np.int64)
         comp.setflags(write=False)
@@ -145,11 +144,7 @@ class FiniteSpace:
     def dist(self) -> np.ndarray:
         """The read-only n x n distance matrix (built on first read for a graph)."""
         if self._dist is None:
-            # scipy picks Dijkstra or Floyd-Warshall by the edge count, and the
-            # two can differ in the last bit on weights that are not dyadic;
-            # the upper triangle counts each edge once, as the edge list does
-            d = shortest_path(sp.triu(self._graph, format="csr"), directed=False,
-                              unweighted=self._unit)
+            d = dijkstra(self._graph)
             d.setflags(write=False)
             self._dist = d
         return self._dist
@@ -159,13 +154,16 @@ class FiniteSpace:
 
         ``rows`` defaults to every point.  Each block has at most
         ``_CHUNK`` entries.  Entries above ``limit`` may read +inf.  The
-        blocks are rows of ``dist`` when the space holds it, or is small
-        enough that it fits in one block, and otherwise one Dijkstra
-        search per row, cut off at ``limit`` (inclusive).
+        blocks are rows of ``dist`` when the space holds it, and otherwise
+        one Dijkstra search per row, cut off at ``limit`` (inclusive).  An
+        unbounded query on a space whose ``dist`` fits in one block builds
+        ``dist`` and keeps it.  With positive weights no point beyond the
+        limit can shorten a path to one within it, so every entry within
+        ``limit`` equals the entry of ``dist`` bit for bit.
         """
         n = self.n_points
         step = max(1, _CHUNK // n)
-        if self._dist is None and n * n <= _CHUNK:
+        if self._dist is None and limit == INF and n * n <= _CHUNK:
             self.dist  # computes the one block and keeps it
         whole = rows is None
         if whole:
@@ -214,8 +212,7 @@ class FiniteSpace:
                 got = FiniteSpace(points, self._dist[np.ix_(idx, idx)], name=name,
                                   validate=False)
             else:
-                got = FiniteSpace._from_graph(points, self._graph[idx][:, idx],
-                                              self._unit, name)
+                got = FiniteSpace._from_graph(points, self._graph[idx][:, idx], name)
             self._component_spaces[component_id] = got
         return got
 
@@ -279,7 +276,6 @@ def space_from_graph(points: Sequence[str],
     points = tuple(str(p) for p in points)
     _check_names(points, str(name))
     best: dict[tuple[int, int], float] = {}
-    unit = True
     for u, v, w in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for {n} points")
@@ -291,24 +287,13 @@ def space_from_graph(points: Sequence[str],
         key = (u, v) if u < v else (v, u)
         if w < best.get(key, INF):
             best[key] = w
-        if w != 1.0:
-            unit = False
     rows = np.fromiter((k[0] for k in best), dtype=np.int64, count=len(best))
     cols = np.fromiter((k[1] for k in best), dtype=np.int64, count=len(best))
     vals = np.fromiter(best.values(), dtype=float, count=len(best))
     graph = sp.csr_matrix((np.concatenate([vals, vals]),
                            (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
                           shape=(n, n))
-    return FiniteSpace._from_graph(points, graph, unit, name)
-
-
-def _union_dist(spaces: Sequence[FiniteSpace], total: int) -> np.ndarray:
-    d = np.full((total, total), INF)
-    at = 0
-    for s in spaces:
-        d[at:at + s.n_points, at:at + s.n_points] = s.dist
-        at += s.n_points
-    return d
+    return FiniteSpace._from_graph(points, graph, name)
 
 
 def disjoint_union(spaces: Sequence[FiniteSpace], name: str | None = None) -> FiniteSpace:
@@ -326,15 +311,15 @@ def disjoint_union(spaces: Sequence[FiniteSpace], name: str | None = None) -> Fi
     if name is None:
         name = "+".join(s.name for s in spaces)
     if any(s._graph is None for s in spaces):
-        return FiniteSpace(names, _union_dist(spaces, total), name=name)
+        d = np.full((total, total), INF)
+        at = 0
+        for s in spaces:
+            d[at:at + s.n_points, at:at + s.n_points] = s.dist
+            at += s.n_points
+        return FiniteSpace(names, d, name=name)
     _check_names(tuple(names), str(name))
-    # a small union keeps the parts' matrices, and so their bits
-    dist = None
-    if total * total <= _CHUNK:
-        dist = _union_dist(spaces, total)
-        dist.setflags(write=False)
     graph = sp.block_diag([s._graph for s in spaces], format="csr")
-    return FiniteSpace._from_graph(names, graph, all(s._unit for s in spaces), name, dist)
+    return FiniteSpace._from_graph(names, graph, name)
 
 
 def check_triangle(space: FiniteSpace) -> None:

@@ -373,6 +373,27 @@ def _all_sums(op: FinitePropOp):
     return rows, cols
 
 
+def _exact_uniform_sum(op: FinitePropOp):
+    """:func:`uniform_sum_value` in rational mode, summing integer numerators.
+
+    Line ``i`` sums to ``sums[i] / lcms[i]``; each is compared with row 0's
+    sum by cross-multiplying, so no ``Fraction`` is built but the result.
+    """
+    n = op.space.n_points
+    num = den = None
+    for axis in (0, 1):
+        lcms, scaled = _scaled(op.entries, axis, n)
+        lcms = lcms or [1] * n
+        sums = [0] * n
+        for k, v in scaled.items():
+            sums[k[axis]] += v
+        if num is None:
+            num, den = sums[0], lcms[0]
+        if any(s * den != num * m for s, m in zip(sums, lcms)):
+            return None
+    return Fraction(num, den) if num % den else num // den
+
+
 def uniform_sum_value(op: FinitePropOp, tol=None):
     """The common row/column sum of ``op``, or None if sums differ.
 
@@ -384,8 +405,8 @@ def uniform_sum_value(op: FinitePropOp, tol=None):
     if op.mode == MODE_RATIONAL:
         if tol not in (None, 0):
             raise ValueError("rational mode compares sums exactly; tol must be 0")
-        tol = 0
-    elif tol is None:
+        return _exact_uniform_sum(op)
+    if tol is None:
         tol = 1e-12
     rows, cols = _all_sums(op)
     c = rows[0]

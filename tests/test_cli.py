@@ -53,6 +53,50 @@ def test_gap_exit_two_without_gap(tmp_path, capsys):
     assert main(["gap", path, "--radius", "3"]) == 0
 
 
+# dense enough (9 of 15 possible edges) that scipy's "auto" shortest path
+# runs Floyd-Warshall, whose radius-0.6 tube graph, and so rho, differs
+# from Dijkstra's
+UNEVEN = "space uneven\n" + "".join(f"edge {u} {v} {w}/10\n" for u, v, w in (
+    ("a", "b", 3), ("a", "c", 1), ("a", "e", 1), ("a", "f", 2), ("b", "d", 3),
+    ("b", "f", 2), ("c", "e", 1), ("c", "f", 1), ("e", "f", 1)))
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 4], ids=["one-chunk", "chunked"])
+def test_distances_do_not_depend_on_query_order(tmp_path, capsys, monkeypatch, chunk):
+    from scipy.sparse.csgraph import shortest_path
+
+    from roeforge import space as space_mod
+    from roeforge.space import support_diameter
+
+    monkeypatch.setattr(space_mod, "_CHUNK", chunk)
+
+    def answers(space):
+        n = space.n_points
+        t = rf.tube(space, 0.6)
+        return (t.pairs, t.diameter, rf.tube_graph_edges(space, 0.6),
+                [support_diameter(space, [x], [y]) for x in range(n) for y in range(n)])
+
+    fresh = answers(rf.parse_space_file(UNEVEN))
+    read_first = rf.parse_space_file(UNEVEN)
+    floyd = shortest_path(read_first._graph, method="FW")
+    assert [(int(u), int(v)) for u, v in np.argwhere(np.triu(floyd <= 0.6, k=1))] != fresh[2]
+    read_first.dist
+    assert answers(read_first) == fresh
+
+    path = write(tmp_path, "uneven.space", UNEVEN)
+    main(["gap", path, "--radius", "0.6"])
+    fresh_out = capsys.readouterr().out
+
+    def parse_and_read(text):
+        space = space_mod.parse_space_file(text)
+        space.dist
+        return space
+
+    monkeypatch.setattr(cli, "parse_space_file", parse_and_read)
+    main(["gap", path, "--radius", "0.6"])
+    assert capsys.readouterr().out == fresh_out
+
+
 def test_gap_threshold_changes_verdict(tmp_path, capsys):
     path = write(tmp_path, "oct.space",
                  "space oct\n" + "\n".join(

@@ -360,6 +360,56 @@ def test_uniform_sum_zero_operator():
     assert rf.uniform_sum_value(FinitePropOp.zero(rf.make_cycle(3))) == 0
 
 
+def _reference_uniform_sum(op):
+    """The plain loop over stored values: every row and column sum as a Fraction sum."""
+    n = op.space.n_points
+    rows, cols = [0] * n, [0] * n
+    for (x, y), v in op.entries.items():
+        rows[x] += v
+        cols[y] += v
+    c = rows[0]
+    return c if all(s == c for s in rows + cols) else None
+
+
+def test_exact_uniform_sum_matches_fraction_loop():
+    k4 = rf.make_complete(4)
+    perms = [PermutationOp(k4, p).op for p in ([1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0])]
+    one = rf.space_from_graph(["p"], [], name="one")
+    ops = {
+        "int": perms[0] + 2 * perms[1],
+        "int-zero-sum": perms[0] - perms[1],
+        "fraction": Fraction(1, 3) * perms[0] + Fraction(2, 3) * perms[1],
+        "mixed": perms[0] - Fraction(5, 6) * perms[1] + Fraction(7, 10) * perms[2],
+        "mixed-integer-valued": Fraction(1, 2) * perms[0] + Fraction(1, 2) * perms[1]
+                                + perms[2],
+        # rows and columns sum to 1 over lcms 3 and 2
+        "per-line-lcms": FinitePropOp(k4, {
+            (0, 0): Fraction(1, 3), (0, 1): Fraction(2, 3), (1, 0): Fraction(2, 3),
+            (1, 1): Fraction(1, 3), (2, 2): Fraction(1, 2), (2, 3): Fraction(1, 2),
+            (3, 2): Fraction(1, 2), (3, 3): Fraction(1, 2)}),
+        "rows-only": FinitePropOp(k4, {(x, 0): Fraction(1, 3) for x in range(4)}),
+        "one-column-off": Fraction(1, 3) * perms[0]
+                          + FinitePropOp(k4, {(0, 1): Fraction(2, 3), (1, 1): Fraction(2, 3),
+                                              (2, 3): Fraction(2, 3), (3, 2): Fraction(2, 3)}),
+        "zero": FinitePropOp.zero(k4),
+        "one-point-int": FinitePropOp(one, {(0, 0): 3}),
+        "one-point-fraction": FinitePropOp(one, {(0, 0): Fraction(-5, 7)}),
+        "one-point-zero": FinitePropOp.zero(one),
+    }
+    rng = np.random.default_rng(5)
+    for i in range(20):
+        ops[f"random-{i}"] = random_rational_op(rng, random_space(rng))
+    uniform = {name for name, op in ops.items() if _reference_uniform_sum(op) is not None}
+    assert {"rows-only", "one-column-off"}.isdisjoint(uniform)
+    assert len(uniform) == 10
+    for name, op in ops.items():
+        got, want = rf.uniform_sum_value(op), _reference_uniform_sum(op)
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert got == want, name
+            assert type(got) is (int if want.denominator == 1 else Fraction), name
+
+
 def test_uniform_sum_float_tolerance():
     sp = pair_space()
     op = FinitePropOp(sp, {(0, 0): 1.0, (1, 1): 1.0 + 1e-14}, mode="float")
