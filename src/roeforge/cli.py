@@ -131,8 +131,8 @@ def main(argv=None) -> int:
 def _cmd_components(args) -> int:
     space = load_space(args.input)
     print("component\tsize")
-    for m in range(space.n_components):
-        print(f"{m}\t{len(space.component_points(m))}")
+    for m, size in enumerate(np.bincount(space.component_of).tolist()):
+        print(f"{m}\t{size}")
     return 0
 
 

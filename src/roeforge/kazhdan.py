@@ -25,9 +25,11 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import GapBoundError, GapComputationError, SpaceMismatchError
 from .space import FiniteSpace
@@ -73,19 +75,38 @@ CURVE_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class AveragingOp:
-    """The operator (1/n)*sum_i (1+A_i)/2 with its source permutations."""
+    """A = (1/n)*sum_i (1+A_i)/2, held as the integer ``counts`` of 2nA.
 
-    op: FinitePropOp
+    ``keys`` are the support's ``x * size + y``, ascending.  The float
+    ``csr`` and the exact ``op`` are built from the counts when first read.
+    """
+
     perms: tuple
     n: int
+    space: FiniteSpace = field(compare=False, repr=False)
+    keys: np.ndarray = field(compare=False, repr=False)
+    counts: np.ndarray = field(compare=False, repr=False)
+
+    @cached_property
+    def csr(self) -> sp.csr_matrix:
+        size = self.space.n_points
+        # numpy divides exactly; scipy's csr / scalar multiplies by 1/(2n)
+        return sp.csr_matrix((self.counts / (2 * self.n), np.divmod(self.keys, size)),
+                             shape=(size, size))
+
+    @cached_property
+    def op(self) -> FinitePropOp:
+        size, two_n = self.space.n_points, 2 * self.n
+        return FinitePropOp._sealed(self.space, {
+            divmod(k, size): Fraction(c, two_n)
+            for k, c in zip(self.keys.tolist(), self.counts.tolist())}, MODE_RATIONAL)
 
 
 def build_averaging(perms: Iterable[PermutationOp]) -> AveragingOp:
     """Average the projections (1 + A_i)/2 over symmetric permutations A_i.
 
-    Exact rational arithmetic: entry (x, y) is 1/(2n) times the number of
-    permutations mapping y to x, plus 1/2 on the diagonal; each entry is
-    counted in integers and divided once.
+    Entry (x, y) of 2nA counts the permutations mapping y to x, plus n on
+    the diagonal.
     """
     perms = tuple(perms)
     if not perms:
@@ -97,22 +118,17 @@ def build_averaging(perms: Iterable[PermutationOp]) -> AveragingOp:
         if not p.is_involution:
             raise ValueError("averaging needs symmetric permutations "
                              "(each equal to its own inverse)")
-    n = len(perms)
-    hits = {(i, i): n for i in range(space.n_points)}
-    for p in perms:
-        for y, x in enumerate(p.perm.tolist()):
-            hits[(x, y)] = hits.get((x, y), 0) + 1
+    n, size = len(perms), space.n_points
+    points = np.arange(size)
+    # (perm[y], y) for each permutation, and the diagonal once, topped up to n
+    keys, counts = np.unique(np.concatenate([p.perm * size + points for p in perms]
+                                            + [points * (size + 1)]), return_counts=True)
+    counts[keys % (size + 1) == 0] += n - 1
     # unit row and column sums of A, checked on the counts: each is 2n
-    row_hits = [0] * space.n_points
-    col_hits = [0] * space.n_points
-    for (x, y), c in hits.items():
-        row_hits[x] += c
-        col_hits[y] += c
-    if any(s != 2 * n for s in row_hits) or any(s != 2 * n for s in col_hits):
-        raise RuntimeError("averaging operator failed the unit row-sum check")
-    op = FinitePropOp._sealed(
-        space, {k: Fraction(c, 2 * n) for k, c in hits.items()}, MODE_RATIONAL)
-    return AveragingOp(op=op, perms=perms, n=n)
+    for line in np.divmod(keys, size):
+        if np.any(np.bincount(line, counts, minlength=size) != 2 * n):
+            raise RuntimeError("averaging operator failed the unit row-sum check")
+    return AveragingOp(perms=perms, n=n, space=space, keys=keys, counts=counts)
 
 
 class KazhdanProjection:
@@ -130,8 +146,7 @@ class KazhdanProjection:
     def __init__(self, space: FiniteSpace):
         self.space = space
         self.component_value = {
-            m: Fraction(1, int(np.sum(space.component_of == m)))
-            for m in range(space.n_components)}
+            m: Fraction(1, s) for m, s in enumerate(np.bincount(space.component_of).tolist())}
         self._op = None
 
     @property
@@ -212,23 +227,22 @@ def rate_constants(c: float, n: int) -> RateConstants:
 
 
 def power_gap(avg: AveragingOp, proj: KazhdanProjection, k: int) -> FinitePropOp:
-    """``A^k - P`` as an operator, exact in rational mode.
+    """``A^k - P`` as an exact rational operator.
 
-    Rational powers are capped at k <= EXACT_POWER_CAP because the entry
+    Powers are capped at k <= EXACT_POWER_CAP because the entry
     denominators grow like (2n)^k.  This materialises P, so it is meant
     for small spaces; large-space curves go through :func:`gap_report`.
     """
-    if proj.space is not avg.op.space:
+    if proj.space is not avg.space:
         raise SpaceMismatchError("projection and averaging operator live over different spaces")
     if k < 1:
         raise ValueError("power must be >= 1")
-    if avg.op.mode == MODE_RATIONAL and k > EXACT_POWER_CAP:
+    if k > EXACT_POWER_CAP:
         raise ValueError(f"rational-mode powers are capped at {EXACT_POWER_CAP}")
     acc = avg.op
     for _ in range(k - 1):
         acc = acc @ avg.op
-    p_op = proj.op if avg.op.mode == MODE_RATIONAL else proj.op.to_float()
-    return acc - p_op
+    return acc - proj.op
 
 
 @dataclass(frozen=True)
@@ -265,10 +279,9 @@ def _curve_powers(kmax: int) -> list[int]:
 def _component_gap(avg: AveragingOp, m: int, ks: list[int], *,
                    dense_cutoff: int, tol: float,
                    rates: RateConstants | None) -> ComponentGap:
-    space = avg.op.space
-    idx = space.component_points(m)
+    idx = avg.space.component_points(m)
     s = len(idx)
-    block = avg.op.to_csr()[idx][:, idx]
+    block = avg.csr[idx][:, idx]
 
     def deflated(x):
         return block @ x - x.mean()
@@ -324,15 +337,14 @@ def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
     thread pool, with results merged by component id so the report is
     identical either way.
     """
-    if proj.space is not avg.op.space:
+    if proj.space is not avg.space:
         raise SpaceMismatchError("projection and averaging operator live over different spaces")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     rates = rate_constants(c, avg.n) if c is not None else None
     ks = _curve_powers(kmax)
-    space = avg.op.space
-    avg.op.to_csr()  # build the shared matrix once, not per thread
-    mids = range(space.n_components)
+    avg.csr  # build the shared matrix once, not per thread
+    mids = range(avg.space.n_components)
 
     def work(m):
         return _component_gap(avg, m, ks, dense_cutoff=dense_cutoff,
@@ -345,7 +357,7 @@ def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
         comps = tuple(work(m) for m in mids)
     max_rho = max(g.rho for g in comps)
     return GapReport(
-        space_name=space.name,
+        space_name=avg.space.name,
         components=comps,
         max_rho=max_rho,
         uniform_gap_threshold=float(threshold),

@@ -75,7 +75,10 @@ class FiniteSpace:
     :func:`disjoint_union` of such spaces) hold their weighted graph and
     component labels instead of a matrix.  Every distance they report
     comes from Dijkstra's algorithm on that graph, and ``dist`` is
-    computed only when it is first read.
+    computed only when it is first read.  Dijkstra adds a path's weights
+    in the order it walks them, so the searches from x and from y can
+    differ in the last bit; for x < y, d(x, y) and d(y, x) are both the
+    value x's search finds.
     """
 
     def __init__(self, points: Sequence[str], dist, name: str = "space",
@@ -145,6 +148,8 @@ class FiniteSpace:
         """The read-only n x n distance matrix (built on first read for a graph)."""
         if self._dist is None:
             d = dijkstra(self._graph)
+            for x in range(1, len(d)):
+                d[x, :x] = d[:x, x]     # mirror the upper triangle
             d.setflags(write=False)
             self._dist = d
         return self._dist
@@ -159,7 +164,8 @@ class FiniteSpace:
         unbounded query on a space whose ``dist`` fits in one block builds
         ``dist`` and keeps it.  With positive weights no point beyond the
         limit can shorten a path to one within it, so every entry within
-        ``limit`` equals the entry of ``dist`` bit for bit.
+        ``limit`` equals the entry of ``dist`` bit for bit on and above
+        the diagonal; below it, callers apply the pair rule themselves.
         """
         n = self.n_points
         step = max(1, _CHUNK // n)
@@ -230,19 +236,38 @@ class FiniteSpace:
             rows.append(r + lo)
             cols.append(c)
             dists.append(block[r, c])
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
+        rows, cols, dists = map(np.concatenate, (rows, cols, dists))
+        if self._dist is not None:      # rows of the symmetric matrix
+            return rows, cols, dists
+        # searched rows: keep the pairs each row decides, mirror them, and
+        # sort back to row-major order
+        up = cols >= rows
+        rows, cols, dists = rows[up], cols[up], dists[up]
+        off = rows != cols
+        rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order], np.concatenate([dists, dists[off]])[order]
 
     def max_ball_size(self, radius: float) -> int:
         """Largest number of points in any closed ball of the given radius."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        return max(int(np.count_nonzero(block <= radius, axis=1).max())
-                   for _, block in self._distance_rows(limit=radius))
+        sizes = np.zeros(self.n_points, dtype=np.int64)
+        for lo, block in self._distance_rows(limit=radius):
+            within = (block <= radius) & _upper(lo, block)
+            sizes[lo:lo + len(block)] += np.count_nonzero(within, axis=1) - 1
+            sizes += np.count_nonzero(within, axis=0)   # the mirrored pairs and the centre
+        return int(sizes.max())
 
     def finite_diameter(self) -> float:
         """Largest finite distance in the space (0.0 for a single point)."""
-        return max(float(block[np.isfinite(block)].max())
-                   for _, block in self._distance_rows())
+        return max(float(block[np.isfinite(block) & _upper(lo, block)].max())
+                   for lo, block in self._distance_rows())
+
+
+def _upper(lo: int, block: np.ndarray) -> np.ndarray:
+    """Which entries of rows ``lo, lo + 1, ...`` lie on or above the diagonal."""
+    return np.arange(block.shape[1]) >= np.arange(lo, lo + len(block))[:, None]
 
 
 def _check_names(points: tuple, name: str) -> None:
@@ -392,8 +417,9 @@ def support_diameter(space: FiniteSpace, rows, cols) -> float:
         raise UncontrolledSupportError(
             f"pair ({space.points[rows[i]]}, {space.points[cols[i]]}) "
             "connects points at infinite distance")
-    # one search per distinct row: sort the pairs by row, then read each
-    # block's pairs off the block
+    # one search per distinct smaller index (the pair rule of FiniteSpace):
+    # sort the pairs by it, then read each block's pairs off the block
+    rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
     sources, at = np.unique(rows, return_inverse=True)
     order = np.argsort(at, kind="stable")
     at, cols = at[order], cols[order]

@@ -158,18 +158,15 @@ def _checked(res: SpectralResult, tol: float) -> SpectralResult:
     return res
 
 
-def sym_extreme_eig(op: FinitePropOp, which: str = "max_abs", *,
-                    tol: float = DEFAULT_TOL,
+def sym_extreme_eig(op: FinitePropOp, *, tol: float = DEFAULT_TOL,
                     dense_cutoff: int = DENSE_CUTOFF) -> SpectralResult:
-    """Extreme eigenvalue of a self-adjoint operator.
+    """Extreme eigenvalue of a self-adjoint operator: the modulus of the
+    eigenvalue of largest modulus.
 
-    ``which`` currently only supports ``"max_abs"``: the signed eigenvalue
-    of largest modulus.  Spaces up to ``dense_cutoff`` points use a dense
-    symmetric eigendecomposition; larger ones use seeded Lanczos on the
-    sparse matrix.  Spaces under 3 points always take the dense path.
+    Spaces up to ``dense_cutoff`` points use a dense symmetric
+    eigendecomposition; larger ones use seeded Lanczos on the sparse
+    matrix.  Spaces under 3 points always take the dense path.
     """
-    if which != "max_abs":
-        raise ValueError(f"unsupported selector {which!r}")
     require_self_adjoint(op)
     n = op.space.n_points
     if op.nnz == 0:

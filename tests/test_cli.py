@@ -97,6 +97,22 @@ def test_distances_do_not_depend_on_query_order(tmp_path, capsys, monkeypatch, c
     assert capsys.readouterr().out == fresh_out
 
 
+@pytest.mark.parametrize("chunk", [1 << 20, 4], ids=["one-chunk", "chunked"])
+def test_uneven_distances_are_symmetric(monkeypatch, chunk):
+    """Each unordered pair has one distance, found by the smaller index's search."""
+    from roeforge import space as space_mod
+
+    monkeypatch.setattr(space_mod, "_CHUNK", chunk)
+    s = rf.parse_space_file(UNEVEN)
+    t = rf.tube(s, 0.6)
+    assert t == t.transpose()
+    assert rf.tube_graph_edges(s, 0.6) == sorted((x, y) for x, y in t.pairs if x < y)
+    assert s.max_ball_size(0.6) == max(
+        sum(1 for x, _ in t.pairs if x == c) for c in range(s.n_points))
+    rf.FiniteSpace(s.points, s.dist)      # symmetric: passes validation
+    assert rf.tube(s, 0.6) == t
+
+
 def test_gap_threshold_changes_verdict(tmp_path, capsys):
     path = write(tmp_path, "oct.space",
                  "space oct\n" + "\n".join(

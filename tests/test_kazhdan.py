@@ -64,6 +64,67 @@ def test_averaging_is_doubly_stochastic_psd():
         assert w.min() >= -1e-12
 
 
+def _fraction_loop_averaging(perms):
+    """The reference: every entry of A counted in a dict and made a Fraction."""
+    space, n = perms[0].space, len(perms)
+    hits = {(i, i): n for i in range(space.n_points)}
+    for p in perms:
+        for y, x in enumerate(p.perm.tolist()):
+            hits[(x, y)] = hits.get((x, y), 0) + 1
+    return FinitePropOp._sealed(
+        space, {k: Fraction(c, 2 * n) for k, c in hits.items()}, rf.MODE_RATIONAL)
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda m=m: rf.make_margulis(m) for m in (4, 8, 16, 24, 32)),
+    lambda: rf.make_box_space_Z([64, 128, 256, 512, 1024]),
+    lambda: rf.make_cycle(5),
+    lambda: rf.make_complete(1),
+    lambda: rf.make_complete(2),
+    *(lambda seed=seed: random_space(np.random.default_rng(seed)) for seed in range(5)),
+], ids=["Mg4", "Mg8", "Mg16", "Mg24", "Mg32", "box", "C5", "K1", "K2",
+        *(f"random{seed}" for seed in range(5))])
+def test_averaging_counts_match_fraction_loop(make):
+    """The float matrix divides the integer counts exactly: its arrays equal,
+    bit for bit, those of the Fraction operator's to_csr(); a permutation
+    listed twice gives counts of 2."""
+    sp = make()
+    perms = averaging_for(sp).perms
+    for listed in (perms, perms + perms[:1]):
+        avg = rf.build_averaging(listed)
+        ref = _fraction_loop_averaging(listed)
+        want = ref.to_csr()
+        for attr in ("indptr", "indices", "data"):
+            got, exp = getattr(avg.csr, attr), getattr(want, attr)
+            assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
+        assert avg.op == ref
+        assert avg == rf.build_averaging(listed)
+    if np.any(perms[0].perm != np.arange(sp.n_points)):
+        assert 2 in rf.build_averaging(perms + perms[:1]).counts
+
+
+def test_dense_gap_report_builds_no_exact_operator():
+    sp = rf.make_margulis(16)
+    avg = averaging_for(sp)
+    rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=4, jobs=2)
+    assert {c.spectral.method for c in rep.components} == {"dense"}
+    assert "op" not in vars(avg)
+
+
+@pytest.mark.parametrize("make, rho, seed", [
+    (lambda: rf.make_cycle(600), "0.9999725846827522", 17501304870360095056),
+    (lambda: rf.make_margulis(24), "0.9017599656582211", 11624193158940628649),
+], ids=["C600", "Mg24"])
+def test_iterative_rho_and_seed_are_pinned(make, rho, seed):
+    """Lanczos seeds hash the exact operator, built on first read from the counts."""
+    sp = make()
+    avg = averaging_for(sp)
+    (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=1).components
+    assert comp.spectral.method == "iterative"
+    assert repr(comp.rho) == rho and comp.spectral.seed == seed
+    assert "op" in vars(avg)
+
+
 def test_projection_entries_are_component_means():
     sp = rf.disjoint_union([rf.make_cycle(3), rf.make_complete(4)])
     proj = rf.kazhdan_projection(sp)

@@ -274,14 +274,14 @@ def test_graph_backed_space_matches_dense_metric(weighted_parts, chunk, stride):
                  for b, (n, edges) in enumerate(parts)]
         g = built[0] if len(built) == 1 else rf.disjoint_union(built)
         # any algorithm is exact on dyadic weights; on others, every
-        # distance must be the one Dijkstra's algorithm gives
+        # distance must be the one Dijkstra's algorithm gives from the
+        # smaller index of the pair
         d = (shortest_path(g._graph, directed=False) if weights is WEIGHTS
              else dijkstra(g._graph))
+        d = np.triu(d) + np.triu(d, k=1).T
         n = g.n_points
 
-        # unchecked: Dijkstra adds a path's weights in the order it walks
-        # them, so d[x, y] and d[y, x] can differ in the last bit
-        oracle = rf.FiniteSpace(g.points, d, name=g.name, validate=False)
+        oracle = rf.FiniteSpace(g.points, d, name=g.name)
         assert np.array_equal(g.component_of, oracle.component_of)
         assert g.n_components == oracle.n_components
         for r in (0, 0.6, 1, 1.5, 2):

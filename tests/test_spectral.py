@@ -36,11 +36,6 @@ def test_zero_operator_short_circuits():
     assert res.value == 0.0 and res.iterations == 0
 
 
-def test_which_selector_is_checked():
-    with pytest.raises(ValueError):
-        rf.sym_extreme_eig(FinitePropOp.identity(rf.make_cycle(3)), which="min")
-
-
 def test_rejects_non_self_adjoint():
     sp = rf.make_cycle(4)
     op = FinitePropOp(sp, {(0, 1): Fraction(1)})
