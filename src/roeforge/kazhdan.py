@@ -25,7 +25,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -43,7 +44,7 @@ from .spectral import (
     extreme_eig_matvec,
     operator_seed,
 )
-from .transalg import MODE_RATIONAL, FinitePropOp, PermutationOp
+from .transalg import MODE_FLOAT, MODE_RATIONAL, FinitePropOp, PermutationOp
 
 __all__ = [
     "AveragingOp",
@@ -77,8 +78,9 @@ CURVE_ATOL = 1e-12
 class AveragingOp:
     """A = (1/n)*sum_i (1+A_i)/2, held as the integer ``counts`` of 2nA.
 
-    ``keys`` are the support's ``x * size + y``, ascending.  The float
-    ``csr`` and the exact ``op`` are built from the counts when first read.
+    ``keys`` are the support's ``x * size + y``, ascending.  When first
+    read, ``csr`` and ``op`` are made from the counts as a float and an
+    exact :class:`FinitePropOp`; the float one's ``to_csr`` makes the matrix.
     """
 
     perms: tuple
@@ -87,26 +89,25 @@ class AveragingOp:
     keys: np.ndarray = field(compare=False, repr=False)
     counts: np.ndarray = field(compare=False, repr=False)
 
+    def _operator(self, values: Iterable, mode: str) -> FinitePropOp:
+        pairs = map(divmod, self.keys.tolist(), repeat(self.space.n_points))
+        return FinitePropOp._sealed(self.space, dict(zip(pairs, values)), mode)
+
     @cached_property
     def csr(self) -> sp.csr_matrix:
-        size = self.space.n_points
         # numpy divides exactly; scipy's csr / scalar multiplies by 1/(2n)
-        return sp.csr_matrix((self.counts / (2 * self.n), np.divmod(self.keys, size)),
-                             shape=(size, size))
+        return self._operator((self.counts / (2 * self.n)).tolist(), MODE_FLOAT).to_csr()
 
     @cached_property
     def op(self) -> FinitePropOp:
-        size, two_n = self.space.n_points, 2 * self.n
-        return FinitePropOp._sealed(self.space, {
-            divmod(k, size): Fraction(c, two_n)
-            for k, c in zip(self.keys.tolist(), self.counts.tolist())}, MODE_RATIONAL)
+        return self._operator(map(Fraction, self.counts.tolist(), repeat(2 * self.n)),
+                              MODE_RATIONAL)
 
 
 def build_averaging(perms: Iterable[PermutationOp]) -> AveragingOp:
     """Average the projections (1 + A_i)/2 over symmetric permutations A_i.
 
-    Entry (x, y) of 2nA counts the permutations mapping y to x, plus n on
-    the diagonal.
+    Entry (x, y) of 2nA counts the permutations mapping y to x, plus n if x = y.
     """
     perms = tuple(perms)
     if not perms:
@@ -345,11 +346,7 @@ def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
     ks = _curve_powers(kmax)
     avg.csr  # build the shared matrix once, not per thread
     mids = range(avg.space.n_components)
-
-    def work(m):
-        return _component_gap(avg, m, ks, dense_cutoff=dense_cutoff,
-                              tol=tol, rates=rates)
-
+    work = partial(_component_gap, avg, ks=ks, dense_cutoff=dense_cutoff, tol=tol, rates=rates)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             comps = tuple(pool.map(work, mids))

@@ -237,10 +237,8 @@ class FiniteSpace:
             cols.append(c)
             dists.append(block[r, c])
         rows, cols, dists = map(np.concatenate, (rows, cols, dists))
-        if self._dist is not None:      # rows of the symmetric matrix
-            return rows, cols, dists
-        # searched rows: keep the pairs each row decides, mirror them, and
-        # sort back to row-major order
+        # keep the pairs each row decides, mirror them, and sort back to
+        # row-major order
         up = cols >= rows
         rows, cols, dists = rows[up], cols[up], dists[up]
         off = rows != cols
