@@ -6,7 +6,8 @@ Three subcommands:
 * ``gap`` — run the full pipeline (tube graph → edge colouring → averaging
   operator → block-constant projection → per-component gap report) on a
   space file or a family manifest, emitting JSON (and optionally CSV);
-* ``verify`` — run the randomised exact-arithmetic invariant suite.
+* ``verify`` — run the randomised exact-arithmetic invariant suite, its
+  cases spread over ``--jobs`` forked worker processes.
 
 Exit codes are part of the contract: 0 means a uniform gap below the
 threshold (or a verify pass), 2 means the mathematical answer is "no"
@@ -19,11 +20,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -59,16 +62,24 @@ VERIFY_MAX_POINTS = 64
 
 def _default_jobs() -> int:
     raw = os.environ.get("ROEFORGE_JOBS", "").strip()
-    if not raw:
-        return 1
-    try:
-        v = int(raw)
-        if v >= 1:
-            return v
-    except ValueError:
-        pass
-    print(f"warning: ignoring invalid ROEFORGE_JOBS={raw!r}", file=sys.stderr)
-    return 1
+    if raw:
+        try:
+            v = int(raw)
+            if v >= 1:
+                return v
+        except ValueError:
+            pass
+        print(f"warning: ignoring invalid ROEFORGE_JOBS={raw!r}", file=sys.stderr)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _jobs(args) -> int:
+    jobs = args.jobs if args.jobs is not None else _default_jobs()
+    if jobs < 1:
+        raise ValueError("--jobs must be >= 1")
+    return jobs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,6 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="coarse-geometry operator toolkit: components, spectral gaps, "
                     "and exact invariant verification")
     sub = p.add_subparsers(dest="command", required=True)
+    jobs_help = "parallel workers (default: ROEFORGE_JOBS, else the usable cores)"
 
     c = sub.add_parser("components", help="list coarse components of a space file")
     c.add_argument("input", help="space file")
@@ -91,8 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="uniform-gap threshold on max rho (default 0.95)")
     g.add_argument("--c", type=float, default=None,
                    help="certified displacement constant; asserts rho <= delta_tilde(c, n)")
-    g.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers (default: ROEFORGE_JOBS or 1)")
+    g.add_argument("--jobs", type=int, default=None, help=jobs_help)
     g.add_argument("--json", dest="json_path", metavar="PATH",
                    help="also write the JSON report to PATH")
     g.add_argument("--csv", dest="csv_path", metavar="PATH",
@@ -103,6 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="optional space file to verify on (default: random corpus)")
     v.add_argument("--cases", type=int, default=500, help="number of cases (default 500)")
     v.add_argument("--seed", type=int, default=0, help="corpus seed (default 0)")
+    v.add_argument("--jobs", type=int, default=None, help=jobs_help)
     return p
 
 
@@ -151,9 +163,7 @@ def _pipeline(space: FiniteSpace, *, radius: float, kmax: int,
 
 
 def _cmd_gap(args) -> int:
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    if jobs < 1:
-        raise ValueError("--jobs must be >= 1")
+    jobs = _jobs(args)
     if args.kmax < 1:
         raise ValueError("--kmax must be >= 1")
     with open(args.input, "r", encoding="utf-8") as fh:
@@ -295,7 +305,23 @@ _VERIFY_CHECKS = ("algebra-axioms", "row-sums", "colouring",
                   "decomposition", "projection", "restriction")
 
 
+def _verify_cases(seed: int, cases: int, fixed: FiniteSpace | None,
+                  stride: int, start: int) -> list[dict]:
+    """Run cases start, start + stride, ... below ``cases``; return their failures."""
+    failures = []
+    for i in range(start, cases, stride):
+        rng = np.random.default_rng([seed, i])
+        space = fixed if fixed is not None else _random_space(rng)
+        try:
+            _verify_case(rng, space)
+        except _CheckFailure as exc:
+            failures.append({"seed": seed, "case": i, "check": exc.check,
+                             "points": space.n_points, "detail": exc.detail})
+    return failures
+
+
 def _cmd_verify(args) -> int:
+    jobs = _jobs(args)
     if args.cases < 0:
         raise ValueError("--cases must be >= 0")
     fixed = None
@@ -310,15 +336,17 @@ def _cmd_verify(args) -> int:
         print("warning: --cases 0 requested; nothing was checked", file=sys.stderr)
         print("PASS (0 cases)")
         return 0
-    failures = []
-    for i in range(args.cases):
-        rng = np.random.default_rng([args.seed, i])
-        space = fixed if fixed is not None else _random_space(rng)
-        try:
-            _verify_case(rng, space)
-        except _CheckFailure as exc:
-            failures.append({"seed": args.seed, "case": i, "check": exc.check,
-                             "points": space.n_points, "detail": exc.detail})
+    # fork, not spawn: a worker started from a fresh interpreter would import
+    # numpy and scipy again, which costs more than a short corpus takes
+    if "fork" not in multiprocessing.get_all_start_methods():
+        jobs = 1
+    jobs = min(jobs, args.cases)
+    run = partial(_verify_cases, args.seed, args.cases, fixed, jobs)
+    if jobs == 1:
+        failures = run(0)
+    else:
+        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+            failures = [f for part in pool.map(run, range(jobs)) for f in part]
     for name in _VERIFY_CHECKS:
         bad = sum(1 for f in failures if f["check"] == name)
         print(f"{name}\t{'FAIL' if bad else 'ok'}\t{bad} failure(s)")

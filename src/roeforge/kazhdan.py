@@ -344,7 +344,10 @@ def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
         raise ValueError("kmax must be >= 1")
     rates = rate_constants(c, avg.n) if c is not None else None
     ks = _curve_powers(kmax)
-    avg.csr  # build the shared matrix once, not per thread
+    # build the shared operators once, not per thread
+    avg.csr
+    if np.bincount(avg.space.component_of).max() > max(dense_cutoff, 2):
+        avg.op  # the Lanczos components seed from it
     mids = range(avg.space.n_components)
     work = partial(_component_gap, avg, ks=ks, dense_cutoff=dense_cutoff, tol=tol, rates=rates)
     if jobs > 1:

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 from fractions import Fraction
 from pathlib import Path
 
@@ -255,7 +256,8 @@ def test_verify_small_run(capsys):
 
 def test_verify_validates_only_its_own_operators(capsys, monkeypatch):
     # each case draws three random operators; everything else verify
-    # builds is derived from operators the package already holds
+    # builds is derived from operators the package already holds.  One job:
+    # an operator built in a forked worker never reaches this counter
     calls = []
     real = rf.FinitePropOp.__init__
 
@@ -264,7 +266,7 @@ def test_verify_validates_only_its_own_operators(capsys, monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(rf.FinitePropOp, "__init__", counting)
-    assert main(["verify", "--cases", "4", "--seed", "1000"]) == 0
+    assert main(["verify", "--cases", "4", "--seed", "1000", "--jobs", "1"]) == 0
     assert capsys.readouterr().out.endswith("PASS (4 cases)\n")
     assert len(calls) == 3 * 4
 
@@ -299,6 +301,72 @@ def test_verify_rejects_large_fixed_space(tmp_path, capsys):
 def test_verify_negative_cases(capsys):
     assert main(["verify", "--cases", "-1"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _verify_runs(capsys, argv, jobs=(1, 2, 3)):
+    """(exit code, stdout, stderr) of ``verify ARGV --jobs j`` for each j."""
+    runs = []
+    for j in jobs:
+        rc = main(["verify", *argv, "--jobs", str(j)])
+        captured = capsys.readouterr()
+        runs.append((rc, captured.out, captured.err))
+    return runs
+
+
+def _case_of(rng) -> int:
+    return rng.bit_generator.seed_seq.entropy[1]
+
+
+@pytest.mark.parametrize("seed, text", [(3, None), (11, None), (0, SPLIT)],
+                         ids=["seed3", "seed11", "fixed"])
+def test_verify_output_does_not_depend_on_jobs(tmp_path, capsys, seed, text):
+    argv = ["--cases", "7", "--seed", str(seed)]
+    if text is not None:
+        argv.append(write(tmp_path, "s.space", text))
+    first, *rest = _verify_runs(capsys, argv)
+    assert first[0] == 0 and first[1].endswith("PASS (7 cases)\n")
+    assert rest == [first, first]
+
+
+def test_verify_merges_worker_failures(capsys, monkeypatch):
+    # the patch reaches the workers through fork
+    real = cli._verify_case
+
+    def planted(rng, space):
+        if _case_of(rng) in (1, 4):
+            raise cli._CheckFailure("projection", "planted")
+        real(rng, space)
+
+    monkeypatch.setattr(cli, "_verify_case", planted)
+    first, *rest = _verify_runs(capsys, ["--cases", "6", "--seed", "2"])
+    rc, out, err = first
+    assert rc == 2 and out.endswith("FAIL (2/6 cases failed)\n")
+    assert "projection\tFAIL\t2 failure(s)" in out
+    assert json.loads(err.split("\n", 1)[1])["case"] in (1, 4)
+    assert rest == [first, first]
+
+
+def test_verify_worker_error_exits_one(capsys, monkeypatch):
+    def broken(rng, space):
+        if _case_of(rng) == 3:
+            raise ValueError("planted")
+
+    monkeypatch.setattr(cli, "_verify_case", broken)
+    assert _verify_runs(capsys, ["--cases", "4"], jobs=(1, 2)) == [(1, "", "error: planted\n")] * 2
+
+
+def test_verify_jobs_must_be_positive(capsys):
+    assert main(["verify", "--cases", "0", "--jobs", "0"]) == 1
+    assert capsys.readouterr().err == "error: --jobs must be >= 1\n"
+
+
+def test_verify_single_case_starts_no_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert main(["verify", "--cases", "1", "--jobs", "2"]) == 0
+    assert capsys.readouterr().out.endswith("PASS (1 cases)\n")
 
 
 def test_console_script_wiring():

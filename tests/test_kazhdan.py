@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -109,6 +110,25 @@ def test_dense_gap_report_builds_no_exact_operator():
     rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=4, jobs=2)
     assert {c.spectral.method for c in rep.components} == {"dense"}
     assert "op" not in vars(avg)
+
+
+def test_threaded_gap_report_builds_exact_operator_once(monkeypatch):
+    # two Lanczos components share one exact operator, built before the
+    # thread pool starts rather than by whichever thread asks first
+    sp = rf.disjoint_union([rf.make_cycle(12), rf.make_cycle(14)])
+    avg = averaging_for(sp)
+    builders = []
+    real = kazhdan.AveragingOp._operator
+
+    def counting(self, values, mode):
+        if mode == rf.MODE_RATIONAL:
+            builders.append(threading.current_thread())
+        return real(self, values, mode)
+
+    monkeypatch.setattr(kazhdan.AveragingOp, "_operator", counting)
+    rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=4, dense_cutoff=8, jobs=2)
+    assert {c.spectral.method for c in rep.components} == {"iterative"}
+    assert builders == [threading.current_thread()]
 
 
 @pytest.mark.parametrize("make, rho, seed", [
