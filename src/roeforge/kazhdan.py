@@ -39,12 +39,13 @@ from .spectral import (
     DENSE_CUTOFF,
     SpectralResult,
     _checked,
+    _content_hash,
+    _extended_seed,
     dense_extreme_eig,
     eigvec_power_norms,
     extreme_eig_matvec,
-    operator_seed,
 )
-from .transalg import MODE_FLOAT, MODE_RATIONAL, FinitePropOp, PermutationOp
+from .transalg import MODE_RATIONAL, FinitePropOp, PermutationOp
 
 __all__ = [
     "AveragingOp",
@@ -79,8 +80,9 @@ class AveragingOp:
     """A = (1/n)*sum_i (1+A_i)/2, held as the integer ``counts`` of 2nA.
 
     ``keys`` are the support's ``x * size + y``, ascending.  When first
-    read, ``csr`` and ``op`` are made from the counts as a float and an
-    exact :class:`FinitePropOp`; the float one's ``to_csr`` makes the matrix.
+    read, ``csr`` divides the counts by 2n in floats, and ``op`` makes them
+    the exact :class:`FinitePropOp`.  The Lanczos seeds hash the counts as
+    ``operator_seed(op)`` would, without building ``op``.
     """
 
     perms: tuple
@@ -89,19 +91,30 @@ class AveragingOp:
     keys: np.ndarray = field(compare=False, repr=False)
     counts: np.ndarray = field(compare=False, repr=False)
 
-    def _operator(self, values: Iterable, mode: str) -> FinitePropOp:
-        pairs = map(divmod, self.keys.tolist(), repeat(self.space.n_points))
-        return FinitePropOp._sealed(self.space, dict(zip(pairs, values)), mode)
-
     @cached_property
     def csr(self) -> sp.csr_matrix:
         # numpy divides exactly; scipy's csr / scalar multiplies by 1/(2n)
-        return self._operator((self.counts / (2 * self.n)).tolist(), MODE_FLOAT).to_csr()
+        size = self.space.n_points
+        return sp.csr_matrix((self.counts / (2 * self.n), np.divmod(self.keys, size)),
+                             shape=(size, size))
 
     @cached_property
     def op(self) -> FinitePropOp:
-        return self._operator(map(Fraction, self.counts.tolist(), repeat(2 * self.n)),
-                              MODE_RATIONAL)
+        pairs = map(divmod, self.keys.tolist(), repeat(self.space.n_points))
+        values = map(Fraction, self.counts.tolist(), repeat(2 * self.n))
+        return FinitePropOp._sealed(self.space, dict(zip(pairs, values)), MODE_RATIONAL)
+
+    @cached_property
+    def _seed_prefix(self):
+        # each value's text is Fraction's own, made once per distinct count
+        text = {c: str(Fraction(c, 2 * self.n)).encode() for c in np.unique(self.counts).tolist()}
+        rows, cols = np.divmod(self.keys, self.space.n_points)
+        return _content_hash(self.space.name, MODE_RATIONAL, zip(rows.tolist(), cols.tolist()),
+                             map(text.__getitem__, self.counts.tolist()))
+
+    def component_seed(self, m: int) -> int:
+        """``operator_seed(self.op, extra=b"component:<m>")``, from the counts."""
+        return _extended_seed(self._seed_prefix, f"component:{m}".encode())
 
 
 def build_averaging(perms: Iterable[PermutationOp]) -> AveragingOp:
@@ -292,7 +305,7 @@ def _component_gap(avg: AveragingOp, m: int, ks: list[int], *,
         spectral = SpectralResult(abs(lam), "dense", 0, residual)
         rtol = CURVE_RTOL_DENSE
     else:
-        seed = operator_seed(avg.op, extra=f"component:{m}".encode())
+        seed = avg.component_seed(m)
         lam, vec, count, residual = extreme_eig_matvec(deflated, s, seed, tol=tol)
         spectral = SpectralResult(abs(lam), "iterative", count, residual, seed)
         rtol = CURVE_RTOL_ITER
@@ -344,10 +357,10 @@ def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
         raise ValueError("kmax must be >= 1")
     rates = rate_constants(c, avg.n) if c is not None else None
     ks = _curve_powers(kmax)
-    # build the shared operators once, not per thread
+    # build what the components share once, not per thread
     avg.csr
     if np.bincount(avg.space.component_of).max() > max(dense_cutoff, 2):
-        avg.op  # the Lanczos components seed from it
+        avg._seed_prefix  # the Lanczos components' seeds extend its hash
     mids = range(avg.space.n_components)
     work = partial(_component_gap, avg, ks=ks, dense_cutoff=dense_cutoff, tol=tol, rates=rates)
     if jobs > 1:

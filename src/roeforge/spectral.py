@@ -68,16 +68,33 @@ class SpectralResult:
 
 def operator_seed(op: FinitePropOp, extra: bytes = b"") -> int:
     """Deterministic 64-bit seed from an operator's canonical content."""
+    if op.mode == MODE_RATIONAL:
+        values = (str(v).encode() for v in op.entries.values())
+    else:
+        values = (struct.pack("<dd", complex(v).real, complex(v).imag)
+                  for v in op.entries.values())
+    return _extended_seed(_content_hash(op.space.name, op.mode, op.entries, values), extra)
+
+
+def _content_hash(name: str, mode: str, pairs: Iterable, values: Iterable[bytes]):
+    """The hash of an operator's content, before a seed's extra bytes.
+
+    It takes the space name, the mode, then each entry's ``(x, y)`` as
+    ``<qq`` followed by its value bytes, in the order given.
+    """
     h = hashlib.blake2b(digest_size=8)
-    h.update(op.space.name.encode())
-    h.update(op.mode.encode())
-    for (x, y), v in op.entries.items():
-        h.update(struct.pack("<qq", x, y))
-        if op.mode == MODE_RATIONAL:
-            h.update(str(v).encode())
-        else:
-            cv = complex(v)
-            h.update(struct.pack("<dd", cv.real, cv.imag))
+    h.update(name.encode())
+    h.update(mode.encode())
+    pack = struct.Struct("<qq").pack
+    for (x, y), v in zip(pairs, values):
+        h.update(pack(x, y))
+        h.update(v)
+    return h
+
+
+def _extended_seed(content, extra: bytes) -> int:
+    """The seed of ``content`` (a :func:`_content_hash`) followed by ``extra``."""
+    h = content.copy()
     h.update(extra)
     return int.from_bytes(h.digest(), "little")
 

@@ -1,6 +1,5 @@
 import json
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -87,8 +86,9 @@ def _fraction_loop_averaging(perms):
         *(f"random{seed}" for seed in range(5))])
 def test_averaging_counts_match_fraction_loop(make):
     """The float matrix divides the integer counts exactly: its arrays equal,
-    bit for bit, those of the Fraction operator's to_csr(); a permutation
-    listed twice gives counts of 2."""
+    bit for bit, those of the Fraction operator's to_csr(); the seeds hashed
+    from the counts equal the Fraction operator's; a permutation listed
+    twice gives counts of 2."""
     sp = make()
     perms = averaging_for(sp).perms
     for listed in (perms, perms + perms[:1]):
@@ -98,6 +98,9 @@ def test_averaging_counts_match_fraction_loop(make):
         for attr in ("indptr", "indices", "data"):
             got, exp = getattr(avg.csr, attr), getattr(want, attr)
             assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
+        for m in range(sp.n_components):
+            assert avg.component_seed(m) == rf.operator_seed(
+                ref, extra=f"component:{m}".encode())
         assert avg.op == ref
         assert avg == rf.build_averaging(listed)
     if np.any(perms[0].perm != np.arange(sp.n_points)):
@@ -112,23 +115,19 @@ def test_dense_gap_report_builds_no_exact_operator():
     assert "op" not in vars(avg)
 
 
-def test_threaded_gap_report_builds_exact_operator_once(monkeypatch):
-    # two Lanczos components share one exact operator, built before the
-    # thread pool starts rather than by whichever thread asks first
+def test_threaded_gap_report_builds_no_operator(monkeypatch):
+    # two Lanczos components in a thread pool: the matrix and both seeds
+    # come from the counts, with no FinitePropOp made on the way
     sp = rf.disjoint_union([rf.make_cycle(12), rf.make_cycle(14)])
     avg = averaging_for(sp)
-    builders = []
-    real = kazhdan.AveragingOp._operator
 
-    def counting(self, values, mode):
-        if mode == rf.MODE_RATIONAL:
-            builders.append(threading.current_thread())
-        return real(self, values, mode)
+    def refuse(*args):
+        raise AssertionError("gap_report built a FinitePropOp")
 
-    monkeypatch.setattr(kazhdan.AveragingOp, "_operator", counting)
+    monkeypatch.setattr(FinitePropOp, "_store", refuse)
     rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=4, dense_cutoff=8, jobs=2)
     assert {c.spectral.method for c in rep.components} == {"iterative"}
-    assert builders == [threading.current_thread()]
+    assert "op" not in vars(avg)
 
 
 @pytest.mark.parametrize("make, rho, seed", [
@@ -136,13 +135,13 @@ def test_threaded_gap_report_builds_exact_operator_once(monkeypatch):
     (lambda: rf.make_margulis(24), "0.9017599656582211", 11624193158940628649),
 ], ids=["C600", "Mg24"])
 def test_iterative_rho_and_seed_are_pinned(make, rho, seed):
-    """Lanczos seeds hash the exact operator, built on first read from the counts."""
+    """Lanczos seeds hash the counts as the exact operator's entries, without it."""
     sp = make()
     avg = averaging_for(sp)
     (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=1).components
     assert comp.spectral.method == "iterative"
     assert repr(comp.rho) == rho and comp.spectral.seed == seed
-    assert "op" in vars(avg)
+    assert "op" not in vars(avg)
 
 
 def test_projection_entries_are_component_means():
@@ -453,7 +452,8 @@ def test_one_eigensolve_per_component(monkeypatch):
     solve = counted(kazhdan.extreme_eig_matvec, "solve")
     monkeypatch.setattr(kazhdan, "extreme_eig_matvec", solve)
     monkeypatch.setattr(spectral, "extreme_eig_matvec", solve)
-    monkeypatch.setattr(kazhdan, "operator_seed", counted(kazhdan.operator_seed, "seed"))
+    monkeypatch.setattr(kazhdan.AveragingOp, "component_seed",
+                        counted(kazhdan.AveragingOp.component_seed, "seed"))
     sp = rf.make_cycle(600)
     rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=32)
     (comp,) = rep.components
