@@ -39,13 +39,13 @@ from .spectral import (
     DENSE_CUTOFF,
     SpectralResult,
     _checked,
-    _content_hash,
+    _counts_hash,
     _extended_seed,
     dense_extreme_eig,
     eigvec_power_norms,
     extreme_eig_matvec,
 )
-from .transalg import MODE_RATIONAL, FinitePropOp, PermutationOp
+from .transalg import MODE_FLOAT, MODE_RATIONAL, FinitePropOp, PermutationOp
 
 __all__ = [
     "AveragingOp",
@@ -80,9 +80,10 @@ class AveragingOp:
     """A = (1/n)*sum_i (1+A_i)/2, held as the integer ``counts`` of 2nA.
 
     ``keys`` are the support's ``x * size + y``, ascending.  When first
-    read, ``csr`` divides the counts by 2n in floats, and ``op`` makes them
-    the exact :class:`FinitePropOp`.  The Lanczos seeds hash the counts as
-    ``operator_seed(op)`` would, without building ``op``.
+    read, ``csr`` and ``op`` are made from the counts as a float and an
+    exact :class:`FinitePropOp`; the float one's ``to_csr`` makes the matrix.
+    The Lanczos seeds hash the counts as ``operator_seed(op)`` would,
+    without building ``op``.
     """
 
     perms: tuple
@@ -91,26 +92,24 @@ class AveragingOp:
     keys: np.ndarray = field(compare=False, repr=False)
     counts: np.ndarray = field(compare=False, repr=False)
 
+    def _operator(self, values: Iterable, mode: str) -> FinitePropOp:
+        pairs = map(divmod, self.keys.tolist(), repeat(self.space.n_points))
+        return FinitePropOp._sealed(self.space, dict(zip(pairs, values)), mode)
+
     @cached_property
     def csr(self) -> sp.csr_matrix:
         # numpy divides exactly; scipy's csr / scalar multiplies by 1/(2n)
-        size = self.space.n_points
-        return sp.csr_matrix((self.counts / (2 * self.n), np.divmod(self.keys, size)),
-                             shape=(size, size))
+        return self._operator((self.counts / (2 * self.n)).tolist(), MODE_FLOAT).to_csr()
 
     @cached_property
     def op(self) -> FinitePropOp:
-        pairs = map(divmod, self.keys.tolist(), repeat(self.space.n_points))
-        values = map(Fraction, self.counts.tolist(), repeat(2 * self.n))
-        return FinitePropOp._sealed(self.space, dict(zip(pairs, values)), MODE_RATIONAL)
+        return self._operator(map(Fraction, self.counts.tolist(), repeat(2 * self.n)),
+                              MODE_RATIONAL)
 
     @cached_property
     def _seed_prefix(self):
-        # each value's text is Fraction's own, made once per distinct count
-        text = {c: str(Fraction(c, 2 * self.n)).encode() for c in np.unique(self.counts).tolist()}
         rows, cols = np.divmod(self.keys, self.space.n_points)
-        return _content_hash(self.space.name, MODE_RATIONAL, zip(rows.tolist(), cols.tolist()),
-                             map(text.__getitem__, self.counts.tolist()))
+        return _counts_hash(self.space.name, rows, cols, self.counts, 2 * self.n)
 
     def component_seed(self, m: int) -> int:
         """``operator_seed(self.op, extra=b"component:<m>")``, from the counts."""

@@ -248,7 +248,14 @@ class FiniteSpace:
 
     def max_ball_size(self, radius: float) -> int:
         """Largest number of points in any closed ball of the given radius."""
-        return int(np.bincount(self.pairs_within(radius)[0]).max())
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
+        sizes = np.zeros(self.n_points, dtype=np.int64)
+        for lo, block in self._distance_rows(limit=radius):
+            within = (block <= radius) & _upper(lo, block)
+            sizes[lo:lo + len(block)] += np.count_nonzero(within, axis=1) - 1
+            sizes += np.count_nonzero(within, axis=0)   # the mirrored pairs and the centre
+        return int(sizes.max())
 
     def finite_diameter(self) -> float:
         """Largest finite distance in the space (0.0 for a single point)."""

@@ -18,6 +18,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
@@ -68,12 +69,29 @@ class SpectralResult:
 
 def operator_seed(op: FinitePropOp, extra: bytes = b"") -> int:
     """Deterministic 64-bit seed from an operator's canonical content."""
-    if op.mode == MODE_RATIONAL:
-        values = (str(v).encode() for v in op.entries.values())
-    else:
-        values = (struct.pack("<dd", complex(v).real, complex(v).imag)
-                  for v in op.entries.values())
+    values = (_value_bytes(v, op.mode) for v in op.entries.values())
     return _extended_seed(_content_hash(op.space.name, op.mode, op.entries, values), extra)
+
+
+def _value_bytes(v, mode: str) -> bytes:
+    """How the seed hashes one entry: its text if rational, else ``<dd``."""
+    if mode == MODE_RATIONAL:
+        return str(v).encode()
+    cv = complex(v)
+    return struct.pack("<dd", cv.real, cv.imag)
+
+
+def _counts_hash(name: str, rows: np.ndarray, cols: np.ndarray, counts: np.ndarray,
+                 denom: int):
+    """The :func:`_content_hash` of the exact operator with entry
+    ``counts[i] / denom`` at ``(rows[i], cols[i])``, without building it.
+
+    Each value's bytes are made once per distinct count, from ``Fraction``.
+    """
+    text = {c: _value_bytes(Fraction(c, denom), MODE_RATIONAL)
+            for c in np.unique(counts).tolist()}
+    return _content_hash(name, MODE_RATIONAL, zip(rows.tolist(), cols.tolist()),
+                         map(text.__getitem__, counts.tolist()))
 
 
 def _content_hash(name: str, mode: str, pairs: Iterable, values: Iterable[bytes]):

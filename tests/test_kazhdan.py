@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -115,18 +116,24 @@ def test_dense_gap_report_builds_no_exact_operator():
     assert "op" not in vars(avg)
 
 
-def test_threaded_gap_report_builds_no_operator(monkeypatch):
-    # two Lanczos components in a thread pool: the matrix and both seeds
-    # come from the counts, with no FinitePropOp made on the way
+def test_threaded_gap_report_builds_no_exact_operator(monkeypatch):
+    # two Lanczos components in a thread pool: both seeds come from the
+    # counts, and the one operator made is the float matrix's, built
+    # before the pool starts rather than by whichever thread asks first
     sp = rf.disjoint_union([rf.make_cycle(12), rf.make_cycle(14)])
     avg = averaging_for(sp)
+    proj = rf.kazhdan_projection(sp)
+    built = []
+    real = FinitePropOp._store
 
-    def refuse(*args):
-        raise AssertionError("gap_report built a FinitePropOp")
+    def recording(self, space, entries, mode):
+        built.append((mode, threading.current_thread()))
+        return real(self, space, entries, mode)
 
-    monkeypatch.setattr(FinitePropOp, "_store", refuse)
-    rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=4, dense_cutoff=8, jobs=2)
+    monkeypatch.setattr(FinitePropOp, "_store", recording)
+    rep = rf.gap_report(avg, proj, kmax=4, dense_cutoff=8, jobs=2)
     assert {c.spectral.method for c in rep.components} == {"iterative"}
+    assert built == [(rf.MODE_FLOAT, threading.current_thread())]
     assert "op" not in vars(avg)
 
 
