@@ -23,7 +23,6 @@ import json
 import multiprocessing
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -170,11 +169,10 @@ def _cmd_gap(args) -> int:
         text = fh.read()
     if text.lstrip().startswith("{"):
         family, params, spaces = load_manifest(text)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(
-                lambda s: _pipeline(s, radius=args.radius, kmax=args.kmax,
-                                    c=args.c, threshold=args.threshold),
-                spaces))
+        # members run one after another: their pipelines are mostly Python
+        # and hold the GIL, so threads would not overlap them
+        reports = [_pipeline(s, radius=args.radius, kmax=args.kmax,
+                             c=args.c, threshold=args.threshold) for s in spaces]
         doc = family_report_to_dict(family, params, reports, args.threshold)
         verdict = doc["uniform_gap"]
     else:

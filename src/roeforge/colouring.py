@@ -196,10 +196,7 @@ def edge_colouring(space: FiniteSpace, radius: float) -> EdgeColouring:
     """
     edges = tube_graph_edges(space, radius)
     n = space.n_points
-    degree = np.zeros(n, dtype=np.int64)
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
+    degree = np.bincount(np.asarray(edges, dtype=np.int64).reshape(-1), minlength=n)
     max_degree = int(degree.max()) if n else 0
     raw = _misra_gries(n, edges, max_degree + 1) if edges else {}
     renumber: dict[int, int] = {}

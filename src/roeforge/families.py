@@ -41,9 +41,15 @@ def make_cycle(n: int) -> FiniteSpace:
     return space_from_graph([str(k) for k in range(n)], _cycle_edges(n), name=f"C{n}")
 
 
-def _cycle_edges(n: int, at: int = 0) -> list[tuple[int, int, float]]:
+def _unit_edges(u, v) -> np.ndarray:
+    """The (m, 3) edge array of unit edges u[i] -- v[i]."""
+    return np.column_stack([u, v, np.ones(len(u))])
+
+
+def _cycle_edges(n: int, at: int = 0) -> np.ndarray:
     """Unit edges of the n-cycle on the points at, at + 1, ..., at + n - 1."""
-    return [(at + k, at + (k + 1) % n, 1.0) for k in range(n)]
+    k = np.arange(n)
+    return _unit_edges(at + k, at + (k + 1) % n)
 
 
 def make_complete(n: int) -> FiniteSpace:
@@ -52,8 +58,7 @@ def make_complete(n: int) -> FiniteSpace:
         raise FamilyError("a complete graph needs at least 1 point")
     _check_size(n)
     return space_from_graph([str(k) for k in range(n)],
-                            [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)],
-                            name=f"K{n}")
+                            _unit_edges(*np.triu_indices(n, 1)), name=f"K{n}")
 
 
 def make_hypercube(d: int) -> FiniteSpace:
@@ -63,7 +68,9 @@ def make_hypercube(d: int) -> FiniteSpace:
         raise FamilyError("hypercube dimension must be >= 1")
     n = 1 << d
     _check_size(n)
-    edges = [(v, v ^ (1 << b), 1.0) for v in range(n) for b in range(d) if not v >> b & 1]
+    # each edge once, from its end v with bit b clear
+    v, b = np.nonzero((np.arange(n)[:, None] >> np.arange(d) & 1) == 0)
+    edges = _unit_edges(v, v | 1 << b)
     return space_from_graph([format(v, f"0{d}b") for v in range(n)], edges, name=f"Q{d}")
 
 
@@ -95,8 +102,8 @@ def make_random_regular(n: int, d: int, seed: int = 0) -> FiniteSpace:
         canon = np.sort(pairs, axis=1)
         if len(np.unique(canon, axis=0)) != len(canon):
             continue
-        edges = [(int(u), int(v), 1.0) for u, v in canon]
-        return space_from_graph([str(k) for k in range(n)], edges, name=name)
+        return space_from_graph([str(k) for k in range(n)],
+                                _unit_edges(canon[:, 0], canon[:, 1]), name=name)
     raise FamilyError(
         f"no simple {d}-regular pairing on {n} points found in 1000 attempts")
 
@@ -109,34 +116,22 @@ def make_margulis(n: int) -> FiniteSpace:
         (x + 2y, y), (x - 2y, y), (x + 2y + 1, y), (x - 2y - 1, y),
         (x, y + 2x), (x, y - 2x), (x, y + 2x + 1), (x, y - 2x - 1),
 
-    all mod n, with self-loops dropped and parallel edges collapsed, so the
-    graph is simple of degree <= 8.  This generator set is part of the
+    all mod n.  The 8n^2 edges go to :func:`space_from_graph` as they are;
+    it drops the self-loops and collapses the parallel edges, so the graph
+    is simple of degree <= 8.  This generator set is part of the
     interface: reports depend on it bit for bit.
     """
     n = int(n)
     if n < 2:
         raise FamilyError("torus side must be >= 2")
     _check_size(n * n)
-    edges = set()
-    for x in range(n):
-        for y in range(n):
-            src = x * n + y
-            for tx, ty in (
-                ((x + 2 * y) % n, y),
-                ((x - 2 * y) % n, y),
-                ((x + 2 * y + 1) % n, y),
-                ((x - 2 * y - 1) % n, y),
-                (x, (y + 2 * x) % n),
-                (x, (y - 2 * x) % n),
-                (x, (y + 2 * x + 1) % n),
-                (x, (y - 2 * x - 1) % n),
-            ):
-                dst = tx * n + ty
-                if dst != src:
-                    edges.add((min(src, dst), max(src, dst)))
-    points = [f"{x},{y}" for x in range(n) for y in range(n)]
-    return space_from_graph(points, [(u, v, 1.0) for u, v in sorted(edges)],
-                            name=f"Mg{n}")
+    src = np.arange(n * n)
+    x, y = np.divmod(src, n)
+    tx = np.concatenate([x + 2 * y, x - 2 * y, x + 2 * y + 1, x - 2 * y - 1]) % n
+    ty = np.concatenate([y + 2 * x, y - 2 * x, y + 2 * x + 1, y - 2 * x - 1]) % n
+    dst = np.concatenate([tx * n + np.tile(y, 4), np.tile(x, 4) * n + ty])
+    points = [f"{a},{b}" for a, b in zip(x.tolist(), y.tolist())]
+    return space_from_graph(points, _unit_edges(np.tile(src, 8), dst), name=f"Mg{n}")
 
 
 def make_box_space_Z(sizes: Sequence[int]) -> FiniteSpace:
@@ -158,7 +153,7 @@ def make_box_space_Z(sizes: Sequence[int]) -> FiniteSpace:
     # one block-diagonal graph, its points named as disjoint_union names them
     points = [f"C{s}:{k}" for s in sizes for k in range(s)]
     starts = np.cumsum([0] + sizes[:-1]).tolist()
-    edges = [e for at, s in zip(starts, sizes) for e in _cycle_edges(s, at)]
+    edges = np.concatenate([_cycle_edges(s, at) for at, s in zip(starts, sizes)])
     return space_from_graph(points, edges, name=name)
 
 

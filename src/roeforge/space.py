@@ -289,30 +289,35 @@ def space_from_graph(points: Sequence[str],
                      name: str = "space") -> FiniteSpace:
     """Build a space from an undirected weighted graph by path metric.
 
-    ``edges`` yields ``(u, v, w)`` index triples with ``w > 0``.  Points not
-    reached by any edge sit at +inf from everything else.  Parallel edges
-    keep the smallest weight; self-loops are ignored (they cannot change
-    any shortest path).  The space keeps the graph, not a distance matrix.
+    ``edges`` yields ``(u, v, w)`` index triples with ``w > 0``; an
+    ``(m, 3)`` array is such an iterable.  Points not reached by any edge
+    sit at +inf from everything else.  Parallel edges keep the smallest
+    weight; self-loops are ignored (they cannot change any shortest path).
+    This is the one place that applies that policy, so generators may pass
+    loops and repeats.  The space keeps the graph, not a distance matrix.
     """
     n = len(points)
     _check_size(n)
     points = tuple(str(p) for p in points)
     _check_names(points, str(name))
-    best: dict[tuple[int, int], float] = {}
-    for u, v, w in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for {n} points")
-        w = float(w)
-        if not w > 0:
-            raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        if w < best.get(key, INF):
-            best[key] = w
-    rows = np.fromiter((k[0] for k in best), dtype=np.int64, count=len(best))
-    cols = np.fromiter((k[1] for k in best), dtype=np.int64, count=len(best))
-    vals = np.fromiter(best.values(), dtype=float, count=len(best))
+    e = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=float)
+    if e.size and e.shape[1:] != (3,):
+        raise ValueError("edges must be (u, v, w) triples")
+    u, v, w = e.reshape(-1, 3).T
+    in_range = (0 <= u) & (u < n) & (0 <= v) & (v < n)
+    bad = ~in_range | ~(w > 0)
+    if bad.any():
+        i = int(bad.argmax())
+        if not in_range[i]:
+            raise ValueError(f"edge ({u[i]:.17g}, {v[i]:.17g}) out of range for {n} points")
+        raise ValueError(f"edge ({u[i]:.17g}, {v[i]:.17g}) has non-positive weight {w[i]}")
+    u, v = u.astype(np.int64), v.astype(np.int64)
+    keep = u != v
+    lo, hi, w = np.minimum(u, v)[keep], np.maximum(u, v)[keep], w[keep]
+    # lightest first, so that np.unique's first occurrence of a pair is its lightest edge
+    order = np.argsort(w, kind="stable")
+    _, first = np.unique((lo * n + hi)[order], return_index=True)
+    rows, cols, vals = lo[order[first]], hi[order[first]], w[order[first]]
     graph = sp.csr_matrix((np.concatenate([vals, vals]),
                            (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
                           shape=(n, n))

@@ -8,6 +8,7 @@ import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 import roeforge as rf
 
@@ -71,3 +72,30 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def reference_graph(n, edges):
+    """The CSR graph of ``space_from_graph`` as its per-edge dict loop built
+    it: the lightest of each pair's parallel edges, self-loops dropped."""
+    best = {}
+    for u, v, w in edges:
+        assert 0 <= u < n and 0 <= v < n and w > 0
+        if u == v:
+            continue
+        key = (u, v) if u < v else (v, u)
+        if w < best.get(key, float("inf")):
+            best[key] = float(w)
+    rows = np.fromiter((k[0] for k in best), dtype=np.int64, count=len(best))
+    cols = np.fromiter((k[1] for k in best), dtype=np.int64, count=len(best))
+    vals = np.fromiter(best.values(), dtype=float, count=len(best))
+    return sp.csr_matrix((np.concatenate([vals, vals]),
+                          (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+                         shape=(n, n))
+
+
+def assert_same_csr(got, want):
+    """Equal byte for byte: shape, and indptr, indices and data with their dtypes."""
+    assert got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part

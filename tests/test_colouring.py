@@ -60,10 +60,12 @@ def test_empty_tube_graph():
     sp = rf.make_complete(1)
     col = rf.edge_colouring(sp, 1)
     assert col.n_colours == 0
+    assert col.max_degree == 0
     assert col.edges == ()
     rf.validate_colouring(col)
     perms = rf.colour_permutations(col)
     assert len(perms) == 1  # just the identity
+    assert rf.edge_colouring(rf.make_random_regular(5, 0), 1).max_degree == 0
 
 
 def test_colouring_is_deterministic():

@@ -6,6 +6,8 @@ import pytest
 import roeforge as rf
 from roeforge import FamilyError, ManifestError, families
 
+from conftest import assert_same_csr, reference_graph
+
 
 def test_cycle_metric_matches_shortest_paths():
     n = 9
@@ -168,6 +170,89 @@ def test_random_bounded_degree_space_matches_pair_loop(monkeypatch, n, max_degre
     assert made[0].random() == want_next
     assert points == [str(k) for k in range(n)]
     assert name == f"G{n}d{max_degree}s{seed}"
+
+
+# The families' edge lists as the generators built them before they handed
+# space_from_graph arrays: the reference for the graphs they must still give.
+
+def _list_cycle_edges(n, at=0):
+    return [(at + k, at + (k + 1) % n, 1.0) for k in range(n)]
+
+
+def _list_margulis_edges(n):
+    edges = set()
+    for x in range(n):
+        for y in range(n):
+            src = x * n + y
+            for tx, ty in (
+                ((x + 2 * y) % n, y),
+                ((x - 2 * y) % n, y),
+                ((x + 2 * y + 1) % n, y),
+                ((x - 2 * y - 1) % n, y),
+                (x, (y + 2 * x) % n),
+                (x, (y - 2 * x) % n),
+                (x, (y + 2 * x + 1) % n),
+                (x, (y - 2 * x - 1) % n),
+            ):
+                dst = tx * n + ty
+                if dst != src:
+                    edges.add((min(src, dst), max(src, dst)))
+    return [(u, v, 1.0) for u, v in sorted(edges)]
+
+
+def _list_random_regular_edges(n, d, seed):
+    if d == 0:
+        return []
+    rng = np.random.default_rng(seed)
+    stubs = np.repeat(np.arange(n), d)
+    while True:
+        rng.shuffle(stubs)
+        pairs = stubs.reshape(-1, 2)
+        if (pairs[:, 0] == pairs[:, 1]).any():
+            continue
+        canon = np.sort(pairs, axis=1)
+        if len(np.unique(canon, axis=0)) == len(canon):
+            return [(int(u), int(v), 1.0) for u, v in canon]
+
+
+def _list_box_space(sizes):
+    points = [f"C{s}:{k}" for s in sizes for k in range(s)]
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    return points, [e for at, s in zip(starts, sizes) for e in _list_cycle_edges(s, at)]
+
+
+def _random_regular(args):
+    return rf.make_random_regular(*args)
+
+
+_LIST_FAMILIES = (
+    [(rf.make_margulis, n, lambda n: ([f"{x},{y}" for x in range(n) for y in range(n)],
+                                      _list_margulis_edges(n)))
+     for n in range(2, 41)]
+    + [(rf.make_cycle, n, lambda n: ([str(k) for k in range(n)], _list_cycle_edges(n)))
+       for n in range(3, 65)]
+    + [(rf.make_complete, n, lambda n: ([str(k) for k in range(n)],
+                                        [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)]))
+       for n in range(1, 13)]
+    + [(rf.make_hypercube, d, lambda d: ([format(v, f"0{d}b") for v in range(1 << d)],
+                                         [(v, v ^ (1 << b), 1.0) for v in range(1 << d)
+                                          for b in range(d) if not v >> b & 1]))
+       for d in range(1, 9)]
+    + [(rf.make_box_space_Z, sizes, _list_box_space)
+       for sizes in ([3], [3, 4], [4, 8, 16], [5, 9, 17, 33], [64, 128, 256, 512, 1024])]
+    + [(_random_regular, args,
+        lambda args: ([str(k) for k in range(args[0])], _list_random_regular_edges(*args)))
+       for args in ((1, 0, 0), (10, 0, 3), (10, 3, 1), (20, 4, 2), (31, 2, 3), (64, 4, 9))]
+)
+
+
+@pytest.mark.parametrize("make, param, reference", _LIST_FAMILIES,
+                         ids=[f"{m.__name__}-{p}" for m, p, _ in _LIST_FAMILIES])
+def test_family_graphs_match_the_list_code(make, param, reference):
+    space = make(param)
+    points, edges = reference(param)
+    assert space.points == tuple(points)
+    assert_same_csr(space._graph, reference_graph(len(points), edges))
 
 
 def test_family_registry():

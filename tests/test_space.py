@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 import roeforge as rf
 from roeforge import SpaceParseError
 
+from conftest import assert_same_csr, reference_graph
+
 INF = float("inf")
 
 
@@ -80,6 +82,37 @@ def test_space_from_graph_distances():
 def test_space_from_graph_rejects_bad_indices():
     with pytest.raises(ValueError):
         rf.space_from_graph(["a"], [(0, 1, 1)])
+
+
+def test_space_from_graph_reports_the_first_bad_edge():
+    points = ["a", "b"]
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\) has non-positive weight -1\.0$"):
+        rf.space_from_graph(points, [(0, 1, -1), (0, 9, 1)])
+    with pytest.raises(ValueError, match=r"^edge \(0, 9\) out of range for 2 points$"):
+        rf.space_from_graph(points, [(0, 9, 1), (0, 1, -1)])
+    # within one edge the range check comes first
+    with pytest.raises(ValueError, match="out of range"):
+        rf.space_from_graph(points, np.array([[0, -1, -1.0]]))
+    with pytest.raises(ValueError, match="non-positive weight nan"):
+        rf.space_from_graph(points, [(0, 0, float("nan"))])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_space_from_graph_matches_the_dict_loop(seed):
+    # repeated pairs in both orientations, uneven weights and self-loops,
+    # as a list, a generator and shuffled (m, 3) arrays
+    rng = np.random.default_rng([77, seed])
+    n = int(rng.integers(1, 40))
+    m = int(rng.integers(0, 4 * n + 1))
+    weights = rng.choice([1.0, 0.5, 2.0, 0.1, 0.7, 3.3], size=m)
+    edges = [(int(u), int(v), float(w))
+             for u, v, w in zip(rng.integers(0, n, m), rng.integers(0, n, m), weights)]
+    edges += [(v, u, w + 0.25) for u, v, w in edges[:m // 3]]
+    want = reference_graph(n, edges)
+    points = [f"p{k}" for k in range(n)]
+    for given in (edges, iter(edges), np.array(edges).reshape(-1, 3),
+                  np.array(edges).reshape(-1, 3)[rng.permutation(len(edges))]):
+        assert_same_csr(rf.space_from_graph(points, given)._graph, want)
 
 
 def test_max_ball_size_and_diameter():
