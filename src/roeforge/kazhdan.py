@@ -31,8 +31,10 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse import csgraph
 
-from .errors import GapBoundError, GapComputationError, SpaceMismatchError
+from .errors import GapBoundError, GapComputationError, SpaceMismatchError, SpectralError
 from .space import FiniteSpace
 from .spectral import (
     DEFAULT_TOL,
@@ -289,6 +291,57 @@ def _curve_powers(kmax: int) -> list[int]:
     return sorted(ks)
 
 
+def _tube_band(block: sp.csr_matrix, denom: int):
+    """``(order, band)``: the tube Laplacian of ``block`` in banded form, or None.
+
+    ``block`` holds counts / ``denom``, so ``L = denom * (1 - block)`` is a
+    matrix of integers: the Laplacian of the graph whose edge weights are
+    the counts.  ``order`` is the block's reverse Cuthill–McKee order and
+    ``band`` the lower band of L in that order, as ``cholesky_banded``
+    takes it.  A bandwidth b makes a Cholesky factor of (b + 1)·s values;
+    the block takes 2·nnz words (values and indices), and the band is made
+    only when it is no larger.  Cycles and paths have b = 2; an expander's
+    bandwidth grows with s, and so does its fill.
+    """
+    s = block.shape[0]
+    order = csgraph.reverse_cuthill_mckee(block, symmetric_mode=True)
+    coo = block[order][:, order].tocoo()
+    offset = coo.row - coo.col
+    width = int(offset.max()) + 1
+    if width * s > 2 * block.nnz:
+        return None
+    lower = offset >= 0
+    band = np.zeros((width, s))
+    band[offset[lower], coo.col[lower]] = -np.rint(coo.data[lower] * denom)
+    band[0] += denom
+    return order, band
+
+
+def _shift_invert(order: np.ndarray, band: np.ndarray, seed: int, tol: float):
+    """Lanczos on ``x -> P⊥ (L + eps)^-1 P⊥ x`` for the banded tube Laplacian L.
+
+    Returns ``(vec, solves)``: the Ritz vector, in the block's own order,
+    of the largest eigenvalue 1 / (lambda_2 + eps), so an eigenvector of
+    the smallest eigenvalue of L off the constants.  The shift eps is a
+    quarter of 4 sin^2(pi / 2s), the path's lambda_2, which by Fiedler's
+    bound no connected graph on s points with edge weights >= 1 goes under.
+    """
+    s = band.shape[1]
+    band[0] += math.sin(math.pi / (2 * s)) ** 2
+    try:
+        factor = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+    except LinAlgError as exc:
+        raise SpectralError(f"banded Cholesky failed on {s} points: {exc}") from exc
+
+    def inverse(x):
+        z = np.empty_like(x)
+        z[order] = cho_solve_banded((factor, True), x[order] - x.mean(), check_finite=False)
+        return z - z.mean()
+
+    _, vec, solves, _ = extreme_eig_matvec(inverse, s, seed, tol=tol)
+    return vec, solves
+
+
 def _component_gap(avg: AveragingOp, m: int, ks: list[int], *,
                    dense_cutoff: int, tol: float,
                    rates: RateConstants | None) -> ComponentGap:
@@ -305,8 +358,16 @@ def _component_gap(avg: AveragingOp, m: int, ks: list[int], *,
         rtol = CURVE_RTOL_DENSE
     else:
         seed = avg.component_seed(m)
-        lam, vec, count, residual = extreme_eig_matvec(deflated, s, seed, tol=tol)
-        spectral = SpectralResult(abs(lam), "iterative", count, residual, seed)
+        banded = _tube_band(block, 2 * avg.n)
+        if banded is None:
+            lam, vec, count, residual = extreme_eig_matvec(deflated, s, seed, tol=tol)
+            spectral = SpectralResult(abs(lam), "iterative", count, residual, seed)
+        else:
+            vec, count = _shift_invert(*banded, seed, tol)
+            image = deflated(vec)
+            lam = float(vec @ image) / float(vec @ vec)
+            residual = float(np.linalg.norm(image - lam * vec))
+            spectral = SpectralResult(abs(lam), "shift-invert", count, residual, seed)
         rtol = CURVE_RTOL_ITER
     rho = _checked(spectral, tol).value
     norms = eigvec_power_norms(deflated, vec, ks)
@@ -335,8 +396,10 @@ def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
                jobs: int = 1) -> GapReport:
     """Per-component rho = ||A - P||_2 with measured convergence curves.
 
-    Each component makes one eigensolve, dense or Lanczos by size, for rho
-    and its certified eigenvector v.  The curve holds ||A^k - P||_2 at
+    Each component makes one eigensolve for rho and its certified
+    eigenvector v: dense up to ``dense_cutoff`` points; above it,
+    shift-invert on the tube Laplacian when the component's band is narrow
+    (cycles, paths), else Lanczos on A - P (expanders).  The curve holds ||A^k - P||_2 at
     k = 1, 2, 4, ... up to ``kmax`` (kmax itself always included),
     measured as ||(A - P)^k v|| by ``kmax`` applications of A - P to v:
     A - P is self-adjoint, so the norm of each power is attained on v.

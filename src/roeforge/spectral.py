@@ -44,8 +44,8 @@ __all__ = [
 
 DENSE_CUTOFF = 512
 DEFAULT_TOL = 1e-10
-_LANCZOS_K = 4           # Ritz values computed per Lanczos solve
 _LANCZOS_NCV = 64        # Lanczos basis size (capped at the dimension)
+_MATVEC_CAP = 20_000     # matvecs one Lanczos solve may spend before it fails
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,14 @@ class SpectralResult:
     """One computed eigenvalue or norm.
 
     ``value`` is nonnegative: the largest |eigenvalue|, or the norm itself
-    for norm computations.  ``method`` is ``"dense"`` or ``"iterative"``;
-    ``iterations`` counts matvecs (0 for dense); ``residual`` is the final
-    ``||A v - lambda v||_2``, which for self-adjoint input bounds the
-    distance from the answer to the true spectrum; ``seed`` is the Lanczos
-    start seed (None for dense).
+    for norm computations.  ``method`` is ``"dense"``, ``"iterative"``
+    (Lanczos on the operator) or ``"shift-invert"`` (Lanczos on an inverse,
+    as :mod:`roeforge.kazhdan` runs it on narrow-band components);
+    ``iterations`` counts matvecs, or inverse solves (0 for dense);
+    ``residual`` is the final ``||A v - lambda v||_2`` on the operator
+    itself, which for self-adjoint input bounds the distance from the
+    answer to the true spectrum; ``seed`` is the Lanczos start seed (None
+    for dense).
     """
 
     value: float
@@ -150,10 +153,11 @@ def extreme_eig_matvec(matvec: Callable, n: int, seed: int, *,
 
     Returns ``(value, vec, matvec_count, residual)`` — ``value`` keeps its
     sign here; the public wrappers report |value|; ``vec`` is the Ritz
-    vector whose residual is reported.  The start vector is drawn from
-    ``default_rng(seed)``, which makes the whole computation a pure
-    function of its arguments.  ARPACK gets ``10 * n`` update
-    iterations; a solve that does not converge in them raises
+    vector whose residual is reported.  ARPACK computes that one Ritz pair
+    in a basis of up to ``_LANCZOS_NCV`` vectors.  The start vector is
+    drawn from ``default_rng(seed)``, which makes the whole computation a
+    pure function of its arguments.  A solve that does not converge, or
+    that would spend more than ``_MATVEC_CAP`` matvecs, raises
     :class:`~roeforge.errors.SpectralError` naming ``n`` and the matvecs
     spent.
     """
@@ -161,26 +165,30 @@ def extreme_eig_matvec(matvec: Callable, n: int, seed: int, *,
         raise ValueError("iterative path needs at least 3 points; use the dense path")
     count = 0
 
+    def failure(reason) -> SpectralError:
+        return SpectralError(f"Lanczos iteration did not converge on {n} points "
+                             f"after {count} matvecs: {reason}")
+
     def counting(x):
         nonlocal count
+        if count == _MATVEC_CAP:
+            raise failure(f"the cap is {_MATVEC_CAP} matvecs")
         count += 1
         return matvec(x)
 
     lin = spla.LinearOperator((n, n), matvec=counting, dtype=float)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
-    k = min(_LANCZOS_K, n - 2)
     try:
-        vals, vecs = spla.eigsh(lin, k=k, which="LM", v0=v0, tol=tol,
-                                ncv=min(n, max(_LANCZOS_NCV, k + 2)), maxiter=10 * n)
+        # every restart costs a matvec, so the cap binds before maxiter does
+        vals, vecs = spla.eigsh(lin, k=1, which="LM", v0=v0, tol=tol,
+                                ncv=min(n, _LANCZOS_NCV), maxiter=_MATVEC_CAP)
     except spla.ArpackNoConvergence as exc:
-        raise SpectralError(f"Lanczos iteration did not converge on {n} points "
-                            f"after {count} matvecs: {exc}") from exc
-    best = int(np.argmax(np.abs(vals)))
-    value = float(vals[best])
-    vec = vecs[:, best]
-    residual = float(np.linalg.norm(counting(vec) - value * vec))
-    return value, vec, count, residual
+        raise failure(exc) from exc
+    value = float(vals[0])
+    vec = vecs[:, 0]
+    residual = float(np.linalg.norm(matvec(vec) - value * vec))
+    return value, vec, count + 1, residual
 
 
 def _checked(res: SpectralResult, tol: float) -> SpectralResult:

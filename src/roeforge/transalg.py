@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -138,10 +139,13 @@ class FinitePropOp:
     denominators has an lcm thousands of bits wide, and products of
     numerators that wide cost far more than the Fraction arithmetic they
     replace; a row's lcm only spans the denominators that meet in that
-    row's sums.  Float products are the plain loop over the floats.
+    row's sums.  Each operator scales its rows and its columns at most
+    once, when a product or a uniform-sum check first needs them.  Float
+    products are the plain loop over the floats.
     """
 
-    __slots__ = ("space", "mode", "entries", "_propagation", "_csr", "_float")
+    __slots__ = ("space", "mode", "entries", "_propagation", "_csr", "_float",
+                 "_row_scaled", "_col_scaled")
 
     def __init__(self, space: FiniteSpace, entries: Mapping, mode: str = MODE_RATIONAL):
         _check_mode(mode)
@@ -157,6 +161,8 @@ class FinitePropOp:
         self._propagation = None
         self._csr = None
         self._float = None
+        self._row_scaled = None
+        self._col_scaled = None
 
     @classmethod
     def _sealed(cls, space: FiniteSpace, entries: Mapping, mode: str) -> "FinitePropOp":
@@ -176,8 +182,18 @@ class FinitePropOp:
 
     def _pairs(self):
         """Row and column index arrays of the support, in entry order."""
-        keys = np.array(list(self.entries), dtype=np.int64).reshape(-1, 2)
+        keys = np.fromiter(chain.from_iterable(self.entries), dtype=np.int64,
+                           count=2 * len(self.entries)).reshape(-1, 2)
         return keys[:, 0], keys[:, 1]
+
+    def _scaled_lines(self, axis: int):
+        """``_scaled(self.entries, axis, n)``, made once per operator and axis."""
+        slot = ("_row_scaled", "_col_scaled")[axis]
+        out = getattr(self, slot)
+        if out is None:
+            out = _scaled(self.entries, axis, self.space.n_points)
+            setattr(self, slot, out)
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -264,8 +280,8 @@ class FinitePropOp:
             # integer numerators: row x of self times rows[x], column y of
             # other times cols[y], so the loop below multiplies ints
             n = self.space.n_points
-            rows, left = _scaled(left, 0, n)
-            cols, right = _scaled(right, 1, n)
+            rows, left = self._scaled_lines(0)
+            cols, right = other._scaled_lines(1)
         orows: dict[int, list[tuple[int, Scalar]]] = {}
         for (z, y), b in right.items():
             orows.setdefault(z, []).append((y, b))
@@ -307,7 +323,9 @@ class FinitePropOp:
     def _coo(self):
         """Row, column and value arrays; values complex if any entry is, else float."""
         vals = self.entries.values()
-        dtype = complex if any(isinstance(v, complex) for v in vals) else float
+        dtype = float
+        if self.mode == MODE_FLOAT and any(isinstance(v, complex) for v in vals):
+            dtype = complex
         return (*self._pairs(), np.fromiter(vals, dtype=dtype, count=len(vals)))
 
     def to_dense(self) -> np.ndarray:
@@ -382,7 +400,7 @@ def _exact_uniform_sum(op: FinitePropOp):
     n = op.space.n_points
     num = den = None
     for axis in (0, 1):
-        lcms, scaled = _scaled(op.entries, axis, n)
+        lcms, scaled = op._scaled_lines(axis)
         lcms = lcms or [1] * n
         sums = [0] * n
         for k, v in scaled.items():

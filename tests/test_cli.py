@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import roeforge as rf
-from roeforge import cli
+from roeforge import cli, spectral
 from roeforge.cli import main
 
 
@@ -196,6 +196,21 @@ def test_gap_lanczos_non_convergence_exits_one(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error:") and "did not converge" in captured.err
     assert "on 600 points" in captured.err and "after 0 matvecs" in captured.err
+
+
+@pytest.mark.parametrize("family, n", [("cycle", 600), ("margulis", 24)],
+                         ids=["shift-invert", "lanczos"])
+def test_gap_matvec_cap_exits_one(tmp_path, capsys, monkeypatch, family, n):
+    # a solve that reaches the matvec cap (inverse solves count on the
+    # shift-invert path) fails with one line naming the points and matvecs
+    monkeypatch.setattr(spectral, "_MATVEC_CAP", 10)
+    path = write(tmp_path, "m.json", json.dumps({"family": family, "members": [n]}))
+    assert main(["gap", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    points = 576 if family == "margulis" else n
+    assert captured.err == (f"error: Lanczos iteration did not converge on {points} points "
+                            "after 10 matvecs: the cap is 10 matvecs\n")
 
 
 def test_gap_too_large_to_allocate_exits_one(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import json
 import math
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 import roeforge as rf
 from roeforge import (
@@ -132,22 +134,27 @@ def test_threaded_gap_report_builds_no_exact_operator(monkeypatch):
 
     monkeypatch.setattr(FinitePropOp, "_store", recording)
     rep = rf.gap_report(avg, proj, kmax=4, dense_cutoff=8, jobs=2)
-    assert {c.spectral.method for c in rep.components} == {"iterative"}
+    assert {c.spectral.method for c in rep.components} == {"shift-invert"}
     assert built == [(rf.MODE_FLOAT, threading.current_thread())]
     assert "op" not in vars(avg)
 
 
-@pytest.mark.parametrize("make, rho, seed", [
-    (lambda: rf.make_cycle(600), "0.9999725846827522", 17501304870360095056),
-    (lambda: rf.make_margulis(24), "0.9017599656582211", 11624193158940628649),
+@pytest.mark.parametrize("make, method, rho, old_rho, seed", [
+    (lambda: rf.make_cycle(600), "shift-invert", "0.9999725846827563",
+     0.9999725846827522, 17501304870360095056),
+    (lambda: rf.make_margulis(24), "iterative", "0.9017599656582198",
+     0.9017599656582211, 11624193158940628649),
 ], ids=["C600", "Mg24"])
-def test_iterative_rho_and_seed_are_pinned(make, rho, seed):
-    """Lanczos seeds hash the counts as the exact operator's entries, without it."""
+def test_iterative_rho_and_seed_are_pinned(make, method, rho, old_rho, seed):
+    """Lanczos seeds hash the counts as the exact operator's entries, without it.
+
+    ``old_rho`` is the value pinned when both took four-Ritz-pair Lanczos."""
     sp = make()
     avg = averaging_for(sp)
     (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=1).components
-    assert comp.spectral.method == "iterative"
+    assert comp.spectral.method == method
     assert repr(comp.rho) == rho and comp.spectral.seed == seed
+    assert abs(comp.rho - old_rho) <= 1e-12
     assert "op" not in vars(avg)
 
 
@@ -325,38 +332,51 @@ def test_gap_report_small_components_take_dense_path():
                         kmax=2, dense_cutoff=0)
     small, big = rep.components
     assert small.size == 2 and small.spectral.method == "dense"
-    assert big.size == 8 and big.spectral.method == "iterative"
+    assert big.size == 8 and big.spectral.method == "shift-invert"
     full = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=2)
     assert small.rho == full.components[0].rho
     assert big.rho == pytest.approx(full.components[1].rho, abs=1e-9)
 
 
-@pytest.mark.parametrize("path", ["dense", "iterative"])
+@pytest.mark.parametrize("path", ["dense", "iterative", "shift-invert"])
 def test_gap_report_rejects_uncertified_residual(monkeypatch, path):
     # the residual bounds the distance from rho to the spectrum, so a
     # solver answer whose residual is far above the tolerance is an error
+    sp = rf.make_cycle(8)
     if path == "dense":
         real = kazhdan.dense_extreme_eig
         monkeypatch.setattr(kazhdan, "dense_extreme_eig",
                             lambda mat: (*real(mat)[:2], 1e-3))
-    else:
+    elif path == "iterative":
+        sp = rf.make_margulis(8)  # wide band: Lanczos on A - P
         real = kazhdan.extreme_eig_matvec
         monkeypatch.setattr(kazhdan, "extreme_eig_matvec",
                             lambda *a, **k: (*real(*a, **k)[:3], 1e-3))
-    sp = rf.make_cycle(8)
+    else:
+        # the residual is measured on A - P, so a vector off the
+        # eigenvector fails it whatever the inverse iteration reported
+        real = kazhdan._shift_invert
+
+        def off_eigenvector(*args):
+            vec, solves = real(*args)
+            vec[0] += 1e-3
+            return vec, solves
+
+        monkeypatch.setattr(kazhdan, "_shift_invert", off_eigenvector)
     with pytest.raises(SpectralError, match="residual"):
         rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=1,
                       dense_cutoff=8 if path == "dense" else 0)
 
 
-@pytest.mark.parametrize("make, radius", [
-    (lambda: rf.make_margulis(8), 1.0),
-    (lambda: rf.make_margulis(16), 1.0),
-    (lambda: rf.make_cycle(9), 1.0),
-    (lambda: rf.make_hypercube(5), 2.0),
-    (lambda: rf.make_cycle(600), 1.0),
-], ids=["Mg8", "Mg16", "C9", "Q5-R2", "C600"])
-def test_rho_matches_laplacian_oracle(make, radius):
+@pytest.mark.parametrize("make, radius, method", [
+    (lambda: rf.make_margulis(8), 1.0, "dense"),
+    (lambda: rf.make_margulis(16), 1.0, "dense"),
+    (lambda: rf.make_cycle(9), 1.0, "dense"),
+    (lambda: rf.make_hypercube(5), 2.0, "dense"),
+    (lambda: rf.make_cycle(600), 1.0, "shift-invert"),
+    (lambda: rf.make_margulis(24), 1.0, "iterative"),
+], ids=["Mg8", "Mg16", "C9", "Q5-R2", "C600", "Mg24"])
+def test_rho_matches_laplacian_oracle(make, radius, method):
     """Each colour involution fixes the points it does not touch, so
     A = 1 - L_R/(2c) for the tube graph's Laplacian L_R and c colours, and
     on a connected space rho = 1 - lambda_2(L_R)/(2c)."""
@@ -371,7 +391,7 @@ def test_rho_matches_laplacian_oracle(make, radius):
     np.fill_diagonal(lap, -lap.sum(axis=1))
     lam2 = np.linalg.eigvalsh(lap)[1]
     assert abs(comp.rho - (1.0 - lam2 / (2 * col.n_colours))) <= 1e-9
-    assert comp.spectral.method == ("iterative" if n > rf.DENSE_CUTOFF else "dense")
+    assert comp.spectral.method == method
 
 
 def test_gap_report_threshold_verdict():
@@ -441,7 +461,7 @@ def test_curve_follows_rho_powers(dense_cutoff):
             for k, norm in comp.curve:
                 assert norm == pytest.approx(comp.rho**k, rel=1e-7, abs=1e-11)
                 assert norm == pytest.approx(ref[k], rel=rtol, abs=kazhdan.CURVE_ATOL)
-    assert methods == ({"dense", "iterative"} if dense_cutoff == 0 else {"dense"})
+    assert methods == ({"dense", "shift-invert"} if dense_cutoff == 0 else {"dense"})
 
 
 def test_one_eigensolve_per_component(monkeypatch):
@@ -461,12 +481,117 @@ def test_one_eigensolve_per_component(monkeypatch):
     monkeypatch.setattr(spectral, "extreme_eig_matvec", solve)
     monkeypatch.setattr(kazhdan.AveragingOp, "component_seed",
                         counted(kazhdan.AveragingOp.component_seed, "seed"))
-    sp = rf.make_cycle(600)
-    rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=32)
+    # both paths above the cutoff: shift-invert on the cycle, Lanczos on Mg24
+    for sp, method in ((rf.make_cycle(600), "shift-invert"),
+                       (rf.make_margulis(24), "iterative")):
+        calls.update(solve=0, seed=0)
+        rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=32)
+        (comp,) = rep.components
+        assert comp.spectral.method == method
+        assert [k for k, _ in comp.curve] == [1, 2, 4, 8, 16, 32]
+        assert calls == {"solve": 1, "seed": 1}
+
+
+def _path(n, weights=None):
+    """A path on n points, unit edges unless ``weights`` names others."""
+    weights = weights or {}
+    edges = [(i, i + 1, weights.get(i, 1.0)) for i in range(n - 1)]
+    return rf.space_from_graph([str(i) for i in range(n)], edges, name=f"P{n}")
+
+
+@pytest.mark.parametrize("make, method", [
+    (lambda: rf.make_box_space_Z([520, 1024]), "shift-invert"),
+    (lambda: _path(700), "shift-invert"),
+    (lambda: rf.make_margulis(32), "iterative"),
+    (lambda: rf.make_hypercube(10), "iterative"),
+    (lambda: rf.make_random_regular(600, 3, seed=1), "iterative"),
+    (lambda: rf.make_random_regular(1000, 4, seed=2), "iterative"),
+], ids=["box", "P700", "Mg32", "Q10", "RR600-3", "RR1000-4"])
+def test_components_route_by_band(make, method):
+    """Above the cutoff, a component whose reverse Cuthill–McKee band keeps a
+    Cholesky factor no larger than the matrix takes shift-invert on its
+    tube Laplacian; expanders, whose band grows with the size, take Lanczos.
+    Either way rho is the Laplacian's: 1 - lambda_2 / (2c).  C600 and Mg24
+    are in ``test_rho_matches_laplacian_oracle``."""
+    sp = make()
+    col = rf.edge_colouring(sp, 1.0)
+    avg = rf.build_averaging(rf.colour_permutations(col)[1:])
+    rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=1)
+    for comp in rep.components:
+        assert comp.size > rf.DENSE_CUTOFF
+        assert comp.spectral.method == method
+        assert comp.spectral.seed == avg.component_seed(comp.id)
+        idx = sp.component_points(comp.id)
+        lap = 2 * avg.n * (np.eye(len(idx)) - avg.csr[idx][:, idx].toarray())
+        lam2 = np.linalg.eigvalsh(lap)[1]
+        assert abs(comp.rho - (1.0 - lam2 / (2 * avg.n))) <= 1e-9
+
+
+def test_shift_invert_on_a_long_cycle():
+    """C16384 takes shift-invert and matches the circulant formula.  rho is
+    within 4e-8 of 1 there, and Lanczos on A - P took about 128k matvecs."""
+    n = 16384
+    sp = rf.make_cycle(n)
+    avg = averaging_for(sp)
+    start = time.perf_counter()
+    (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=32).components
+    assert time.perf_counter() - start < 5.0
+    assert comp.spectral.method == "shift-invert"
+    assert abs(comp.rho - (0.5 + math.cos(2 * math.pi / n) / 2)) <= 1e-12
+    assert comp.spectral.residual <= 1e-14
+    assert comp.no_effective_gap is False
+
+
+def test_shift_invert_at_two_to_the_sixteen_points():
+    """The cycle's averaging block made directly (1/2 on the diagonal, 1/4 to
+    each neighbour), so no colouring is needed: at 2^16 points, where
+    lambda_2 of the Laplacian is 9.2e-9, the shift stays below it and rho
+    matches the circulant formula."""
+    n = 2**16
+    i = np.arange(n)
+    block = csr_matrix((np.r_[np.full(n, 0.5), np.full(2 * n, 0.25)],
+                       (np.r_[i, i, i], np.r_[i, (i + 1) % n, (i - 1) % n])),
+                       shape=(n, n))
+    order, band = kazhdan._tube_band(block, 4)
+    assert band.shape == (3, n)
+    vec, solves = kazhdan._shift_invert(order, band, 1, rf.DEFAULT_TOL)
+    image = block @ vec - vec.mean()
+    rho = float(vec @ image)
+    assert abs(rho - (0.5 + math.cos(2 * math.pi / n) / 2)) <= 1e-12
+    assert np.linalg.norm(image - rho * vec) <= 1e-14
+    assert solves < 200
+
+
+@pytest.mark.parametrize("dense_cutoff", [rf.DENSE_CUTOFF, 0], ids=["default", "cutoff0"])
+def test_disconnected_tube_has_no_gap_on_shift_invert(dense_cutoff):
+    """A path with one weight-3 edge is one coarse component, but its tube at
+    radius 1.5 falls in two: lambda_2 of the Laplacian is 0 and rho is 1."""
+    n = 8 if dense_cutoff == 0 else 1200
+    sp = _path(n, {n // 2 - 1: 3.0})
+    assert sp.n_components == 1
+    rep = rf.gap_report(averaging_for(sp, 1.5), rf.kazhdan_projection(sp), kmax=4,
+                        dense_cutoff=dense_cutoff)
     (comp,) = rep.components
-    assert comp.spectral.method == "iterative"
-    assert [k for k, _ in comp.curve] == [1, 2, 4, 8, 16, 32]
-    assert calls == {"solve": 1, "seed": 1}
+    assert comp.spectral.method == "shift-invert"
+    assert comp.rho == pytest.approx(1.0, abs=1e-12)
+    assert comp.no_effective_gap is True and rep.uniform_gap is False
+    assert [v for _, v in comp.curve] == pytest.approx([1.0] * 3, abs=1e-9)
+
+
+def test_lanczos_curve_follows_rho_powers():
+    """The curve on a Lanczos eigenvector matches a Lanczos solve of each
+    k-fold map, on wide-band spaces forced past the cutoff."""
+    for sp in (rf.make_margulis(8), rf.make_hypercube(5)):
+        avg = averaging_for(sp)
+        (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=16,
+                                dense_cutoff=0).components
+        assert comp.spectral.method == "iterative"
+        block = avg.csr
+        for k, norm in comp.curve:
+            ref = matvec_power_norm(lambda x: block @ x - x.mean(), sp.n_points, k, seed=k)[0]
+            assert norm == pytest.approx(comp.rho**k, rel=1e-7, abs=1e-11)
+            assert norm == pytest.approx(ref, rel=kazhdan.CURVE_RTOL_ITER,
+                                         abs=kazhdan.CURVE_ATOL)
 
 
 def test_gap_report_jobs_parity():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import roeforge as rf
-from roeforge import FinitePropOp, NotSelfAdjointError, SpectralError
+from roeforge import FinitePropOp, NotSelfAdjointError, SpectralError, spectral
 from roeforge.spectral import (
     dense_extreme_eig,
     dense_power_norms,
@@ -93,6 +93,25 @@ def test_iterative_refuses_complex():
 def test_tiny_spaces_refuse_iterative():
     with pytest.raises(ValueError):
         extreme_eig_matvec(lambda x: x, 2, seed=0)
+
+
+def test_lanczos_stops_at_the_matvec_cap(monkeypatch):
+    """A solve never spends more than the cap, and says so when it reaches it."""
+    rng = np.random.default_rng(3)
+    mat = np.diag(np.linspace(0.0, 1.0, 200)) + 1e-3 * rng.standard_normal((200, 200))
+    mat = mat + mat.T
+    _, _, count, _ = extreme_eig_matvec(lambda x: mat @ x, 200, seed=1)
+    monkeypatch.setattr(spectral, "_MATVEC_CAP", count - 2)
+    spent = []
+
+    def counted(x):
+        spent.append(1)
+        return mat @ x
+
+    with pytest.raises(SpectralError, match=f"on 200 points after {count - 2} matvecs: "
+                                            f"the cap is {count - 2} matvecs"):
+        extreme_eig_matvec(counted, 200, seed=1)
+    assert len(spent) == count - 2
 
 
 def test_tiny_spaces_take_dense_path_at_any_cutoff():

@@ -204,6 +204,30 @@ def test_exact_product_kinds():
             _assert_reference_product(a, b)
 
 
+def test_exact_product_scales_each_axis_once(monkeypatch):
+    """Products and uniform-sum checks reuse each operator's scaled rows and
+    columns: no operator scales an axis twice, and products stay equal to
+    the Fraction loop."""
+    seen = []
+
+    def recording(entries, axis, n):
+        assert not any(e is entries and a == axis for e, a in seen)
+        seen.append((entries, axis))
+        return _scaled(entries, axis, n)
+
+    monkeypatch.setattr(transalg, "_scaled", recording)
+    rng = np.random.default_rng(8)
+    sp = rf.make_cycle(6)
+    ops = [_op_of_kind(rng, sp, kind) for kind in ("small", "big", "int")]
+    for _ in range(2):
+        for a in ops:
+            for b in ops:
+                _assert_reference_product(a, b)
+            rf.uniform_sum_value(a)
+    assert {(id(e), axis) for e, axis in seen} == {
+        (id(op.entries), axis) for op in ops for axis in (0, 1)}
+
+
 def test_exact_product_integer_valued_sums():
     sp = pair_space()
     half = FinitePropOp(sp, {(0, 0): Fraction(1, 2), (0, 1): Fraction(3, 2)})
@@ -320,6 +344,23 @@ def test_dense_csr_matvec_agree():
     for mode in ("rational", "float"):
         zero = FinitePropOp.zero(sp, mode=mode).to_csr()
         assert zero.shape == (5, 5) and zero.dtype == float and zero.nnz == 0
+
+
+def test_coo_arrays_match_the_entry_list():
+    """Index and value arrays are those of the plain list conversion, byte
+    for byte, in every mode; only float operators are scanned for complex
+    values."""
+    sp = rf.make_cycle(5)
+    rational = random_rational_op(np.random.default_rng(4), sp)
+    ops = [(rational, float), (rational.to_float(), float),
+           ((1 + 1j) * rational.to_float(), complex),
+           (FinitePropOp.zero(sp), float), (FinitePropOp.zero(sp, mode="float"), float)]
+    for op, dtype in ops:
+        keys = np.array(list(op.entries), dtype=np.int64).reshape(-1, 2)
+        values = np.array(list(op.entries.values()), dtype=dtype)
+        rows, cols, vals = op._coo()
+        for got, want in ((rows, keys[:, 0]), (cols, keys[:, 1]), (vals, values)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_sup_entry_norm_and_support():
