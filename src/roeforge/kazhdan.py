@@ -75,6 +75,11 @@ NO_GAP_TOL = 1e-12          # rho >= 1 - NO_GAP_TOL counts as "no effective gap"
 CURVE_RTOL_DENSE = 1e-8
 CURVE_RTOL_ITER = 1e-7
 CURVE_ATOL = 1e-12
+# Components of more than this many points try the banded path below the
+# dense cutoff too.  Per cycle component, curve included, with one BLAS
+# thread: dense eigh takes 7.2 ms at 192 points, 8.8 at 224, 11.5 at 256
+# and 57 at 512; banded shift-invert takes 8.4-9.1 ms at each of them.
+_BANDED_FROM = 224
 
 
 @dataclass(frozen=True)
@@ -342,6 +347,11 @@ def _shift_invert(order: np.ndarray, band: np.ndarray, seed: int, tol: float):
     return vec, solves
 
 
+def _banded_above(dense_cutoff: int) -> int:
+    """Components larger than this take the band test of :func:`_tube_band`."""
+    return max(min(dense_cutoff, _BANDED_FROM), 2)
+
+
 def _component_gap(avg: AveragingOp, m: int, ks: list[int], *,
                    dense_cutoff: int, tol: float,
                    rates: RateConstants | None) -> ComponentGap:
@@ -352,13 +362,15 @@ def _component_gap(avg: AveragingOp, m: int, ks: list[int], *,
     def deflated(x):
         return block @ x - x.mean()
 
-    if s <= max(dense_cutoff, 2):
+    banded = None
+    if s > _banded_above(dense_cutoff):
+        banded = _tube_band(block, 2 * avg.n)
+    if banded is None and s <= max(dense_cutoff, 2):
         lam, vec, residual = dense_extreme_eig(block.toarray() - 1.0 / s)
         spectral = SpectralResult(abs(lam), "dense", 0, residual)
         rtol = CURVE_RTOL_DENSE
     else:
         seed = avg.component_seed(m)
-        banded = _tube_band(block, 2 * avg.n)
         if banded is None:
             lam, vec, count, residual = extreme_eig_matvec(deflated, s, seed, tol=tol)
             spectral = SpectralResult(abs(lam), "iterative", count, residual, seed)
@@ -397,9 +409,13 @@ def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
     """Per-component rho = ||A - P||_2 with measured convergence curves.
 
     Each component makes one eigensolve for rho and its certified
-    eigenvector v: dense up to ``dense_cutoff`` points; above it,
-    shift-invert on the tube Laplacian when the component's band is narrow
-    (cycles, paths), else Lanczos on A - P (expanders).  The curve holds ||A^k - P||_2 at
+    eigenvector v.  A component of more than 224 points, or of more than
+    ``dense_cutoff`` points if that is smaller (but never of 2 or fewer),
+    takes the band test: when its reverse Cuthill–McKee band is narrow
+    (cycles, paths) it takes shift-invert on the tube Laplacian, which
+    beats a dense solve from about 224 points on.  Any other component is
+    solved densely up to ``dense_cutoff`` points, and by Lanczos on A - P
+    above it (expanders).  The curve holds ||A^k - P||_2 at
     k = 1, 2, 4, ... up to ``kmax`` (kmax itself always included),
     measured as ||(A - P)^k v|| by ``kmax`` applications of A - P to v:
     A - P is self-adjoint, so the norm of each power is attained on v.
@@ -421,8 +437,8 @@ def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
     ks = _curve_powers(kmax)
     # build what the components share once, not per thread
     avg.csr
-    if np.bincount(avg.space.component_of).max() > max(dense_cutoff, 2):
-        avg._seed_prefix  # the Lanczos components' seeds extend its hash
+    if np.bincount(avg.space.component_of).max() > _banded_above(dense_cutoff):
+        avg._seed_prefix  # the non-dense components' seeds extend its hash
     mids = range(avg.space.n_components)
     work = partial(_component_gap, avg, ks=ks, dense_cutoff=dense_cutoff, tol=tol, rates=rates)
     if jobs > 1:

@@ -49,6 +49,7 @@ __all__ = [
 INF = math.inf
 MAX_POINTS = 1 << 20    # larger spaces are refused with MemoryError
 _CHUNK = 1 << 20        # most distances held at once by a graph-backed query
+_DENSE_SHARE = 1 / 16   # candidates per dense-row entry past which a tube takes Dijkstra rows
 
 
 class FiniteSpace:
@@ -154,34 +155,74 @@ class FiniteSpace:
             self._dist = d
         return self._dist
 
-    def _distance_rows(self, rows=None, limit: float = INF):
+    def _distance_rows(self, rows=None):
         """Yield ``(lo, block)``: the distances from ``rows[lo:lo + len(block)]``.
 
         ``rows`` defaults to every point.  Each block has at most
-        ``_CHUNK`` entries.  Entries above ``limit`` may read +inf.  The
-        blocks are rows of ``dist`` when the space holds it, and otherwise
-        one Dijkstra search per row, cut off at ``limit`` (inclusive).  An
-        unbounded query on a space whose ``dist`` fits in one block builds
-        ``dist`` and keeps it.  With positive weights no point beyond the
-        limit can shorten a path to one within it, so every entry within
-        ``limit`` equals the entry of ``dist`` bit for bit on and above
-        the diagonal; below it, callers apply the pair rule themselves.
+        ``_CHUNK`` entries.  The blocks are rows of ``dist`` when the space
+        holds it, and otherwise one Dijkstra search per row; a space whose
+        ``dist`` fits in one block builds ``dist`` and keeps it.  Entries
+        on and above the diagonal equal those of ``dist`` bit for bit;
+        below it, callers apply the pair rule themselves.  Queries bounded
+        by a radius do not come here on a graph: they take
+        :meth:`_tube_blocks`.
         """
         n = self.n_points
         step = max(1, _CHUNK // n)
-        if self._dist is None and limit == INF and n * n <= _CHUNK:
+        if self._dist is None and n * n <= _CHUNK:
             self.dist  # computes the one block and keeps it
         whole = rows is None
         if whole:
             rows = np.arange(n)
         for lo in range(0, len(rows), step):
             if self._dist is None:
-                block = dijkstra(self._graph, indices=rows[lo:lo + step], limit=limit)
+                block = dijkstra(self._graph, indices=rows[lo:lo + step])
             elif whole:
                 block = self._dist[lo:lo + step]
             else:
                 block = self._dist[rows[lo:lo + step]]
             yield lo, block
+
+    def _tube_blocks(self, radius: float):
+        """Yield ``(rows, cols, dists)``: the pairs within ``radius`` that rows decide.
+
+        For a graph-backed space that does not hold ``dist``.  Each block
+        holds the pairs ``(x, y)`` with ``y >= x`` and ``d(x, y) <= radius``
+        for a run of sources x, in row-major order.  Runs are searched
+        sparsely (:func:`_ball_search`) while that stays cheap: a run's
+        search may make at most ``_DENSE_SHARE`` candidates per entry of
+        the dense rows it replaces, and at most ``_CHUNK`` pairs and
+        candidates are held at once.  The first run is a sixteenth of a
+        chunk of rows, and each next run is sized from the last one's
+        work.  A run that holds too much is halved; a run that needs too
+        many candidates, and every run after it, takes Dijkstra rows cut
+        off at the radius, ``_CHUNK`` entries at a time.  Both give each
+        pair the value x's Dijkstra search gives.
+        """
+        n = self.n_points
+        graph = self._graph
+        step = max(1, _CHUNK // n)      # Dijkstra rows per block
+        size, lo = max(1, step // 16), 0
+        while lo < n:
+            hi = min(n, lo + size)
+            budget = (hi - lo) * n * _DENSE_SHARE
+            room = _CHUNK - (hi - lo)
+            found = _ball_search(graph, lo, hi, radius, min(budget, room))
+            if found is None and budget > room and hi - lo > 1:
+                size = (hi - lo) // 2      # too many pairs to hold at once
+                continue
+            if found is None:
+                break
+            keys, dists, work = found
+            src, cols = np.divmod(keys, n)
+            src += lo
+            up = cols >= src
+            yield src[up], cols[up], dists[up]
+            size = max(1, (hi - lo) * _CHUNK // (2 * (hi - lo + work)))
+            lo = hi
+        for a in range(lo, n, step):
+            block = dijkstra(graph, indices=np.arange(a, min(n, a + step)), limit=radius)
+            yield _upper_pairs(a, block, radius)
 
     @property
     def n_points(self) -> int:
@@ -225,22 +266,20 @@ class FiniteSpace:
     def pairs_within(self, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every ordered pair at distance <= radius, as row, column and distance arrays.
 
-        Pairs come in row-major order and include the diagonal.
+        Pairs come in row-major order and include the diagonal.  A space
+        that holds ``dist`` reads it; a graph-backed one searches from
+        each point only as far as the radius (:meth:`_tube_blocks`), so
+        the cost follows the number of pairs, not n².  Either way the
+        smaller index's search decides a pair, and the pair is mirrored.
         """
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        rows, cols, dists = [], [], []
-        for lo, block in self._distance_rows(limit=radius):
-            # flat indices: far faster than a 2-d nonzero, same row-major order
-            r, c = np.divmod(np.flatnonzero(block <= radius), block.shape[1])
-            rows.append(r + lo)
-            cols.append(c)
-            dists.append(block[r, c])
-        rows, cols, dists = map(np.concatenate, (rows, cols, dists))
-        # keep the pairs each row decides, mirror them, and sort back to
-        # row-major order
-        up = cols >= rows
-        rows, cols, dists = rows[up], cols[up], dists[up]
+        if self._dist is None:
+            blocks = self._tube_blocks(radius)
+        else:
+            blocks = (_upper_pairs(lo, block, radius) for lo, block in self._distance_rows())
+        rows, cols, dists = map(np.concatenate, zip(*blocks))
+        # mirror the pairs each row decides and sort back to row-major order
         off = rows != cols
         rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
         order = np.lexsort((cols, rows))
@@ -248,14 +287,7 @@ class FiniteSpace:
 
     def max_ball_size(self, radius: float) -> int:
         """Largest number of points in any closed ball of the given radius."""
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
-        sizes = np.zeros(self.n_points, dtype=np.int64)
-        for lo, block in self._distance_rows(limit=radius):
-            within = (block <= radius) & _upper(lo, block)
-            sizes[lo:lo + len(block)] += np.count_nonzero(within, axis=1) - 1
-            sizes += np.count_nonzero(within, axis=0)   # the mirrored pairs and the centre
-        return int(sizes.max())
+        return int(np.bincount(self.pairs_within(radius)[0]).max())
 
     def finite_diameter(self) -> float:
         """Largest finite distance in the space (0.0 for a single point)."""
@@ -266,6 +298,68 @@ class FiniteSpace:
 def _upper(lo: int, block: np.ndarray) -> np.ndarray:
     """Which entries of rows ``lo, lo + 1, ...`` lie on or above the diagonal."""
     return np.arange(block.shape[1]) >= np.arange(lo, lo + len(block))[:, None]
+
+
+def _upper_pairs(lo: int, block: np.ndarray, radius: float):
+    """The pairs within ``radius`` on or above the diagonal of rows ``lo, ...``."""
+    # flat indices: far faster than a 2-d nonzero, same row-major order
+    r, c = np.divmod(np.flatnonzero((block <= radius) & _upper(lo, block)), block.shape[1])
+    return r + lo, c, block[r, c]
+
+
+def _ball_search(graph: sp.csr_matrix, lo: int, hi: int, radius: float, budget: float):
+    """Distances within ``radius`` from each source ``lo <= x < hi``, by relaxation.
+
+    Returns ``(keys, dists, work)`` with ``keys = (x - lo) * n + y``
+    ascending and ``work`` the candidates made, or None as soon as that
+    would pass ``budget``.  The pairs held never outnumber the sources
+    plus the candidates, so ``hi - lo + budget`` bounds what is held.
+    Every pair starts at (x, x, 0); each step extends the pairs whose
+    distance improved along their edges, keeps ``d + w <= radius`` and the
+    least value per pair.  Float addition is monotone, so the fixed point
+    is Dijkstra's value bit for bit: the least, over walks, of the weights
+    summed in walk order.  A pair stays on the frontier only while
+    ``d + w_min <= radius``.
+    """
+    n = graph.shape[0]
+    indptr, indices, weights = graph.indptr, graph.indices, graph.data
+    w_min = weights.min() if weights.size else INF
+    keys = np.arange(hi - lo) * (n + 1) + lo
+    dists = np.zeros(hi - lo)
+    f_src, f_node, f_d = np.arange(hi - lo), np.arange(lo, hi), dists
+    work = 0
+    while True:
+        live = f_d + w_min <= radius
+        f_src, f_node, f_d = f_src[live], f_node[live], f_d[live]
+        start = indptr[f_node]
+        degree = indptr[f_node + 1] - start
+        total = int(degree.sum())
+        if not total:
+            return keys, dists, work
+        work += total
+        if work > budget:
+            return None
+        # one candidate per (frontier pair, edge)
+        at = np.repeat(np.arange(len(f_node)), degree)
+        edge = np.arange(total) + np.repeat(start - (np.cumsum(degree) - degree), degree)
+        d = f_d[at] + weights[edge]
+        ok = d <= radius
+        c_key, d = (f_src[at] * n + indices[edge])[ok], d[ok]
+        order = np.lexsort((d, c_key))
+        c_key, d = c_key[order], d[order]
+        first = np.ones(len(c_key), dtype=bool)
+        first[1:] = c_key[1:] != c_key[:-1]
+        c_key, d = c_key[first], d[first]
+        # merge into the held pairs: improve those held, insert the new
+        pos = np.searchsorted(keys, c_key)
+        held = keys[np.minimum(pos, len(keys) - 1)] == c_key
+        better = ~held
+        better[held] = d[held] < dists[pos[held]]
+        dists[pos[held & better]] = d[held & better]
+        keys = np.insert(keys, pos[~held], c_key[~held])
+        dists = np.insert(dists, pos[~held], d[~held])
+        f_src, f_node = np.divmod(c_key[better], n)
+        f_d = d[better]
 
 
 def _check_names(points: tuple, name: str) -> None:

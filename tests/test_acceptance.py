@@ -179,7 +179,7 @@ def test_criterion_06_exact_spectra():
         avg = rf.build_averaging(rf.colour_permutations(col)[1:])
         rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=1)
         (comp,) = rep.components
-        assert comp.spectral.method == ("shift-invert" if n > 512 else "dense")
+        assert comp.spectral.method == ("shift-invert" if n > 224 else "dense")
         want = 0.5 + math.cos(2 * math.pi / n) / 2
         assert abs(comp.rho - want) <= 1e-9
 

@@ -373,9 +373,11 @@ def test_gap_report_rejects_uncertified_residual(monkeypatch, path):
     (lambda: rf.make_margulis(16), 1.0, "dense"),
     (lambda: rf.make_cycle(9), 1.0, "dense"),
     (lambda: rf.make_hypercube(5), 2.0, "dense"),
+    (lambda: rf.make_cycle(256), 1.0, "shift-invert"),
+    (lambda: rf.make_cycle(512), 1.0, "shift-invert"),
     (lambda: rf.make_cycle(600), 1.0, "shift-invert"),
     (lambda: rf.make_margulis(24), 1.0, "iterative"),
-], ids=["Mg8", "Mg16", "C9", "Q5-R2", "C600", "Mg24"])
+], ids=["Mg8", "Mg16", "C9", "Q5-R2", "C256", "C512", "C600", "Mg24"])
 def test_rho_matches_laplacian_oracle(make, radius, method):
     """Each colour involution fixes the points it does not touch, so
     A = 1 - L_R/(2c) for the tube graph's Laplacian L_R and c colours, and
@@ -560,6 +562,34 @@ def test_shift_invert_at_two_to_the_sixteen_points():
     assert abs(rho - (0.5 + math.cos(2 * math.pi / n) / 2)) <= 1e-12
     assert np.linalg.norm(image - rho * vec) <= 1e-14
     assert solves < 200
+
+
+def test_band_test_starts_above_the_crossover():
+    """Below the dense cutoff, a narrow band takes shift-invert only above
+    the measured crossover; a component at or below it stays dense."""
+    for n, method in ((kazhdan._BANDED_FROM, "dense"),
+                      (kazhdan._BANDED_FROM + 2, "shift-invert")):
+        sp = rf.make_cycle(n)
+        avg = averaging_for(sp)
+        (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=4).components
+        assert comp.spectral.method == method
+        assert abs(comp.rho - math.cos(math.pi / n) ** 2) <= 1e-12
+
+
+def test_cycle_at_two_to_the_sixteen_points_through_the_colouring():
+    """C65536 from the family through the real colouring: the tube queries
+    follow the balls, not n², so the colouring takes well under a second,
+    and rho is the circulant cos²(pi / n)."""
+    n = 2**16
+    sp = rf.make_cycle(n)
+    start = time.perf_counter()
+    col = rf.edge_colouring(sp, 1)
+    assert time.perf_counter() - start < 1.0
+    assert len(col.edges) == n and col.n_colours == 2
+    avg = rf.build_averaging(rf.colour_permutations(col)[1:])
+    (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=32).components
+    assert comp.spectral.method == "shift-invert"
+    assert abs(comp.rho - math.cos(math.pi / n) ** 2) <= 1e-12
 
 
 @pytest.mark.parametrize("dense_cutoff", [rf.DENSE_CUTOFF, 0], ids=["default", "cutoff0"])

@@ -355,6 +355,67 @@ def test_graph_backed_space_matches_dense_metric(weighted_parts, chunk, stride):
         assert not g.dist.flags.writeable
 
 
+@pytest.mark.parametrize("share", [0.0, None, INF], ids=["rows", "measured", "sparse"])
+@settings(deadline=None, max_examples=100)
+@given(graph_parts(), st.sampled_from([5, 40, 1 << 20]), st.integers(1, 4))
+def test_tube_queries_match_dijkstra_on_both_sides(share, weighted_parts, chunk, isolated):
+    """Bounded queries on a graph search sparsely or take Dijkstra rows, run
+    by run of sources; either way every pair and distance is the one
+    Dijkstra's search from the smaller index gives, bit for bit.  A share
+    of 0 sends every run with an edge to rows, INF keeps runs sparse unless
+    they hold more than a chunk, and the measured share lets the size of
+    each tube decide."""
+    from scipy.sparse.csgraph import dijkstra
+
+    from roeforge import space as space_mod
+
+    weights, parts = weighted_parts
+    parts = parts + [(isolated, [])]       # a part with no edges
+    built = [rf.space_from_graph([str(i) for i in range(n)], edges, name=f"b{b}")
+             for b, (n, edges) in enumerate(parts)]
+    g = rf.disjoint_union(built)
+    d = dijkstra(g._graph)
+    d = np.triu(d) + np.triu(d, k=1).T
+    widest = max(float(s.dist[np.isfinite(s.dist)].max()) for s in built)
+    lightest = g._graph.data.min() if g._graph.nnz else min(weights)
+    radii = (0.0, lightest / 2, lightest, 0.35, 0.75 * widest, widest)
+
+    sides = {"sparse": 0, "rows": 0}
+    search, rows_of = space_mod._ball_search, space_mod.dijkstra
+
+    def counted_search(*args):
+        found = search(*args)
+        sides["sparse"] += found is not None
+        return found
+
+    def counted_rows(*args, **kwargs):
+        sides["rows"] += 1
+        return rows_of(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space_mod, "_CHUNK", chunk)
+        if share is not None:
+            mp.setattr(space_mod, "_DENSE_SHARE", share)
+        mp.setattr(space_mod, "_ball_search", counted_search)
+        mp.setattr(space_mod, "dijkstra", counted_rows)
+        for r in radii:
+            sides.update(sparse=0, rows=0)
+            inside = d <= r
+            rows, cols, dists = g.pairs_within(r)
+            want_rows, want_cols = np.nonzero(inside)
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+            assert np.array_equal(dists, d[want_rows, want_cols])
+            assert rf.tube_graph_edges(g, r) == [
+                (int(u), int(v)) for u, v in np.argwhere(np.triu(inside, k=1))]
+            assert g.max_ball_size(r) == inside.sum(axis=1).max()
+            reaches_an_edge = r >= lightest and g._graph.nnz > 0
+            if share == 0.0 and reaches_an_edge:
+                assert sides["rows"] > 0
+            if (share == INF and chunk == 1 << 20) or not reaches_an_edge:
+                assert sides["rows"] == 0 and sides["sparse"] > 0
+    assert g._dist is None
+
+
 @pytest.mark.parametrize("make, n_edges, n_colours", [
     (lambda: rf.make_box_space_Z([64, 128, 256, 512, 1024]), 1984, 2),
     (lambda: rf.make_margulis(32), 3904, 9),
