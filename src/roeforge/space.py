@@ -74,9 +74,10 @@ class FiniteSpace:
 
     Spaces built from graphs (:func:`space_from_graph`, and
     :func:`disjoint_union` of such spaces) hold their weighted graph and
-    component labels instead of a matrix.  Every distance they report
-    comes from Dijkstra's algorithm on that graph, and ``dist`` is
-    computed only when it is first read.  Dijkstra adds a path's weights
+    component labels instead of a matrix.  Every distance they report is
+    the one Dijkstra's algorithm finds on that graph (a query bounded by a
+    radius finds it by a sparse search), and ``dist`` is computed only
+    when it is first read.  Dijkstra adds a path's weights
     in the order it walks them, so the searches from x and from y can
     differ in the last bit; for x < y, d(x, y) and d(y, x) are both the
     value x's search finds.
