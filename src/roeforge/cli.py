@@ -87,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="coarse-geometry operator toolkit: components, spectral gaps, "
                     "and exact invariant verification")
     sub = p.add_subparsers(dest="command", required=True)
-    jobs_help = "parallel workers (default: ROEFORGE_JOBS, else the usable cores)"
 
     c = sub.add_parser("components", help="list coarse components of a space file")
     c.add_argument("input", help="space file")
@@ -102,7 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="uniform-gap threshold on max rho (default 0.95)")
     g.add_argument("--c", type=float, default=None,
                    help="certified displacement constant; asserts rho <= delta_tilde(c, n)")
-    g.add_argument("--jobs", type=int, default=None, help=jobs_help)
+    g.add_argument("--jobs", type=int, default=None,
+                   help="accepted and checked (>= 1) but without effect: gap runs its "
+                        "members and components one after another")
     g.add_argument("--json", dest="json_path", metavar="PATH",
                    help="also write the JSON report to PATH")
     g.add_argument("--csv", dest="csv_path", metavar="PATH",
@@ -113,7 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="optional space file to verify on (default: random corpus)")
     v.add_argument("--cases", type=int, default=500, help="number of cases (default 500)")
     v.add_argument("--seed", type=int, default=0, help="corpus seed (default 0)")
-    v.add_argument("--jobs", type=int, default=None, help=jobs_help)
+    v.add_argument("--jobs", type=int, default=None,
+                   help="parallel workers (default: ROEFORGE_JOBS, else the usable cores)")
     return p
 
 
@@ -148,7 +150,7 @@ def _cmd_components(args) -> int:
 
 
 def _pipeline(space: FiniteSpace, *, radius: float, kmax: int,
-              c: float | None, threshold: float, jobs: int = 1):
+              c: float | None, threshold: float):
     col = edge_colouring(space, radius)
     perms = colour_permutations(col)
     # the averaging runs over the colour involutions; a tube with no edges
@@ -156,32 +158,31 @@ def _pipeline(space: FiniteSpace, *, radius: float, kmax: int,
     # component with more than one point)
     avg = build_averaging(perms[1:] or perms[:1])
     proj = kazhdan_projection(space)
-    report = gap_report(avg, proj, kmax, c, threshold=threshold, jobs=jobs)
+    report = gap_report(avg, proj, kmax, c, threshold=threshold)
     params = {"radius": radius, "threshold": threshold, **report.params}
     return replace(report, params=params)
 
 
 def _cmd_gap(args) -> int:
-    jobs = _jobs(args)
+    _jobs(args)  # checked, though gap runs on one thread
     if args.kmax < 1:
         raise ValueError("--kmax must be >= 1")
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
+    manifest = text.lstrip().startswith("{")
+    if manifest:
         family, params, spaces = load_manifest(text)
-        # members run one after another: their pipelines are mostly Python
-        # and hold the GIL, so threads would not overlap them
-        reports = [_pipeline(s, radius=args.radius, kmax=args.kmax,
-                             c=args.c, threshold=args.threshold) for s in spaces]
-        doc = family_report_to_dict(family, params, reports, args.threshold)
-        verdict = doc["uniform_gap"]
     else:
-        space = parse_space_file(text)
-        report = _pipeline(space, radius=args.radius, kmax=args.kmax,
-                           c=args.c, threshold=args.threshold, jobs=jobs)
-        reports = [report]
-        doc = report_to_dict(report)
-        verdict = report.uniform_gap
+        spaces = [parse_space_file(text)]
+    # members and components run one after another: threads never ran them
+    # faster, as their work is mostly Python that holds the GIL
+    reports = [_pipeline(s, radius=args.radius, kmax=args.kmax,
+                         c=args.c, threshold=args.threshold) for s in spaces]
+    if manifest:
+        doc = family_report_to_dict(family, params, reports, args.threshold)
+    else:
+        doc = report_to_dict(reports[0])
+    verdict = doc["uniform_gap"]
     payload = json.dumps(doc, indent=2) + "\n"
     sys.stdout.write(payload)
     if args.json_path:

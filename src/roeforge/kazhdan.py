@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -41,8 +40,7 @@ from .spectral import (
     DENSE_CUTOFF,
     SpectralResult,
     _checked,
-    _counts_hash,
-    _extended_seed,
+    _matrix_seed,
     dense_extreme_eig,
     eigvec_power_norms,
     extreme_eig_matvec,
@@ -89,8 +87,7 @@ class AveragingOp:
     ``keys`` are the support's ``x * size + y``, ascending.  When first
     read, ``csr`` and ``op`` are made from the counts as a float and an
     exact :class:`FinitePropOp`; the float one's ``to_csr`` makes the matrix.
-    The Lanczos seeds hash the counts as ``operator_seed(op)`` would,
-    without building ``op``.
+    The gap path reads only ``csr``.
     """
 
     perms: tuple
@@ -112,15 +109,6 @@ class AveragingOp:
     def op(self) -> FinitePropOp:
         return self._operator(map(Fraction, self.counts.tolist(), repeat(2 * self.n)),
                               MODE_RATIONAL)
-
-    @cached_property
-    def _seed_prefix(self):
-        rows, cols = np.divmod(self.keys, self.space.n_points)
-        return _counts_hash(self.space.name, rows, cols, self.counts, 2 * self.n)
-
-    def component_seed(self, m: int) -> int:
-        """``operator_seed(self.op, extra=b"component:<m>")``, from the counts."""
-        return _extended_seed(self._seed_prefix, f"component:{m}".encode())
 
 
 def build_averaging(perms: Iterable[PermutationOp]) -> AveragingOp:
@@ -347,11 +335,6 @@ def _shift_invert(order: np.ndarray, band: np.ndarray, seed: int, tol: float):
     return vec, solves
 
 
-def _banded_above(dense_cutoff: int) -> int:
-    """Components larger than this take the band test of :func:`_tube_band`."""
-    return max(min(dense_cutoff, _BANDED_FROM), 2)
-
-
 def _component_gap(avg: AveragingOp, m: int, ks: list[int], *,
                    dense_cutoff: int, tol: float,
                    rates: RateConstants | None) -> ComponentGap:
@@ -363,14 +346,14 @@ def _component_gap(avg: AveragingOp, m: int, ks: list[int], *,
         return block @ x - x.mean()
 
     banded = None
-    if s > _banded_above(dense_cutoff):
+    if s > max(min(dense_cutoff, _BANDED_FROM), 2):
         banded = _tube_band(block, 2 * avg.n)
     if banded is None and s <= max(dense_cutoff, 2):
         lam, vec, residual = dense_extreme_eig(block.toarray() - 1.0 / s)
         spectral = SpectralResult(abs(lam), "dense", 0, residual)
         rtol = CURVE_RTOL_DENSE
     else:
-        seed = avg.component_seed(m)
+        seed = _matrix_seed(block)
         if banded is None:
             lam, vec, count, residual = extreme_eig_matvec(deflated, s, seed, tol=tol)
             spectral = SpectralResult(abs(lam), "iterative", count, residual, seed)
@@ -404,8 +387,7 @@ def _component_gap(avg: AveragingOp, m: int, ks: list[int], *,
 
 def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
                c: float | None = None, *, threshold: float = 0.95,
-               dense_cutoff: int = DENSE_CUTOFF, tol: float = DEFAULT_TOL,
-               jobs: int = 1) -> GapReport:
+               dense_cutoff: int = DENSE_CUTOFF, tol: float = DEFAULT_TOL) -> GapReport:
     """Per-component rho = ||A - P||_2 with measured convergence curves.
 
     Each component makes one eigensolve for rho and its certified
@@ -425,9 +407,11 @@ def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
     suspect number.  If a displacement constant ``c`` is supplied, each rho
     is asserted to respect the decay bound delta_tilde(c, n).
 
-    Components are independent eigenproblems; ``jobs > 1`` runs them in a
-    thread pool, with results merged by component id so the report is
-    identical either way.
+    Components are solved one after another on the calling thread.  A
+    non-dense solve seeds its start vector from the bytes of the
+    component's own block (:func:`~roeforge.spectral._matrix_seed`), so each
+    component's result depends on that component alone, not on the space
+    around it or its name.
     """
     if proj.space is not avg.space:
         raise SpaceMismatchError("projection and averaging operator live over different spaces")
@@ -435,17 +419,8 @@ def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
         raise ValueError("kmax must be >= 1")
     rates = rate_constants(c, avg.n) if c is not None else None
     ks = _curve_powers(kmax)
-    # build what the components share once, not per thread
-    avg.csr
-    if np.bincount(avg.space.component_of).max() > _banded_above(dense_cutoff):
-        avg._seed_prefix  # the non-dense components' seeds extend its hash
-    mids = range(avg.space.n_components)
-    work = partial(_component_gap, avg, ks=ks, dense_cutoff=dense_cutoff, tol=tol, rates=rates)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            comps = tuple(pool.map(work, mids))
-    else:
-        comps = tuple(work(m) for m in mids)
+    comps = tuple(_component_gap(avg, m, ks, dense_cutoff=dense_cutoff, tol=tol, rates=rates)
+                  for m in range(avg.space.n_components))
     max_rho = max(g.rho for g in comps)
     return GapReport(
         space_name=avg.space.name,

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -163,6 +164,21 @@ def test_gap_manifest_jobs(tmp_path, capsys):
     with_jobs = capsys.readouterr().out
     assert main(["gap", path]) == 0
     assert capsys.readouterr().out == with_jobs
+
+
+def test_gap_on_a_space_file_starts_no_thread(tmp_path, capsys, monkeypatch):
+    """``--jobs`` is accepted on a space file but changes nothing: the
+    components run on the calling thread."""
+    path = write(tmp_path, "s.space", SPLIT)
+    code = main(["gap", path, "--jobs", "1"])
+    serial = capsys.readouterr().out
+
+    def refuse(self):
+        raise AssertionError(f"gap started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert main(["gap", path, "--jobs", "2"]) == code
+    assert capsys.readouterr().out == serial
 
 
 def test_gap_rate_bound_violation_is_an_error(tmp_path, capsys):

@@ -2,6 +2,7 @@ import json
 import math
 import threading
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -89,9 +90,8 @@ def _fraction_loop_averaging(perms):
         *(f"random{seed}" for seed in range(5))])
 def test_averaging_counts_match_fraction_loop(make):
     """The float matrix divides the integer counts exactly: its arrays equal,
-    bit for bit, those of the Fraction operator's to_csr(); the seeds hashed
-    from the counts equal the Fraction operator's; a permutation listed
-    twice gives counts of 2."""
+    bit for bit, those of the Fraction operator's to_csr(); a permutation
+    listed twice gives counts of 2."""
     sp = make()
     perms = averaging_for(sp).perms
     for listed in (perms, perms + perms[:1]):
@@ -101,9 +101,6 @@ def test_averaging_counts_match_fraction_loop(make):
         for attr in ("indptr", "indices", "data"):
             got, exp = getattr(avg.csr, attr), getattr(want, attr)
             assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
-        for m in range(sp.n_components):
-            assert avg.component_seed(m) == rf.operator_seed(
-                ref, extra=f"component:{m}".encode())
         assert avg.op == ref
         assert avg == rf.build_averaging(listed)
     if np.any(perms[0].perm != np.arange(sp.n_points)):
@@ -113,15 +110,15 @@ def test_averaging_counts_match_fraction_loop(make):
 def test_dense_gap_report_builds_no_exact_operator():
     sp = rf.make_margulis(16)
     avg = averaging_for(sp)
-    rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=4, jobs=2)
+    rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=4)
     assert {c.spectral.method for c in rep.components} == {"dense"}
     assert "op" not in vars(avg)
 
 
-def test_threaded_gap_report_builds_no_exact_operator(monkeypatch):
-    # two Lanczos components in a thread pool: both seeds come from the
-    # counts, and the one operator made is the float matrix's, built
-    # before the pool starts rather than by whichever thread asks first
+def test_shift_invert_gap_report_builds_no_exact_operator(monkeypatch):
+    # two shift-invert components: both seeds come from their float
+    # blocks, and the one operator made is the float matrix's, built on
+    # the calling thread
     sp = rf.disjoint_union([rf.make_cycle(12), rf.make_cycle(14)])
     avg = averaging_for(sp)
     proj = rf.kazhdan_projection(sp)
@@ -133,20 +130,20 @@ def test_threaded_gap_report_builds_no_exact_operator(monkeypatch):
         return real(self, space, entries, mode)
 
     monkeypatch.setattr(FinitePropOp, "_store", recording)
-    rep = rf.gap_report(avg, proj, kmax=4, dense_cutoff=8, jobs=2)
+    rep = rf.gap_report(avg, proj, kmax=4, dense_cutoff=8)
     assert {c.spectral.method for c in rep.components} == {"shift-invert"}
     assert built == [(rf.MODE_FLOAT, threading.current_thread())]
     assert "op" not in vars(avg)
 
 
 @pytest.mark.parametrize("make, method, rho, old_rho, seed", [
-    (lambda: rf.make_cycle(600), "shift-invert", "0.9999725846827563",
-     0.9999725846827522, 17501304870360095056),
-    (lambda: rf.make_margulis(24), "iterative", "0.9017599656582198",
-     0.9017599656582211, 11624193158940628649),
+    (lambda: rf.make_cycle(600), "shift-invert", "0.999972584682756",
+     0.9999725846827522, 12455843931947484246),
+    (lambda: rf.make_margulis(24), "iterative", "0.90175996565822",
+     0.9017599656582211, 13196515309567691339),
 ], ids=["C600", "Mg24"])
 def test_iterative_rho_and_seed_are_pinned(make, method, rho, old_rho, seed):
-    """Lanczos seeds hash the counts as the exact operator's entries, without it.
+    """Non-dense solves seed from the bytes of the component's float block.
 
     ``old_rho`` is the value pinned when both took four-Ritz-pair Lanczos."""
     sp = make()
@@ -481,8 +478,7 @@ def test_one_eigensolve_per_component(monkeypatch):
     solve = counted(kazhdan.extreme_eig_matvec, "solve")
     monkeypatch.setattr(kazhdan, "extreme_eig_matvec", solve)
     monkeypatch.setattr(spectral, "extreme_eig_matvec", solve)
-    monkeypatch.setattr(kazhdan.AveragingOp, "component_seed",
-                        counted(kazhdan.AveragingOp.component_seed, "seed"))
+    monkeypatch.setattr(kazhdan, "_matrix_seed", counted(kazhdan._matrix_seed, "seed"))
     # both paths above the cutoff: shift-invert on the cycle, Lanczos on Mg24
     for sp, method in ((rf.make_cycle(600), "shift-invert"),
                        (rf.make_margulis(24), "iterative")):
@@ -522,9 +518,10 @@ def test_components_route_by_band(make, method):
     for comp in rep.components:
         assert comp.size > rf.DENSE_CUTOFF
         assert comp.spectral.method == method
-        assert comp.spectral.seed == avg.component_seed(comp.id)
         idx = sp.component_points(comp.id)
-        lap = 2 * avg.n * (np.eye(len(idx)) - avg.csr[idx][:, idx].toarray())
+        block = avg.csr[idx][:, idx]
+        assert comp.spectral.seed == spectral._matrix_seed(block)
+        lap = 2 * avg.n * (np.eye(len(idx)) - block.toarray())
         lam2 = np.linalg.eigvalsh(lap)[1]
         assert abs(comp.rho - (1.0 - lam2 / (2 * avg.n))) <= 1e-9
 
@@ -624,13 +621,23 @@ def test_lanczos_curve_follows_rho_powers():
                                          abs=kazhdan.CURVE_ATOL)
 
 
-def test_gap_report_jobs_parity():
-    sp = rf.make_box_space_Z([4, 8, 16])
-    avg = averaging_for(sp)
-    proj = rf.kazhdan_projection(sp)
-    a = rf.report_to_dict(rf.gap_report(avg, proj, kmax=4, jobs=1))
-    b = rf.report_to_dict(rf.gap_report(avg, proj, kmax=4, jobs=3))
-    assert a == b
+def test_component_report_depends_only_on_its_block():
+    """A component's report, seed included, is that of the component alone:
+    neither the space around it nor the space's name moves it."""
+    sizes = [64, 128, 256, 512, 1024]
+    box = rf.make_box_space_Z(sizes)
+    rep = rf.gap_report(averaging_for(box), rf.kazhdan_projection(box), kmax=32)
+    assert {c.spectral.method for c in rep.components} == {"dense", "shift-invert"}
+    for comp, s in zip(rep.components, sizes):
+        cycle = rf.make_cycle(s)
+        (alone,) = rf.gap_report(averaging_for(cycle), rf.kazhdan_projection(cycle),
+                                 kmax=32).components
+        assert replace(comp, id=0) == alone
+    q10 = rf.make_hypercube(10)
+    renamed = rf.disjoint_union([q10], name="Q10v0")
+    comps = [rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=32).components
+             for sp in (q10, renamed)]
+    assert comps[0] == comps[1]
 
 
 def test_kazhdan_lower_bound():

@@ -131,6 +131,20 @@ def test_operator_seed_sensitivity():
     assert operator_seed(a) != operator_seed(a, extra=b"component:0")
 
 
+def test_lanczos_certifies_a_multiple_top_eigenvalue():
+    """rho = 0.9 on Q10 has multiplicity 10.  ARPACK's first basis can stop
+    there with a Ritz vector just short of the certified bound (seeds 3, 7,
+    23, 35 and 38 below); a second solve from that vector certifies it."""
+    sp = rf.make_hypercube(10)
+    perms = rf.colour_permutations(rf.edge_colouring(sp, 1.0))[1:]
+    block = rf.build_averaging(perms).csr
+    for seed in range(40):
+        value, _, count, residual = extreme_eig_matvec(
+            lambda x: block @ x - x.mean(), sp.n_points, seed)
+        res = spectral.SpectralResult(abs(value), "iterative", count, residual)
+        assert spectral._checked(res, rf.DEFAULT_TOL).value == pytest.approx(0.9, abs=1e-12)
+
+
 def test_op_norm_known_values():
     sp = rf.make_cycle(5)
     assert rf.op_norm(rf.PermutationOp.from_swaps(sp, [(0, 1)]).op).value == pytest.approx(1.0)
