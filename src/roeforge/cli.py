@@ -19,7 +19,9 @@ byte-identical across runs for the same inputs, seeds included.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -120,6 +122,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one roeforge command; return its exit code (0, 1 or 2).
+
+    For the length of the command the objects already alive, mostly the
+    ~42,000 that numpy and scipy leave tracked at import, are frozen out
+    of the cyclic collector.  Unfrozen, one full collection walks them
+    all during a ``gap`` on the margulis manifest: 17-24 ms of a 0.1-0.13 s
+    run (2 cores, Python 3.11), against about 2 ms of collections frozen.
+    ``main`` unfreezes only if it froze, so a caller that froze first
+    keeps its frozen objects and any other caller finds the collector as
+    it left it.
+    """
+    froze = gc.get_freeze_count() == 0
+    if froze:
+        # freeze and unfreeze splice the collector's lists, O(1) each
+        gc.freeze()
+    try:
+        return _run(argv)
+    finally:
+        if froze:
+            gc.unfreeze()
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -167,6 +192,8 @@ def _cmd_gap(args) -> int:
     _jobs(args)  # checked, though gap runs on one thread
     if args.kmax < 1:
         raise ValueError("--kmax must be >= 1")
+    if not math.isfinite(args.threshold):
+        raise ValueError("--threshold must be finite")
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     manifest = text.lstrip().startswith("{")
@@ -336,7 +363,10 @@ def _cmd_verify(args) -> int:
         print("PASS (0 cases)")
         return 0
     # fork, not spawn: a worker started from a fresh interpreter would import
-    # numpy and scipy again, which costs more than a short corpus takes
+    # numpy and scipy again, which costs more than a short corpus takes.  The
+    # fork comes after main's gc.freeze, the pre-fork recipe of CPython's gc
+    # docs: the workers' collections leave the frozen objects alone, so they
+    # write to fewer of the pages they share with the parent
     if "fork" not in multiprocessing.get_all_start_methods():
         jobs = 1
     jobs = min(jobs, args.cases)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -47,11 +48,17 @@ __all__ = [
 ]
 
 
-def tube_graph_edges(space: FiniteSpace, radius: float) -> list[tuple[int, int]]:
-    """Unordered pairs (u < v) of distinct points at distance <= radius."""
+def _tube_ends(space: FiniteSpace, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """End arrays ``us < vs`` of the tube's edges, in row-major order."""
     rows, cols, _ = space.pairs_within(radius)
     upper = rows < cols
-    return list(zip(rows[upper].tolist(), cols[upper].tolist()))
+    return rows[upper], cols[upper]
+
+
+def tube_graph_edges(space: FiniteSpace, radius: float) -> list[tuple[int, int]]:
+    """Unordered pairs (u < v) of distinct points at distance <= radius."""
+    us, vs = _tube_ends(space, radius)
+    return list(zip(us.tolist(), vs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -80,11 +87,22 @@ class EdgeColouring:
     @cached_property
     def _permutations(self) -> tuple:
         """Built once per colouring, so every decomposition shares the
-        same permutations and their cached operators."""
+        same permutations and their cached operators.
+
+        Each involution comes from the edge-end array cut by a colour
+        array.  The colours are read edge by edge, as ``colour_of[e]`` for
+        ``e`` in ``edges``, so a ``colour_of`` in another key order (say
+        from :func:`dataclasses.replace`) gives the same permutations.
+        """
+        m = len(self.edges)
+        ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64,
+                           count=2 * m).reshape(m, 2)
+        colours = np.fromiter(map(self.colour_of.__getitem__, self.edges),
+                              dtype=np.int64, count=m)
         perms = [PermutationOp.identity(self.space)]
-        for matching in self.classes():
+        for c in range(1, self.n_colours + 1):
             # a matching of tube edges: a bijection moving points finitely
-            u, v = np.array(matching, dtype=np.int64).T
+            u, v = ends[colours == c].T
             perm = np.arange(self.space.n_points)
             perm[u] = v
             perm[v] = u
@@ -92,16 +110,20 @@ class EdgeColouring:
         return tuple(perms)
 
 
-def _misra_gries(n: int, edges: list[tuple[int, int]], n_colours: int) -> dict:
-    """Colour ``edges`` (u < v pairs, simple graph) with colours 1..n_colours.
+def _misra_gries(n: int, us: list[int], vs: list[int], n_colours: int) -> list[int]:
+    """Colour the edges ``(us[i], vs[i])`` (u < v, simple graph) with 1..n_colours.
 
-    ``n_colours`` must be at least max degree + 1.  Deterministic: edges are
-    taken in the given order and every colour choice is the smallest free
-    one.
+    Returns the colours in edge order.  ``n_colours`` must be at least max
+    degree + 1.  Deterministic: edges are taken in the given order and
+    every colour choice is the smallest free one.  The books are flat:
+    ``at[v * (n_colours + 1) + c]`` is v's partner along colour c (-1 when
+    c is free at v), ``used[v]`` a bitmask of v's taken colours, and the
+    colour of edge (u, v) sits in a dict under ``u * n + v``.
     """
-    at: list[dict[int, int]] = [dict() for _ in range(n)]  # vertex -> colour -> partner
-    used = [0] * n                                         # bitmask of taken colours
-    colour_of: dict[tuple[int, int], int] = {}
+    k = n_colours + 1
+    at = [-1] * (n * k)
+    used = [0] * n
+    colour: dict[int, int] = {}
     full = (1 << n_colours) - 1
 
     def free(v: int) -> int:
@@ -113,17 +135,17 @@ def _misra_gries(n: int, edges: list[tuple[int, int]], n_colours: int) -> dict:
     def assign(u: int, v: int, c: int):
         bit = 1 << (c - 1)
         assert not (used[u] & bit) and not (used[v] & bit)
-        colour_of[(u, v) if u < v else (v, u)] = c
-        at[u][c] = v
-        at[v][c] = u
+        colour[u * n + v if u < v else v * n + u] = c
+        at[u * k + c] = v
+        at[v * k + c] = u
         used[u] |= bit
         used[v] |= bit
 
     def unassign(u: int, v: int) -> int:
-        c = colour_of.pop((u, v) if u < v else (v, u))
+        c = colour.pop(u * n + v if u < v else v * n + u)
         bit = 1 << (c - 1)
-        del at[u][c]
-        del at[v][c]
+        at[u * k + c] = -1
+        at[v * k + c] = -1
         used[u] &= ~bit
         used[v] &= ~bit
         return c
@@ -131,21 +153,27 @@ def _misra_gries(n: int, edges: list[tuple[int, int]], n_colours: int) -> dict:
     def invert_path(start: int, c: int, d: int):
         # walk the maximal path of colours alternating d, c, d, ... from
         # start, then repaint it with the two colours exchanged
-        chain = []
+        path = []
         z, want = start, d
-        while want in at[z]:
-            w = at[z][want]
-            chain.append((z, w))
+        while (w := at[z * k + want]) >= 0:
+            path.append((z, w))
             z = w
             want = c if want == d else d
-        repaint = [(e, unassign(*e)) for e in chain]
+        repaint = [(e, unassign(*e)) for e in path]
         for (a, b), col in repaint:
             assign(a, b, d if col == c else c)
 
-    for u, v in edges:
-        common = free(u) & free(v)
+    for u, v in zip(us, vs):
+        common = full & ~(used[u] | used[v])
         if common:
-            assign(u, v, lowest(common))
+            # the ends share a free colour: take the smallest
+            bit = common & -common
+            c = bit.bit_length()
+            colour[u * n + v] = c
+            at[u * k + c] = v
+            at[v * k + c] = u
+            used[u] |= bit
+            used[v] |= bit
             continue
         # maximal fan around u starting at v: each next vertex is joined to
         # u by a colour free on the previous one (smallest such colour)
@@ -153,15 +181,15 @@ def _misra_gries(n: int, edges: list[tuple[int, int]], n_colours: int) -> dict:
         in_fan = {v}
         while True:
             m = free(fan[-1])
-            nxt = None
+            nxt = -1
             while m:
                 c = lowest(m)
                 m &= m - 1
-                w = at[u].get(c)
-                if w is not None and w not in in_fan:
+                w = at[u * k + c]
+                if w >= 0 and w not in in_fan:
                     nxt = w
                     break
-            if nxt is None:
+            if nxt < 0:
                 break
             fan.append(nxt)
             in_fan.add(nxt)
@@ -174,7 +202,8 @@ def _misra_gries(n: int, edges: list[tuple[int, int]], n_colours: int) -> dict:
         w_idx = None
         for j, wv in enumerate(fan):
             if j > 0:
-                cj = colour_of[(u, fan[j]) if u < fan[j] else (fan[j], u)]
+                fj = fan[j]
+                cj = colour[u * n + fj if u < fj else fj * n + u]
                 if not (free(fan[j - 1]) >> (cj - 1)) & 1:
                     break
             if (free(wv) >> (d - 1)) & 1:
@@ -185,27 +214,32 @@ def _misra_gries(n: int, edges: list[tuple[int, int]], n_colours: int) -> dict:
         for i, col in enumerate(shifted):
             assign(u, fan[i], col)
         assign(u, fan[w_idx], d)
-    return colour_of
+    return [colour[u * n + v] for u, v in zip(us, vs)]
 
 
 def edge_colouring(space: FiniteSpace, radius: float) -> EdgeColouring:
     """Properly colour the tube graph at ``radius`` with <= Delta+1 colours.
 
     Colour classes are renumbered 1..n by first use, so the result depends
-    only on the space and the radius.
+    only on the space and the radius.  The tube's end arrays come from one
+    :meth:`~roeforge.space.FiniteSpace.pairs_within`; degrees are their
+    ``bincount`` and the renumbering one ``np.unique``, so only the
+    fan/rotation loop of :func:`_misra_gries` runs per edge in Python.
     """
-    edges = tube_graph_edges(space, radius)
+    us, vs = _tube_ends(space, radius)
     n = space.n_points
-    degree = np.bincount(np.asarray(edges, dtype=np.int64).reshape(-1), minlength=n)
+    degree = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
     max_degree = int(degree.max()) if n else 0
-    raw = _misra_gries(n, edges, max_degree + 1) if edges else {}
-    renumber: dict[int, int] = {}
-    for e in edges:
-        renumber.setdefault(raw[e], len(renumber) + 1)
-    colour_of = {e: renumber[raw[e]] for e in edges}
+    us, vs = us.tolist(), vs.tolist()
+    edges = tuple(zip(us, vs))
+    raw = np.array(_misra_gries(n, us, vs, max_degree + 1), dtype=np.int64)
+    values, first = np.unique(raw, return_index=True)
+    renumber = np.zeros(max_degree + 2, dtype=np.int64)
+    renumber[values[np.argsort(first)]] = np.arange(1, len(values) + 1)
+    colour_of = dict(zip(edges, renumber[raw].tolist()))
     return EdgeColouring(space=space, radius=float(radius),
-                         edges=tuple(edges), colour_of=colour_of,
-                         n_colours=len(renumber), max_degree=max_degree)
+                         edges=edges, colour_of=colour_of,
+                         n_colours=len(values), max_degree=max_degree)
 
 
 def validate_colouring(col: EdgeColouring) -> None:

@@ -273,7 +273,7 @@ class FiniteSpace:
         the cost follows the number of pairs, not n².  Either way the
         smaller index's search decides a pair, and the pair is mirrored.
         """
-        if radius < 0:
+        if not radius >= 0:  # NaN too: it would give an empty tube
             raise ValueError("radius must be >= 0")
         if self._dist is None:
             blocks = self._tube_blocks(radius)

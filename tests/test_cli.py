@@ -1,3 +1,4 @@
+import gc
 import json
 import multiprocessing
 import threading
@@ -257,6 +258,57 @@ def test_bad_arguments_exit_one(tmp_path, capsys):
     path = write(tmp_path, "tri.space", TRI)
     assert main(["gap", path, "--jobs", "0"]) == 1
     assert main(["gap", path, "--kmax", "0"]) == 1
+
+
+def test_nan_radius_exits_one(tmp_path, capsys):
+    # a NaN radius once gave an empty tube, rho = 1 and exit 2
+    path = write(tmp_path, "tri.space", TRI)
+    assert main(["gap", path, "--radius", "nan"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "radius" in out.err
+    assert main(["gap", path, "--radius", "inf"]) == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_threshold_exits_one(tmp_path, capsys, value):
+    # checked before the input is read: the missing file goes unreported
+    missing = str(tmp_path / "missing.space")
+    assert main(["gap", missing, f"--threshold={value}"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "--threshold must be finite" in out.err
+
+
+@pytest.mark.parametrize("extra, code", [([], 0), (["--kmax", "0"], 1)])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, extra, code):
+    path = write(tmp_path, "tri.space", TRI)
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(["gap", path, *extra]) == code
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_a_command_runs_with_the_import_heap_frozen(monkeypatch):
+    seen = []
+
+    def gap(args):
+        seen.append(gc.get_freeze_count() > 0)
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_gap", gap)
+    assert gc.get_freeze_count() == 0
+    assert main(["gap", "unused.space"]) == 0
+    assert seen == [True]
+    assert gc.get_freeze_count() == 0
+
+
+def test_a_caller_that_froze_keeps_its_frozen_objects(tmp_path, capsys):
+    path = write(tmp_path, "tri.space", TRI)
+    gc.freeze()
+    try:
+        assert main(["gap", path]) == 0
+        # objects freed during the run leave the count, but main thawed none
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
 
 
 def test_help_exits_zero(capsys):

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import roeforge as rf
+from roeforge import cli
 from roeforge import (
     FinitePropOp,
     PartialTranslation,
@@ -197,3 +199,149 @@ def test_colouring_to_text():
         "colour 0 2 2\n"
         "colour 1 2 3\n"
     )
+
+
+# -- the array colouring against the dict-based fan/rotation loop -------------
+
+def _reference_misra_gries(n, edges, n_colours):
+    """The fan/rotation loop on per-vertex dicts, as roeforge first wrote it."""
+    at = [dict() for _ in range(n)]  # vertex -> colour -> partner
+    used = [0] * n                   # bitmask of taken colours
+    colour_of = {}
+    full = (1 << n_colours) - 1
+
+    def free(v):
+        return full & ~used[v]
+
+    def lowest(mask):
+        return (mask & -mask).bit_length()
+
+    def assign(u, v, c):
+        bit = 1 << (c - 1)
+        assert not (used[u] & bit) and not (used[v] & bit)
+        colour_of[(u, v) if u < v else (v, u)] = c
+        at[u][c] = v
+        at[v][c] = u
+        used[u] |= bit
+        used[v] |= bit
+
+    def unassign(u, v):
+        c = colour_of.pop((u, v) if u < v else (v, u))
+        bit = 1 << (c - 1)
+        del at[u][c]
+        del at[v][c]
+        used[u] &= ~bit
+        used[v] &= ~bit
+        return c
+
+    def invert_path(start, c, d):
+        chain = []
+        z, want = start, d
+        while want in at[z]:
+            w = at[z][want]
+            chain.append((z, w))
+            z = w
+            want = c if want == d else d
+        repaint = [(e, unassign(*e)) for e in chain]
+        for (a, b), col in repaint:
+            assign(a, b, d if col == c else c)
+
+    for u, v in edges:
+        common = free(u) & free(v)
+        if common:
+            assign(u, v, lowest(common))
+            continue
+        fan = [v]
+        in_fan = {v}
+        while True:
+            m = free(fan[-1])
+            nxt = None
+            while m:
+                c = lowest(m)
+                m &= m - 1
+                w = at[u].get(c)
+                if w is not None and w not in in_fan:
+                    nxt = w
+                    break
+            if nxt is None:
+                break
+            fan.append(nxt)
+            in_fan.add(nxt)
+        c = lowest(free(u))
+        d = lowest(free(fan[-1]))
+        if not (free(u) >> (d - 1)) & 1:
+            invert_path(u, c, d)
+        w_idx = None
+        for j, wv in enumerate(fan):
+            if j > 0:
+                cj = colour_of[(u, fan[j]) if u < fan[j] else (fan[j], u)]
+                if not (free(fan[j - 1]) >> (cj - 1)) & 1:
+                    break
+            if (free(wv) >> (d - 1)) & 1:
+                w_idx = j
+                break
+        assert w_idx is not None
+        shifted = [unassign(u, fan[i]) for i in range(1, w_idx + 1)]
+        for i, col in enumerate(shifted):
+            assign(u, fan[i], col)
+        assign(u, fan[w_idx], d)
+    return colour_of
+
+
+def _reference_colouring(space, radius):
+    """``(edges, colour_of, n_colours, max_degree)`` by the dict loop."""
+    edges = rf.tube_graph_edges(space, radius)
+    degree = [0] * space.n_points
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    max_degree = max(degree, default=0)
+    raw = _reference_misra_gries(space.n_points, edges, max_degree + 1)
+    renumber = {}
+    for e in edges:
+        renumber.setdefault(raw[e], len(renumber) + 1)
+    colour_of = {e: renumber[raw[e]] for e in edges}
+    return tuple(edges), colour_of, len(renumber), max_degree
+
+
+def _assert_matches_reference(space, radius):
+    col = rf.edge_colouring(space, radius)
+    edges, colour_of, n_colours, max_degree = _reference_colouring(space, radius)
+    assert col.edges == edges
+    assert list(col.colour_of.items()) == list(colour_of.items())  # key order too
+    assert (col.n_colours, col.max_degree) == (n_colours, max_degree)
+
+
+def _reference_corpus():
+    yield from (rf.make_margulis(n) for n in (16, 24, 32))
+    yield from (rf.make_hypercube(d) for d in range(4, 11))
+    yield rf.make_random_regular(200, 3, seed=1)
+    yield rf.make_random_regular(150, 5, seed=2)
+    yield rf.make_box_space_Z([3, 5, 8, 13])
+    rng = np.random.default_rng(7)
+    yield from (cli._random_space(rng) for _ in range(30))
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+def test_colouring_matches_the_dict_loop(radius):
+    for space in _reference_corpus():
+        _assert_matches_reference(space, radius)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 40), st.integers(1, 7), st.integers(0, 2**31 - 1),
+       st.floats(0.1, 1.0), st.sampled_from([1.0, 2.0, 3.0]))
+def test_colouring_matches_the_dict_loop_on_random_spaces(n, max_degree, seed,
+                                                          edge_prob, radius):
+    space = rf.random_bounded_degree_space(n, max_degree, seed=seed,
+                                           edge_prob=edge_prob)
+    _assert_matches_reference(space, radius)
+
+
+def test_colour_permutations_read_colours_in_edge_order():
+    col = rf.edge_colouring(rf.make_margulis(8), 2)
+    reordered = dataclasses.replace(
+        col, colour_of=dict(reversed(list(col.colour_of.items()))))
+    assert list(reordered.colour_of) != list(col.colour_of)
+    assert rf.colour_permutations(reordered) == rf.colour_permutations(col)
+

@@ -1,5 +1,6 @@
 import textwrap
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -449,3 +450,13 @@ def test_spaces_above_the_size_limit_are_refused_up_front():
                      (over, lambda: rf.space_from_graph(range(over), []))):
         with pytest.raises(MemoryError, match=f"^Unable to allocate a space of {n} points"):
             build()
+
+
+def test_nan_radius_is_rejected():
+    sp = rf.make_cycle(5)
+    for call in (sp.pairs_within, sp.max_ball_size, partial(rf.tube, sp),
+                 partial(rf.tube_graph_edges, sp), partial(rf.edge_colouring, sp)):
+        with pytest.raises(ValueError, match="radius"):
+            call(float("nan"))
+    # an infinite radius is still a tube: every pair in a component
+    assert rf.edge_colouring(sp, INF).max_degree == 4
