@@ -49,6 +49,7 @@ from .kazhdan import (
     restrict,
 )
 from .space import FiniteSpace, check_triangle, disjoint_union, load_space, parse_space_file
+from .spectral import _MATVEC_CAP
 from .transalg import (
     FinitePropOp,
     PartialTranslation,
@@ -184,7 +185,9 @@ def _pipeline(space: FiniteSpace, *, radius: float, kmax: int,
     avg = build_averaging(perms[1:] or perms[:1])
     proj = kazhdan_projection(space)
     report = gap_report(avg, proj, kmax, c, threshold=threshold)
-    params = {"radius": radius, "threshold": threshold, **report.params}
+    # JSON has no infinity (RFC 8259), so an unbounded radius is written "inf"
+    params = {"radius": radius if math.isfinite(radius) else "inf",
+              "threshold": threshold, **report.params}
     return replace(report, params=params)
 
 
@@ -192,6 +195,8 @@ def _cmd_gap(args) -> int:
     _jobs(args)  # checked, though gap runs on one thread
     if args.kmax < 1:
         raise ValueError("--kmax must be >= 1")
+    if args.kmax > _MATVEC_CAP:
+        raise ValueError(f"--kmax must be <= {_MATVEC_CAP}, the matvec cap of one solve")
     if not math.isfinite(args.threshold):
         raise ValueError("--threshold must be finite")
     with open(args.input, "r", encoding="utf-8") as fh:
@@ -210,7 +215,7 @@ def _cmd_gap(args) -> int:
     else:
         doc = report_to_dict(reports[0])
     verdict = doc["uniform_gap"]
-    payload = json.dumps(doc, indent=2) + "\n"
+    payload = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     sys.stdout.write(payload)
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:

@@ -38,6 +38,7 @@ from .space import FiniteSpace
 from .spectral import (
     DEFAULT_TOL,
     DENSE_CUTOFF,
+    _MATVEC_CAP,
     SpectralResult,
     _checked,
     _matrix_seed,
@@ -75,9 +76,21 @@ CURVE_RTOL_ITER = 1e-7
 CURVE_ATOL = 1e-12
 # Components of more than this many points try the banded path below the
 # dense cutoff too.  Per cycle component, curve included, with one BLAS
-# thread: dense eigh takes 7.2 ms at 192 points, 8.8 at 224, 11.5 at 256
-# and 57 at 512; banded shift-invert takes 8.4-9.1 ms at each of them.
+# thread: dense eigh takes 3.1 ms at 128 points, 4.7 at 160, 7.2 at 192,
+# 8.8 at 224, 12.0 at 256 and 57 at 512; banded shift-invert takes
+# 3.0-3.7 ms from 96 to 256 points and about 4 at 512.  The crossover is
+# about 128-160 points; ROADMAP direction 5 says why 224 stays for now.
 _BANDED_FROM = 224
+# Basis size of the shift-invert Lanczos solve.  The shift stays under
+# lambda_2 (Fiedler's bound), so the inverse's top eigenvalues,
+# 1 / (lambda_j + eps) for the few smallest lambda_j, stand far above the
+# rest of its spectrum, and one ARPACK pass converges.  With k = 1 ARPACK
+# builds the whole basis before it first tests convergence: that pass
+# takes basis + 1 solves and the residual check in extreme_eig_matvec one
+# more, so a component costs basis + 2 solves (18 here, 66 at the Lanczos
+# default of 64).  A basis of 8 takes 10 solves but leaves residuals up to
+# 1e-13; 16 keeps them at 3e-14 or less.
+_SHIFT_INVERT_NCV = 16
 
 
 @dataclass(frozen=True)
@@ -331,7 +344,7 @@ def _shift_invert(order: np.ndarray, band: np.ndarray, seed: int, tol: float):
         z[order] = cho_solve_banded((factor, True), x[order] - x.mean(), check_finite=False)
         return z - z.mean()
 
-    _, vec, solves, _ = extreme_eig_matvec(inverse, s, seed, tol=tol)
+    _, vec, solves, _ = extreme_eig_matvec(inverse, s, seed, tol=tol, ncv=_SHIFT_INVERT_NCV)
     return vec, solves
 
 
@@ -395,7 +408,7 @@ def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
     ``dense_cutoff`` points if that is smaller (but never of 2 or fewer),
     takes the band test: when its reverse Cuthill–McKee band is narrow
     (cycles, paths) it takes shift-invert on the tube Laplacian, which
-    beats a dense solve from about 224 points on.  Any other component is
+    beats a dense solve from about 160 points on.  Any other component is
     solved densely up to ``dense_cutoff`` points, and by Lanczos on A - P
     above it (expanders).  The curve holds ||A^k - P||_2 at
     k = 1, 2, 4, ... up to ``kmax`` (kmax itself always included),
@@ -417,6 +430,9 @@ def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
         raise SpaceMismatchError("projection and averaging operator live over different spaces")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    if kmax > _MATVEC_CAP:
+        # the curve spends kmax matvecs on each component: one solve's cap
+        raise ValueError(f"kmax must be <= {_MATVEC_CAP}, the matvec cap of one solve")
     rates = rate_constants(c, avg.n) if c is not None else None
     ks = _curve_powers(kmax)
     comps = tuple(_component_gap(avg, m, ks, dense_cutoff=dense_cutoff, tol=tol, rates=rates)
@@ -476,7 +492,7 @@ def report_to_dict(report: GapReport) -> dict:
 
 
 def report_to_json(report: GapReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
 
 
 def family_report_to_dict(family: str, params: Mapping,

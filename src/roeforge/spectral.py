@@ -112,13 +112,15 @@ def dense_extreme_eig(mat: np.ndarray) -> tuple[float, np.ndarray, float]:
 
 
 def extreme_eig_matvec(matvec: Callable, n: int, seed: int, *,
-                       tol: float = DEFAULT_TOL):
+                       tol: float = DEFAULT_TOL, ncv: int = _LANCZOS_NCV):
     """Signed eigenvalue of largest modulus of a symmetric matvec, by Lanczos.
 
     Returns ``(value, vec, matvec_count, residual)`` — ``value`` keeps its
     sign here; the public wrappers report |value|; ``vec`` is the Ritz
     vector whose residual is reported.  ARPACK computes that one Ritz pair
-    in a basis of up to ``_LANCZOS_NCV`` vectors.  The start vector is
+    in a basis of up to ``ncv`` vectors (capped at ``n``); a caller whose
+    top eigenvalue is well separated can pass a smaller one than the
+    default ``_LANCZOS_NCV``.  The start vector is
     drawn from ``default_rng(seed)``, which makes the whole computation a
     pure function of its arguments.  If the residual misses the bound that
     :func:`_checked` applies, which a multiple top eigenvalue can cause, a
@@ -149,7 +151,7 @@ def extreme_eig_matvec(matvec: Callable, n: int, seed: int, *,
         try:
             # every restart costs a matvec, so the cap binds before maxiter does
             vals, vecs = spla.eigsh(lin, k=1, which="LM", v0=v0, tol=tol,
-                                    ncv=min(n, _LANCZOS_NCV), maxiter=_MATVEC_CAP)
+                                    ncv=min(n, ncv), maxiter=_MATVEC_CAP)
         except spla.ArpackNoConvergence as exc:
             raise failure(exc) from exc
         value, vec = float(vals[0]), vecs[:, 0]

@@ -269,6 +269,51 @@ def test_nan_radius_exits_one(tmp_path, capsys):
     assert main(["gap", path, "--radius", "inf"]) == 0
 
 
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("tri.space", TRI),
+    ("c.json", json.dumps({"family": "cycle", "members": [5, 6]})),
+], ids=["space", "manifest"])
+def test_infinite_radius_writes_strict_json(tmp_path, capsys, name, text):
+    # an unbounded radius was once written as the bare word Infinity
+    path = write(tmp_path, name, text)
+    out_path = str(tmp_path / "out.json")
+    assert main(["gap", path, "--radius", "inf", "--json", out_path]) == 0
+    out = capsys.readouterr().out
+    doc = _strict_json(out)
+    for report in doc.get("members", [doc]):
+        assert report["params"]["radius"] == "inf"
+    assert Path(out_path).read_text() == out
+
+
+def test_gap_refuses_non_finite_floats_in_its_output(tmp_path, capsys, monkeypatch):
+    def with_nan(report):
+        return {**rf.report_to_dict(report), "max_rho": float("nan")}
+
+    monkeypatch.setattr(cli, "report_to_dict", with_nan)
+    path = write(tmp_path, "tri.space", TRI)
+    assert main(["gap", path]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "not JSON compliant" in out.err
+
+
+def test_kmax_above_the_matvec_cap_exits_one(tmp_path, capsys):
+    # the curve spends kmax matvecs on each component; past one solve's cap
+    # a large kmax ran for as long as it asked instead of failing
+    path = write(tmp_path, "tri.space", TRI)
+    assert main(["gap", path, "--kmax", str(spectral._MATVEC_CAP + 1)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: --kmax must be <= 20000, the matvec cap of one solve\n"
+    assert main(["gap", path, "--kmax", str(spectral._MATVEC_CAP)]) == 0
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_threshold_exits_one(tmp_path, capsys, value):
     # checked before the input is read: the missing file goes unreported

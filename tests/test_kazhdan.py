@@ -137,7 +137,7 @@ def test_shift_invert_gap_report_builds_no_exact_operator(monkeypatch):
 
 
 @pytest.mark.parametrize("make, method, rho, old_rho, seed", [
-    (lambda: rf.make_cycle(600), "shift-invert", "0.999972584682756",
+    (lambda: rf.make_cycle(600), "shift-invert", "0.9999725846827562",
      0.9999725846827522, 12455843931947484246),
     (lambda: rf.make_margulis(24), "iterative", "0.90175996565822",
      0.9017599656582211, 13196515309567691339),
@@ -538,7 +538,31 @@ def test_shift_invert_on_a_long_cycle():
     assert comp.spectral.method == "shift-invert"
     assert abs(comp.rho - (0.5 + math.cos(2 * math.pi / n) / 2)) <= 1e-12
     assert comp.spectral.residual <= 1e-14
+    assert comp.spectral.iterations == kazhdan._SHIFT_INVERT_NCV + 2
     assert comp.no_effective_gap is False
+
+
+def _spider(legs):
+    """Paths of the given lengths joined at one centre, point 0."""
+    edges, n = [], 1
+    for length in legs:
+        edges += [(n + i - 1 if i else 0, n + i, 1.0) for i in range(length)]
+        n += length
+    return rf.space_from_graph([str(i) for i in range(n)], edges, name="spider")
+
+
+def test_shift_invert_on_a_near_degenerate_narrow_band():
+    """A spider with legs 100, 101 and 102 has a narrow band, and its top two
+    |eigenvalues| of A - P (0.9999605 and 0.9999596) lie within 1e-6 of each
+    other.  The small basis still converges in one pass on the top one."""
+    sp = _spider([100, 101, 102])
+    avg = averaging_for(sp)
+    (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=32).components
+    assert comp.size == 304 and comp.spectral.method == "shift-invert"
+    assert comp.spectral.iterations == kazhdan._SHIFT_INVERT_NCV + 2
+    top = np.sort(np.abs(np.linalg.eigvalsh(avg.csr.toarray() - 1.0 / comp.size)))
+    assert top[-1] - top[-2] < 1e-6
+    assert abs(comp.rho - top[-1]) <= 1e-12
 
 
 def test_shift_invert_at_two_to_the_sixteen_points():
@@ -623,10 +647,14 @@ def test_lanczos_curve_follows_rho_powers():
 
 def test_component_report_depends_only_on_its_block():
     """A component's report, seed included, is that of the component alone:
-    neither the space around it nor the space's name moves it."""
+    neither the space around it nor the space's name moves it.  Each of the
+    box space's three shift-invert components converges in one ARPACK pass
+    over the small basis: basis + 1 solves, and one for the residual check."""
     sizes = [64, 128, 256, 512, 1024]
     box = rf.make_box_space_Z(sizes)
     rep = rf.gap_report(averaging_for(box), rf.kazhdan_projection(box), kmax=32)
+    assert [c.spectral.iterations for c in rep.components] == [
+        0, 0, *[kazhdan._SHIFT_INVERT_NCV + 2] * 3]
     assert {c.spectral.method for c in rep.components} == {"dense", "shift-invert"}
     for comp, s in zip(rep.components, sizes):
         cycle = rf.make_cycle(s)
@@ -690,6 +718,24 @@ def test_report_json_is_frozen():
         '  }\n'
         '}\n'
     )
+
+
+def test_kmax_above_the_matvec_cap_is_refused():
+    # the curve spends kmax matvecs on each component, so kmax gets the cap
+    # of one solve
+    sp = rf.make_cycle(4)
+    avg, proj = averaging_for(sp), rf.kazhdan_projection(sp)
+    with pytest.raises(ValueError, match="kmax must be <= 20000"):
+        rf.gap_report(avg, proj, kmax=spectral._MATVEC_CAP + 1)
+    rep = rf.gap_report(avg, proj, kmax=spectral._MATVEC_CAP)
+    assert rep.components[0].curve[-1][0] == spectral._MATVEC_CAP
+
+
+def test_report_json_refuses_non_finite_floats():
+    sp = rf.make_cycle(4)
+    rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=1)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        rf.report_to_json(replace(rep, params={"radius": math.inf}))
 
 
 def test_report_dict_key_order():
