@@ -319,7 +319,7 @@ def decompose_translation(t: PartialTranslation, col: EdgeColouring) -> Translat
         marks[c].append(x)
     perms = colour_permutations(col)
     idems = tuple(
-        FinitePropOp._sealed(col.space, {(x, x): 1 for x in marks[i]}, MODE_RATIONAL)
+        FinitePropOp._ones(col.space, ((x, x) for x in marks[i]))
         for i in range(col.n_colours + 1))
     return TranslationDecomposition(radius=col.radius, perms=tuple(perms),
                                     idempotents=idems)

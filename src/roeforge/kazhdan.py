@@ -46,7 +46,7 @@ from .spectral import (
     eigvec_power_norms,
     extreme_eig_matvec,
 )
-from .transalg import MODE_FLOAT, MODE_RATIONAL, FinitePropOp, PermutationOp
+from .transalg import MODE_FLOAT, MODE_RATIONAL, FinitePropOp, PermutationOp, _lowest
 
 __all__ = [
     "AveragingOp",
@@ -99,8 +99,9 @@ class AveragingOp:
 
     ``keys`` are the support's ``x * size + y``, ascending.  When first
     read, ``csr`` and ``op`` are made from the counts as a float and an
-    exact :class:`FinitePropOp`; the float one's ``to_csr`` makes the matrix.
-    The gap path reads only ``csr``.
+    exact :class:`FinitePropOp`; the float one's ``to_csr`` makes the matrix,
+    and the exact one's rows are the counts over 2n in lowest terms.  The
+    gap path reads only ``csr``.
     """
 
     perms: tuple
@@ -109,19 +110,24 @@ class AveragingOp:
     keys: np.ndarray = field(compare=False, repr=False)
     counts: np.ndarray = field(compare=False, repr=False)
 
-    def _operator(self, values: Iterable, mode: str) -> FinitePropOp:
-        pairs = map(divmod, self.keys.tolist(), repeat(self.space.n_points))
-        return FinitePropOp._sealed(self.space, dict(zip(pairs, values)), mode)
+    def _pairs(self):
+        """The support's ``(x, y)``, in key order."""
+        return map(divmod, self.keys.tolist(), repeat(self.space.n_points))
 
     @cached_property
     def csr(self) -> sp.csr_matrix:
         # numpy divides exactly; scipy's csr / scalar multiplies by 1/(2n)
-        return self._operator((self.counts / (2 * self.n)).tolist(), MODE_FLOAT).to_csr()
+        values = (self.counts / (2 * self.n)).tolist()
+        return FinitePropOp._sealed(self.space, dict(zip(self._pairs(), values)),
+                                    MODE_FLOAT).to_csr()
 
     @cached_property
     def op(self) -> FinitePropOp:
-        return self._operator(map(Fraction, self.counts.tolist(), repeat(2 * self.n)),
-                              MODE_RATIONAL)
+        rows: dict[int, dict] = {}
+        for (x, y), c in zip(self._pairs(), self.counts.tolist()):
+            rows.setdefault(x, {})[y] = c
+        d = 2 * self.n
+        return FinitePropOp._sealed(self.space, {x: _lowest(d, row) for x, row in rows.items()})
 
 
 def build_averaging(perms: Iterable[PermutationOp]) -> AveragingOp:
@@ -173,13 +179,13 @@ class KazhdanProjection:
     @property
     def op(self) -> FinitePropOp:
         if self._op is None:
-            entries = {}
+            rows = {}
             for m, val in self.component_value.items():
                 idx = self.space.component_points(m).tolist()
-                for x in idx:
-                    for y in idx:
-                        entries[(x, y)] = val
-            self._op = FinitePropOp._sealed(self.space, entries, MODE_RATIONAL)
+                # every row of the block is 1 over s: one row, shared
+                row = (val.denominator, dict.fromkeys(idx, 1))
+                rows.update(dict.fromkeys(idx, row))
+            self._op = FinitePropOp._sealed(self.space, rows)
         return self._op
 
     def matvec(self, x) -> np.ndarray:
@@ -209,8 +215,16 @@ def restrict(t: FinitePropOp, m: int) -> FinitePropOp:
     products, adjoints and the identity, exactly in rational mode.
     """
     sub = t.space.component_space(m)
-    idx = t.space.component_points(m)
-    pos = {g: i for i, g in enumerate(idx.tolist())}
+    idx = t.space.component_points(m).tolist()
+    pos = {g: i for i, g in enumerate(idx)}
+    if t.mode == MODE_RATIONAL:
+        # a row keeps its denominator and numerators, so stays in lowest terms
+        rows = {}
+        for x in idx:
+            r = t._rows.get(x)
+            if r is not None:
+                rows[pos[x]] = (r[0], {pos[y]: n for y, n in r[1].items()})
+        return FinitePropOp._sealed(sub, rows)
     entries = {}
     for (x, y), v in t.entries.items():
         px = pos.get(x)

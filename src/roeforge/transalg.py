@@ -7,9 +7,10 @@ same coarse component, and the largest distance over the support is the
 operator's *propagation*.  Together these matrices form a *-algebra; this
 module implements it in two scalar modes:
 
-* ``"rational"`` — entries are ``int`` / ``Fraction``; sums and products are
-  exact, which is what the algebraic identities in :mod:`roeforge.kazhdan`
-  are verified in;
+* ``"rational"`` — entries are ``int`` / ``Fraction``, each row kept as
+  integer numerators over one denominator; sums and products are exact,
+  which is what the algebraic identities in :mod:`roeforge.kazhdan` are
+  verified in;
 * ``"float"`` — entries are ``float`` / ``complex``; this is the mode the
   spectral routines consume.
 
@@ -65,28 +66,81 @@ def _check_mode(mode: str):
         raise ValueError(f"unknown scalar mode {mode!r}")
 
 
-def _scaled(entries: dict, axis: int, n: int):
-    """``(lcms, scaled)``: each row (``axis`` 0) or column (1) made integer.
+def _lowest(d: int, row: dict) -> tuple:
+    """``(d, row)``, nonzero int numerators over ``d > 0``, in lowest terms:
+    both divided by the gcd of ``d`` and all of ``row``, one C-level call."""
+    if d == 1:
+        return 1, row
+    g = math.gcd(d, *row.values())
+    if g == 1:
+        return d, row
+    return d // g, {y: n // g for y, n in row.items()}
 
-    ``lcms[i]`` is the lcm of the denominators in line ``i`` of an
-    ``n``-point operator, and ``scaled`` maps each key to the int value
-    times its line's lcm.  Entries that are all ints come back unchanged,
-    with ``lcms`` None.
+
+def _reduced(d: int, acc: dict):
+    """:func:`_lowest` of ``acc / d`` with its zero numerators dropped; None if all are."""
+    if 0 in acc.values():
+        acc = {y: n for y, n in acc.items() if n}
+        if not acc:
+            return None
+    return _lowest(d, acc)
+
+
+def _rows_of(entries: Mapping) -> dict:
+    """The rows of a mapping ``(x, y) -> int | Fraction``, zeros dropped.
+
+    Over the lcm of a row's reduced denominators the numerators already
+    have no common factor with it, so no gcd is taken.
     """
-    lcms = None
-    for k, v in entries.items():
-        if type(v) is not int:
-            if lcms is None:
-                lcms = [1] * n
-            line = k[axis]
-            m = lcms[line]
-            q = v.denominator
-            if m % q:
-                lcms[line] = math.lcm(m, q)
-    if lcms is None:
-        return None, entries
-    return lcms, {k: v.numerator * (lcms[k[axis]] // v.denominator)
-                  for k, v in entries.items()}
+    grouped: dict[int, dict] = {}
+    for (x, y), v in entries.items():
+        if v:
+            grouped.setdefault(x, {})[y] = v.as_integer_ratio()
+    rows = {}
+    for x, row in grouped.items():
+        d = math.lcm(*[q for _, q in row.values()])
+        rows[x] = (d, {y: p * (d // q) for y, (p, q) in row.items()})
+    return rows
+
+
+def _row_sum(a: tuple, b: tuple):
+    """The sum of two rows ``(d, numerators)``, reduced; None if it is 0."""
+    (da, ra), (db, rb) = a, b
+    d = math.lcm(da, db)
+    fa, fb = d // da, d // db
+    acc = {y: n * fa for y, n in ra.items()}
+    for y, n in rb.items():
+        acc[y] = acc.get(y, 0) + n * fb
+    return _reduced(d, acc)
+
+
+def _row_product(left: tuple, right: dict):
+    """Row ``left`` times the operator whose rows are ``right``; None if 0.
+
+    The sum is taken over ``d`` times the lcm of the denominators of the
+    rows of ``right`` that ``left`` meets.
+    """
+    d, row = left
+    met = [(a, right[z]) for z, a in row.items() if z in right]
+    if not met:
+        return None
+    if d == 1 and len(met) == 1 and met[0][0] == 1:
+        # a row with one 1 picks a row of the right operand: share it
+        return met[0][1]
+    m = math.lcm(*[dz for _, (dz, _) in met])
+    acc = {}
+    get = acc.get
+    for a, (dz, rz) in met:
+        if dz != m:
+            a *= m // dz
+        for y, b in rz.items():
+            acc[y] = get(y, 0) + a * b
+    return _reduced(d * m, acc)
+
+
+def _exact_value(n: int, d: int):
+    """``n / d`` as the entry view shows it: an int, or a reduced Fraction."""
+    return n // d if n % d == 0 else Fraction(n, d)
 
 
 def _check_compatible(space: FiniteSpace, mode: str, op: "FinitePropOp"):
@@ -117,61 +171,86 @@ def _check_value(v, mode: str):
 class FinitePropOp:
     """A finite-propagation matrix over a fixed space.
 
-    ``entries`` maps ordered index pairs ``(x, y)`` to nonzero values; zero
-    values are dropped at construction, before the support is checked, so
-    two operators are equal exactly when their spaces, modes and entry
-    dicts agree.  Entries are stored in sorted pair order, which makes row
-    sums, serialisation and float arithmetic deterministic.  The
-    constructor validates caller input: each value, then the support, in
-    one call to :func:`~roeforge.space.support_diameter`.  Every operator
-    the package derives from operators it already holds (``+``, ``@``,
-    scalar ``*``, :meth:`adjoint`, :meth:`to_float`, :meth:`identity`,
-    :meth:`zero`, restrictions, projections, averaging operators,
-    decomposition idempotents) is valid by construction and skips that
-    check; its ``propagation`` is computed when first read.
+    ``entries`` maps ordered index pairs ``(x, y)`` to nonzero values in
+    sorted pair order, which makes row sums, serialisation and float
+    arithmetic deterministic; zeros are dropped at construction, before the
+    support is checked.  The constructor validates caller input: each
+    value, then the support, in one call to
+    :func:`~roeforge.space.support_diameter`.  Every operator the package
+    derives from operators it already holds (``+``, ``@``, scalar ``*``,
+    :meth:`adjoint`, :meth:`to_float`, :meth:`identity`, :meth:`zero`,
+    restrictions, projections, averaging operators, decomposition
+    idempotents) is valid by construction and skips that check; its
+    ``propagation`` is computed when first read.
 
-    A rational product multiplies integers.  Row ``x`` of the left operand
-    is scaled by the lcm of that row's denominators and column ``y`` of the
-    right operand by the lcm of that column's, the sparse row loop runs on
-    those numerators, and each nonzero sum is divided once by its row and
-    column lcms (an int when it divides evenly, else a Fraction).  One lcm
-    per operand would be simpler, but an operand with many distinct wide
-    denominators has an lcm thousands of bits wide, and products of
-    numerators that wide cost far more than the Fraction arithmetic they
-    replace; a row's lcm only spans the denominators that meet in that
-    row's sums.  Each operator scales its rows and its columns at most
-    once, when a product or a uniform-sum check first needs them.  Float
-    products are the plain loop over the floats.
+    A float operator stores its ``entries`` dict.  A rational one stores,
+    for each nonzero row x, one pair ``(d_x, {y: n_xy})`` of Python ints
+    with entry ``(x, y)`` equal to ``n_xy / d_x``.  The pair is kept in
+    lowest terms: d_x is the lcm of the row's reduced denominators, so
+    after any operation it is the common denominator divided by its gcd
+    with all the row's numerators.  Two rational operators are then equal
+    exactly when their rows are, an int comparison, and sums, products,
+    adjoints and row sums multiply and add ints.  A product's row x is
+    taken over d_x times the lcm of the denominators of the right
+    operand's rows that row x meets; one lcm per operand would be simpler,
+    but an operand with many distinct wide denominators has an lcm
+    thousands of bits wide.  Rows are never changed once stored, so
+    operators share them.  ``entries`` of a rational operator is a view
+    built when first read: an int wherever the reduced denominator is 1
+    and a ``Fraction`` otherwise.  Float products are the plain loop over
+    the floats.
     """
 
-    __slots__ = ("space", "mode", "entries", "_propagation", "_csr", "_float",
-                 "_row_scaled", "_col_scaled")
+    __slots__ = ("space", "mode", "_rows", "_entries", "_propagation", "_csr", "_float")
 
     def __init__(self, space: FiniteSpace, entries: Mapping, mode: str = MODE_RATIONAL):
         _check_mode(mode)
-        self._store(space, {(int(x), int(y)): _check_value(v, mode)
-                            for (x, y), v in entries.items()}, mode)
+        values = {(int(x), int(y)): _check_value(v, mode) for (x, y), v in entries.items()}
+        self._store(space, _rows_of(values) if mode == MODE_RATIONAL else values, mode)
         self._propagation = support_diameter(space, *self._pairs())
 
-    def _store(self, space: FiniteSpace, entries: Mapping, mode: str):
-        """Keep ``entries`` with zeros dropped and keys sorted."""
+    def _store(self, space: FiniteSpace, data: Mapping, mode: str):
+        """Keep ``data``: a rational operator's rows in lowest terms, or a
+        float operator's entries, kept with zeros dropped and keys sorted."""
         self.space = space
         self.mode = mode
-        self.entries = {k: entries[k] for k in sorted(entries) if entries[k] != 0}
+        if mode == MODE_RATIONAL:
+            self._rows = data
+            self._entries = None
+        else:
+            self._rows = None
+            self._entries = {k: data[k] for k in sorted(data) if data[k] != 0}
         self._propagation = None
         self._csr = None
         self._float = None
-        self._row_scaled = None
-        self._col_scaled = None
 
     @classmethod
-    def _sealed(cls, space: FiniteSpace, entries: Mapping, mode: str) -> "FinitePropOp":
-        """An operator whose support is controlled by construction: the
-        package's own results skip the checks and run no numpy."""
+    def _sealed(cls, space: FiniteSpace, data: Mapping,
+                mode: str = MODE_RATIONAL) -> "FinitePropOp":
+        """An operator whose support is controlled by construction, from what
+        :meth:`_store` keeps: the package's own results skip the checks and
+        run no numpy."""
         _check_mode(mode)
         op = cls.__new__(cls)
-        op._store(space, entries, mode)
+        op._store(space, data, mode)
         return op
+
+    @classmethod
+    def _ones(cls, space: FiniteSpace, pairs: Iterable[tuple[int, int]]) -> "FinitePropOp":
+        """The rational 0/1 operator with a 1 at each ``(x, y)``, one per row."""
+        return cls._sealed(space, {x: (1, {y: 1}) for x, y in pairs})
+
+    @property
+    def entries(self) -> dict:
+        """``{(x, y): value}`` in sorted pair order, zeros dropped."""
+        if self._entries is None:
+            view = {}
+            for x in sorted(self._rows):
+                d, row = self._rows[x]
+                for y in sorted(row):
+                    view[(x, y)] = _exact_value(row[y], d)
+            self._entries = view
+        return self._entries
 
     @property
     def propagation(self) -> float:
@@ -180,20 +259,17 @@ class FinitePropOp:
             self._propagation = support_diameter(self.space, *self._pairs())
         return self._propagation
 
-    def _pairs(self):
-        """Row and column index arrays of the support, in entry order."""
-        keys = np.fromiter(chain.from_iterable(self.entries), dtype=np.int64,
-                           count=2 * len(self.entries)).reshape(-1, 2)
-        return keys[:, 0], keys[:, 1]
+    def _keys(self):
+        """The support pairs: in entry order for a float operator, by row otherwise."""
+        if self._rows is None:
+            return self._entries
+        return ((x, y) for x, (_, row) in self._rows.items() for y in row)
 
-    def _scaled_lines(self, axis: int):
-        """``_scaled(self.entries, axis, n)``, made once per operator and axis."""
-        slot = ("_row_scaled", "_col_scaled")[axis]
-        out = getattr(self, slot)
-        if out is None:
-            out = _scaled(self.entries, axis, self.space.n_points)
-            setattr(self, slot, out)
-        return out
+    def _pairs(self):
+        """Row and column index arrays of the support."""
+        keys = np.fromiter(chain.from_iterable(self._keys()), dtype=np.int64,
+                           count=2 * self.nnz).reshape(-1, 2)
+        return keys[:, 0], keys[:, 1]
 
     # -- constructors ------------------------------------------------------
 
@@ -203,8 +279,10 @@ class FinitePropOp:
 
     @classmethod
     def identity(cls, space: FiniteSpace, mode: str = MODE_RATIONAL) -> "FinitePropOp":
-        one = 1 if mode == MODE_RATIONAL else 1.0
-        return cls._sealed(space, {(i, i): one for i in range(space.n_points)}, mode)
+        diagonal = ((i, i) for i in range(space.n_points))
+        if mode == MODE_RATIONAL:
+            return cls._ones(space, diagonal)
+        return cls._sealed(space, dict.fromkeys(diagonal, 1.0), mode)
 
     @classmethod
     def diagonal(cls, space: FiniteSpace, values, mode: str = MODE_RATIONAL) -> "FinitePropOp":
@@ -219,19 +297,22 @@ class FinitePropOp:
 
     def __repr__(self) -> str:
         return (f"FinitePropOp({self.space.name!r}, mode={self.mode!r}, "
-                f"nnz={len(self.entries)}, propagation={self.propagation})")
+                f"nnz={self.nnz}, propagation={self.propagation})")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinitePropOp):
             return NotImplemented
         return (self.space is other.space and self.mode == other.mode
-                and self.entries == other.entries)
+                and (self._entries == other._entries if self._rows is None
+                     else self._rows == other._rows))
 
     __hash__ = None
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        if self._rows is None:
+            return len(self._entries)
+        return sum(len(row) for _, row in self._rows.values())
 
     @property
     def sup_entry_norm(self) -> float:
@@ -240,7 +321,7 @@ class FinitePropOp:
 
     def support(self) -> ControlledSet:
         """The support as a controlled set (exact diameter = propagation)."""
-        return ControlledSet(self.space, frozenset(self.entries), self.propagation)
+        return ControlledSet(self.space, frozenset(self._keys()), self.propagation)
 
     # -- algebra -----------------------------------------------------------
 
@@ -260,10 +341,15 @@ class FinitePropOp:
     def __rmul__(self, scalar) -> "FinitePropOp":
         scalar = _check_value(scalar, self.mode)
         if scalar == 0:
-            return FinitePropOp._sealed(self.space, {}, self.mode)
-        return FinitePropOp._sealed(self.space,
-                                    {k: scalar * v for k, v in self.entries.items()},
-                                    self.mode)
+            return FinitePropOp.zero(self.space, self.mode)
+        if self._rows is None:
+            return FinitePropOp._sealed(self.space,
+                                        {k: scalar * v for k, v in self._entries.items()},
+                                        self.mode)
+        p, q = scalar.numerator, scalar.denominator
+        return FinitePropOp._sealed(self.space, {
+            x: _lowest(d * q, {y: p * n for y, n in row.items()})
+            for x, (d, row) in self._rows.items()})
 
     def __mul__(self, scalar) -> "FinitePropOp":
         if isinstance(scalar, FinitePropOp):
@@ -274,57 +360,79 @@ class FinitePropOp:
         if not isinstance(other, FinitePropOp):
             return NotImplemented
         _check_compatible(self.space, self.mode, other)
-        left, right = self.entries, other.entries
-        rows = cols = None
-        if self.mode == MODE_RATIONAL:
-            # integer numerators: row x of self times rows[x], column y of
-            # other times cols[y], so the loop below multiplies ints
-            n = self.space.n_points
-            rows, left = self._scaled_lines(0)
-            cols, right = other._scaled_lines(1)
-        orows: dict[int, list[tuple[int, Scalar]]] = {}
-        for (z, y), b in right.items():
-            orows.setdefault(z, []).append((y, b))
-        acc: dict[tuple[int, int], Scalar] = {}
-        for (x, z), a in left.items():
-            for y, b in orows.get(z, ()):
-                key = (x, y)
-                acc[key] = acc.get(key, 0) + a * b
-        if rows or cols:
-            rows = rows or [1] * n
-            cols = cols or [1] * n
-            exact = {}
-            for (x, y), s in acc.items():
-                if s:
-                    d = rows[x] * cols[y]
-                    exact[(x, y)] = Fraction(s, d) if s % d else s // d
-            acc = exact
-        return FinitePropOp._sealed(self.space, acc, self.mode)
+        if self._rows is None:
+            orows: dict[int, list[tuple[int, Scalar]]] = {}
+            for (z, y), b in other._entries.items():
+                orows.setdefault(z, []).append((y, b))
+            acc: dict[tuple[int, int], Scalar] = {}
+            for (x, z), a in self._entries.items():
+                for y, b in orows.get(z, ()):
+                    key = (x, y)
+                    acc[key] = acc.get(key, 0) + a * b
+            return FinitePropOp._sealed(self.space, acc, self.mode)
+        right = other._rows
+        rows, done = {}, {}
+        for x, row in self._rows.items():
+            # operators share rows (a projection's block shares one), and
+            # each distinct row is multiplied once
+            key = id(row)
+            if key not in done:
+                done[key] = _row_product(row, right)
+            if done[key] is not None:
+                rows[x] = done[key]
+        return FinitePropOp._sealed(self.space, rows)
 
     def adjoint(self) -> "FinitePropOp":
-        if self.mode == MODE_RATIONAL:
-            # rational entries are real; Fraction.conjugate() would copy each one
-            flipped = {(y, x): v for (x, y), v in self.entries.items()}
-        else:
-            flipped = {(y, x): v.conjugate() for (x, y), v in self.entries.items()}
-        return FinitePropOp._sealed(self.space, flipped, self.mode)
+        if self._rows is None:
+            return FinitePropOp._sealed(
+                self.space, {(y, x): v.conjugate() for (x, y), v in self._entries.items()},
+                self.mode)
+        # rational entries are real: a transpose, each column over the lcm
+        # of the row denominators it crosses
+        rows = self._rows
+        cols: dict[int, dict[int, int]] = {}
+        lcms: dict[int, int] = {}
+        for x, (d, row) in rows.items():
+            for y, n in row.items():
+                col = cols.get(y)
+                if col is None:
+                    cols[y] = {x: n}
+                    lcms[y] = d
+                else:
+                    col[x] = n
+                    if lcms[y] % d:
+                        lcms[y] = math.lcm(lcms[y], d)
+        out = {}
+        for y, col in cols.items():
+            m = lcms[y]
+            if m != 1:
+                col = {x: n if rows[x][0] == m else n * (m // rows[x][0])
+                       for x, n in col.items()}
+            out[y] = _lowest(m, col)
+        return FinitePropOp._sealed(self.space, out)
 
     # -- conversions -------------------------------------------------------
 
     def to_float(self) -> "FinitePropOp":
-        """Explicit promotion to float mode (the only direction allowed)."""
+        """Explicit promotion to float mode (the only direction allowed).
+
+        An entry n / d is correctly rounded, as ``float(Fraction(n, d))`` is.
+        """
         if self.mode == MODE_FLOAT:
             return self
         if self._float is None:
             self._float = FinitePropOp._sealed(
-                self.space, {k: float(v) for k, v in self.entries.items()}, MODE_FLOAT)
+                self.space, {(x, y): n / d for x, (d, row) in self._rows.items()
+                             for y, n in row.items()}, MODE_FLOAT)
         return self._float
 
     def _coo(self):
         """Row, column and value arrays; values complex if any entry is, else float."""
-        vals = self.entries.values()
+        if self._rows is not None:
+            return self.to_float()._coo()
+        vals = self._entries.values()
         dtype = float
-        if self.mode == MODE_FLOAT and any(isinstance(v, complex) for v in vals):
+        if any(isinstance(v, complex) for v in vals):
             dtype = complex
         return (*self._pairs(), np.fromiter(vals, dtype=dtype, count=len(vals)))
 
@@ -351,19 +459,29 @@ def operator_sum(space: FiniteSpace, ops: Iterable[FinitePropOp], mode: str) -> 
 
     ``a + b`` is ``operator_sum(a.space, (a, b), a.mode)``.  Each entry is
     summed left to right in the order of ``ops``, so the result equals
-    folding ``+`` over ``ops``, float bits included; it is accumulated in
-    one pass and sorted once rather than once per term.
+    folding ``+`` over ``ops``, float bits included; float entries are
+    accumulated in one pass and sorted once rather than once per term.
     """
     _check_mode(mode)
     acc = None
     for op in ops:
         _check_compatible(space, mode, op)
+        terms = op._entries if op._rows is None else op._rows
         if acc is None:
-            acc = dict(op.entries)
-            continue
-        for k, v in op.entries.items():
-            s = acc.get(k)
-            acc[k] = v if s is None else s + v
+            acc = dict(terms)
+        elif op._rows is None:
+            for k, v in terms.items():
+                s = acc.get(k)
+                acc[k] = v if s is None else s + v
+        else:
+            for x, row in terms.items():
+                s = acc.get(x)
+                if s is None:
+                    acc[x] = row
+                elif (s := _row_sum(s, row)) is None:
+                    del acc[x]
+                else:
+                    acc[x] = s
     return FinitePropOp._sealed(space, acc or {}, mode)
 
 
@@ -375,6 +493,13 @@ def row_sum_diagonal(op: FinitePropOp) -> FinitePropOp:
     This map is linear, fixes diagonal operators, and for a partial
     translation matrix it returns the indicator of the image.
     """
+    if op._rows is not None:
+        rows = {}
+        for x, (d, row) in op._rows.items():
+            s = sum(row.values())
+            if s:
+                rows[x] = _lowest(d, {x: s})
+        return FinitePropOp._sealed(op.space, rows)
     sums: dict[tuple[int, int], Scalar] = {}
     for (x, _), v in op.entries.items():
         sums[(x, x)] = sums.get((x, x), 0) + v
@@ -392,24 +517,18 @@ def _all_sums(op: FinitePropOp):
 
 
 def _exact_uniform_sum(op: FinitePropOp):
-    """:func:`uniform_sum_value` in rational mode, summing integer numerators.
-
-    Line ``i`` sums to ``sums[i] / lcms[i]``; each is compared with row 0's
-    sum by cross-multiplying, so no ``Fraction`` is built but the result.
-    """
+    """:func:`uniform_sum_value` in rational mode: the row sums of ``op`` and
+    of its adjoint, each a reduced ``(d, s)``, must all be one pair."""
     n = op.space.n_points
-    num = den = None
-    for axis in (0, 1):
-        lcms, scaled = op._scaled_lines(axis)
-        lcms = lcms or [1] * n
-        sums = [0] * n
-        for k, v in scaled.items():
-            sums[k[axis]] += v
-        if num is None:
-            num, den = sums[0], lcms[0]
-        if any(s * den != num * m for s, m in zip(sums, lcms)):
-            return None
-    return Fraction(num, den) if num % den else num // den
+    found = set()
+    for lines in (op, op.adjoint()):
+        sums = [(d, s) for d, row in row_sum_diagonal(lines)._rows.values() for s in row.values()]
+        # row_sum_diagonal drops the lines that sum to 0
+        found.update(sums if len(sums) == n else [*sums, (1, 0)])
+    if len(found) != 1:
+        return None
+    (d, s), = found
+    return _exact_value(s, d)
 
 
 def uniform_sum_value(op: FinitePropOp, tol=None):
@@ -496,9 +615,10 @@ class PartialTranslation:
 
     def as_operator(self, mode: str = MODE_RATIONAL) -> FinitePropOp:
         _check_mode(mode)
-        one = 1 if mode == MODE_RATIONAL else 1.0
-        return FinitePropOp._sealed(self.space,
-                                    {(x, y): one for y, x in self.mapping.items()}, mode)
+        pairs = ((x, y) for y, x in self.mapping.items())
+        if mode == MODE_RATIONAL:
+            return FinitePropOp._ones(self.space, pairs)
+        return FinitePropOp._sealed(self.space, dict.fromkeys(pairs, 1.0), mode)
 
 
 class PermutationOp:
@@ -553,9 +673,8 @@ class PermutationOp:
     @property
     def op(self) -> FinitePropOp:
         if self._op is None:
-            self._op = FinitePropOp._sealed(
-                self.space, {(x, y): 1 for y, x in enumerate(self.perm.tolist())},
-                MODE_RATIONAL)
+            self._op = FinitePropOp._ones(
+                self.space, ((x, y) for y, x in enumerate(self.perm.tolist())))
         return self._op
 
     @property
@@ -563,7 +682,7 @@ class PermutationOp:
         return bool(np.array_equal(self.perm[self.perm], np.arange(len(self.perm))))
 
     def adjoint(self) -> "PermutationOp":
-        return PermutationOp(self.space, np.argsort(self.perm))
+        return PermutationOp._sealed(self.space, np.argsort(self.perm))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PermutationOp):

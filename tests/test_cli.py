@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import roeforge as rf
-from roeforge import cli, spectral
+from roeforge import cli, spectral, transalg
 from roeforge.cli import main
 
 
@@ -404,6 +404,36 @@ def test_verify_zero_cases_warns(capsys):
     captured = capsys.readouterr()
     assert captured.out == "PASS (0 cases)\n"
     assert "nothing was checked" in captured.err
+
+
+def test_verify_case_compares_integer_rows(monkeypatch):
+    """verify's identities compare rational operators row by row in ints:
+    no case reads an operator's entries view, and transalg makes no
+    Fraction on the way."""
+    built, fractions = [], []
+    store = transalg.FinitePropOp._store
+
+    def recording(self, space, data, mode):
+        built.append(self)
+        return store(self, space, data, mode)
+
+    def fraction(*args):
+        fractions.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(transalg.FinitePropOp, "_store", recording)
+    monkeypatch.setattr(transalg, "Fraction", fraction)
+    components = set()
+    for seed in (0, 7, 13):
+        for i in range(4):
+            rng = np.random.default_rng([seed, i])
+            space = cli._random_space(rng)
+            components.add(space.n_components)
+            cli._verify_case(rng, space)
+    assert len(components) > 1
+    assert built and {op.mode for op in built} == {rf.MODE_RATIONAL}
+    assert [op for op in built if op._entries is not None] == []
+    assert fractions == []
 
 
 def test_verify_is_deterministic(capsys):

@@ -75,8 +75,7 @@ def _fraction_loop_averaging(perms):
     for p in perms:
         for y, x in enumerate(p.perm.tolist()):
             hits[(x, y)] = hits.get((x, y), 0) + 1
-    return FinitePropOp._sealed(
-        space, {k: Fraction(c, 2 * n) for k, c in hits.items()}, rf.MODE_RATIONAL)
+    return FinitePropOp(space, {k: Fraction(c, 2 * n) for k, c in hits.items()})
 
 
 @pytest.mark.parametrize("make", [

@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import roeforge as rf
@@ -17,8 +20,9 @@ from roeforge import (
     UncontrolledSupportError,
 )
 from roeforge import transalg
-from roeforge.transalg import _scaled, operator_sum
+from roeforge.transalg import operator_sum
 from conftest import random_rational_op, random_space
+from test_acceptance import averaging_for, components_space
 
 
 def pair_space():
@@ -140,11 +144,22 @@ def test_arithmetic_matches_dense():
     assert np.array_equal((3 * a).to_dense(), 3 * a.to_dense())
 
 
-# -- exact products against the plain Fraction loop -------------------------
+# -- exact arithmetic against the plain Fraction loops -----------------------
+#
+# The dict-of-Fractions arithmetic that rational operators ran before they
+# kept their rows over one denominator each.  Every ``_reference_*`` works on
+# ``entries`` only and returns an entry dict as the view shows one.
+
+def _normal(entries):
+    """``entries`` as the view shows them: keys sorted, zeros dropped, an int
+    wherever the reduced denominator is 1."""
+    return {k: int(v) if v.denominator == 1 else v
+            for k, v in sorted(entries.items()) if v != 0}
+
 
 def _reference_matmul(a, b):
     """The sparse row loop over the entry values as stored: the reference
-    for ``@`` in both modes."""
+    for ``@`` in both modes (unsorted, zeros kept)."""
     rows = {}
     for (z, y), v in b.entries.items():
         rows.setdefault(z, []).append((y, v))
@@ -152,22 +167,98 @@ def _reference_matmul(a, b):
     for (x, z), u in a.entries.items():
         for y, v in rows.get(z, ()):
             acc[(x, y)] = acc.get((x, y), 0) + u * v
-    return FinitePropOp(a.space, acc, a.mode)
+    return acc
+
+
+def _reference_sum(a, b, sign=1):
+    acc = dict(a.entries)
+    for k, v in b.entries.items():
+        acc[k] = acc.get(k, 0) + sign * v
+    return _normal(acc)
+
+
+def _reference_scale(c, a):
+    return _normal({k: c * v for k, v in a.entries.items()})
+
+
+def _reference_adjoint(a):
+    return _normal({(y, x): v for (x, y), v in a.entries.items()})
+
+
+def _reference_row_sum_diagonal(a):
+    sums = {}
+    for (x, _), v in a.entries.items():
+        sums[(x, x)] = sums.get((x, x), 0) + v
+    return _normal(sums)
+
+
+def _reference_restrict(t, m):
+    pos = {g: i for i, g in enumerate(t.space.component_points(m).tolist())}
+    return _normal({(pos[x], pos[y]): v for (x, y), v in t.entries.items() if x in pos})
+
+
+def _reference_text(space, entries, propagation):
+    pts = space.points
+    return "".join([f"operator {space.name} rational {propagation!r}\n"]
+                   + [f"entry {pts[x]} {pts[y]} {v}\n" for (x, y), v in entries.items()])
+
+
+def _assert_matches(got, want):
+    """The rational operator ``got`` shows exactly the reference entries
+    ``want``: values, value types and key order; ``==`` both ways with the
+    operator the validating constructor makes of them; text bytes; float
+    and CSR bits."""
+    assert list(got.entries.items()) == list(want.items())
+    assert [type(v) for v in got.entries.values()] == [type(v) for v in want.values()]
+    ref = FinitePropOp(got.space, want)
+    assert got == ref and ref == got
+    assert rf.operator_to_text(got) == _reference_text(got.space, want, ref.propagation)
+    floats = [float(v) for v in want.values()]
+    flo = got.to_float().entries
+    assert list(flo) == list(want)
+    assert [v.hex() for v in flo.values()] == [v.hex() for v in floats]
+    n = got.space.n_points
+    keys = np.array(list(want), dtype=np.int64).reshape(-1, 2)
+    csr = scipy.sparse.csr_matrix((np.array(floats, dtype=float), (keys[:, 0], keys[:, 1])),
+                                  shape=(n, n))
+    for attr in ("indptr", "indices", "data"):
+        mine, theirs = getattr(got.to_csr(), attr), getattr(csr, attr)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
+def _assert_reference_algebra(a, b):
+    """Every exact operation on ``a`` and ``b`` against its Fraction reference."""
+    _assert_matches(a + b, _reference_sum(a, b))
+    _assert_matches(a - b, _reference_sum(a, b, -1))
+    _assert_matches(a @ b, _normal(_reference_matmul(a, b)))
+    for c in (0, 3, -1, Fraction(0), Fraction(-7, 5), Fraction(10**6 + 3, 10**6)):
+        _assert_matches(c * a, _reference_scale(c, a))
+    for op in (a, b):
+        _assert_matches(op.adjoint(), _reference_adjoint(op))
+        _assert_matches(rf.row_sum_diagonal(op), _reference_row_sum_diagonal(op))
+        for m in range(op.space.n_components):
+            _assert_matches(rf.restrict(op, m), _reference_restrict(op, m))
+        got, want = rf.uniform_sum_value(op), _reference_uniform_sum(op)
+        assert got == want
+        if want is not None:
+            assert type(got) is (int if want.denominator == 1 else Fraction)
 
 
 def _assert_reference_product(a, b):
-    got, want = a @ b, _reference_matmul(a, b)
+    got, want = a @ b, FinitePropOp(a.space, _reference_matmul(a, b), a.mode)
     assert got == want
     assert list(got.entries) == list(want.entries)
     assert [str(v) for v in got.entries.values()] == [str(v) for v in want.entries.values()]
     assert got.propagation == want.propagation
 
 
-# entry kinds: integers; small denominators; distinct ~40-bit denominators,
-# whose lcm over a whole operand is hundreds of bits wide
+# entry kinds: integers; small denominators; denominators up to 10**6;
+# distinct ~40-bit denominators, whose lcm over a whole operand is hundreds
+# of bits wide
 _ENTRY_KINDS = {
     "int": lambda rng, num: num,
     "small": lambda rng, num: Fraction(num, int(rng.integers(1, 5))),
+    "wide": lambda rng, num: Fraction(num, int(rng.integers(1, 10**6 + 1))),
     "big": lambda rng, num: Fraction(num, int(rng.integers(2**40, 2**41))),
 }
 
@@ -182,50 +273,22 @@ def _op_of_kind(rng, sp, kind, density=0.5):
 
 
 def test_exact_product_kinds():
-    """Each row or column is scaled by the lcm of its own denominators, not
+    """Each row is kept over the lcm of its own reduced denominators, not
     the operand's, and every pairing of kinds equals the Fraction loop."""
     rng = np.random.default_rng(5)
     sp = rf.make_cycle(6)
     ops = {kind: _op_of_kind(rng, sp, kind) for kind in _ENTRY_KINDS}
-    assert _scaled(ops["int"].entries, 0, 6) == (None, ops["int"].entries)
-    for kind in ("small", "big"):
-        entries = ops[kind].entries
-        for axis in (0, 1):
-            lcms, scaled = _scaled(entries, axis, 6)
-            for k, v in entries.items():
-                m = math.lcm(*(w.denominator for j, w in entries.items()
-                               if j[axis] == k[axis]))
-                assert lcms[k[axis]] == m
-                assert type(scaled[k]) is int and scaled[k] == v * m
+    assert {d for d, _ in ops["int"]._rows.values()} == {1}
+    for op in ops.values():
+        for x, (d, row) in op._rows.items():
+            values = [v for (i, _), v in op.entries.items() if i == x]
+            assert d == math.lcm(*(v.denominator for v in values))
+            assert all(type(n) is int for n in row.values())
     whole = math.lcm(*(v.denominator for v in ops["big"].entries.values()))
-    assert max(_scaled(ops["big"].entries, 0, 6)[0]) < whole
+    assert max(d for d, _ in ops["big"]._rows.values()) < whole
     for a in ops.values():
         for b in ops.values():
             _assert_reference_product(a, b)
-
-
-def test_exact_product_scales_each_axis_once(monkeypatch):
-    """Products and uniform-sum checks reuse each operator's scaled rows and
-    columns: no operator scales an axis twice, and products stay equal to
-    the Fraction loop."""
-    seen = []
-
-    def recording(entries, axis, n):
-        assert not any(e is entries and a == axis for e, a in seen)
-        seen.append((entries, axis))
-        return _scaled(entries, axis, n)
-
-    monkeypatch.setattr(transalg, "_scaled", recording)
-    rng = np.random.default_rng(8)
-    sp = rf.make_cycle(6)
-    ops = [_op_of_kind(rng, sp, kind) for kind in ("small", "big", "int")]
-    for _ in range(2):
-        for a in ops:
-            for b in ops:
-                _assert_reference_product(a, b)
-            rf.uniform_sum_value(a)
-    assert {(id(e), axis) for e, axis in seen} == {
-        (id(op.entries), axis) for op in ops for axis in (0, 1)}
 
 
 def test_exact_product_integer_valued_sums():
@@ -263,6 +326,41 @@ def test_exact_product_matches_fraction_loop(seed, n, left, right):
     _assert_reference_product(a, a.adjoint() - b)
     # float products are the same loop over floats, bit for bit
     _assert_reference_product(a.to_float(), b.to_float())
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10**6), st.integers(2, 8),
+       st.sampled_from(sorted(_ENTRY_KINDS)), st.sampled_from(sorted(_ENTRY_KINDS)))
+def test_exact_algebra_matches_the_fraction_reference(seed, n, left, right):
+    rng = np.random.default_rng(seed)
+    sp = random_space(rng, max_points=n, max_blocks=2)
+    a = _op_of_kind(rng, sp, left)
+    b = _op_of_kind(rng, sp, right)
+    _assert_reference_algebra(a, b)
+    _assert_reference_algebra(a @ b, a.adjoint() - b)
+
+
+def test_exact_algebra_matches_the_fraction_reference_on_wide_powers():
+    """Criterion 4's operators: A^k up to A^20, whose denominators reach
+    (2n)^20, and (A - P)^k, each against the Fraction loop run alongside."""
+    rng = np.random.default_rng(104)
+    for case in range(8):
+        sp = components_space(rng, int(rng.integers(1, 4)))
+        a = averaging_for(sp).op
+        p = rf.kazhdan_projection(sp).op
+        gap = a - p
+        a_pow, gap_pow = a, gap
+        ref_a, ref_gap = a.entries, gap.entries
+        for k in range(1, 21):
+            _assert_matches(a_pow, _normal(ref_a))
+            _assert_matches(gap_pow, _normal(ref_gap))
+            if k < 20:
+                a_pow, gap_pow = a_pow @ a, gap_pow @ gap
+                ref_a = _reference_matmul(SimpleNamespace(entries=ref_a), a)
+                ref_gap = _reference_matmul(SimpleNamespace(entries=ref_gap), gap)
+        assert rf.uniform_sum_value(a_pow) == 1 and rf.uniform_sum_value(gap_pow) == 0
+        _assert_reference_algebra(a_pow, gap_pow)
+        _assert_reference_algebra(gap_pow, p)
 
 
 def test_operator_sum():
