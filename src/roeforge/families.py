@@ -238,6 +238,8 @@ def load_manifest(source) -> tuple[str, dict, list[FiniteSpace]]:
         members = data["members"]
     except KeyError as exc:
         raise ManifestError(f"manifest lacks required key {exc.args[0]!r}") from None
+    if not isinstance(family, str):
+        raise ManifestError("'family' must be a string")
     params = data.get("params", {})
     if not isinstance(params, Mapping):
         raise ManifestError("'params' must be an object")
@@ -260,6 +262,6 @@ def load_manifest(source) -> tuple[str, dict, list[FiniteSpace]]:
             spaces.append(ctor(**kwargs))
         except TypeError as exc:
             raise ManifestError(f"member {i}: {exc}") from None
-        except (ValueError, FamilyError) as exc:
+        except (ValueError, OverflowError, FamilyError) as exc:
             raise ManifestError(f"member {i}: {exc}") from None
     return family, dict(params), spaces

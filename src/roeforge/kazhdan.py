@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -46,7 +45,7 @@ from .spectral import (
     eigvec_power_norms,
     extreme_eig_matvec,
 )
-from .transalg import MODE_FLOAT, MODE_RATIONAL, FinitePropOp, PermutationOp, _lowest
+from .transalg import MODE_FLOAT, FinitePropOp, PermutationOp, _lowest
 
 __all__ = [
     "AveragingOp",
@@ -110,24 +109,23 @@ class AveragingOp:
     keys: np.ndarray = field(compare=False, repr=False)
     counts: np.ndarray = field(compare=False, repr=False)
 
-    def _pairs(self):
-        """The support's ``(x, y)``, in key order."""
-        return map(divmod, self.keys.tolist(), repeat(self.space.n_points))
+    def _rows_over(self, values: list, d: int) -> dict:
+        """The rows ``values`` over ``d`` make, one value per key, in lowest terms."""
+        rows: dict[int, dict] = {}
+        xs, ys = np.divmod(self.keys, self.space.n_points)
+        for x, y, v in zip(xs.tolist(), ys.tolist(), values):
+            rows.setdefault(x, {})[y] = v
+        return {x: _lowest(d, row) for x, row in rows.items()}
 
     @cached_property
     def csr(self) -> sp.csr_matrix:
         # numpy divides exactly; scipy's csr / scalar multiplies by 1/(2n)
         values = (self.counts / (2 * self.n)).tolist()
-        return FinitePropOp._sealed(self.space, dict(zip(self._pairs(), values)),
-                                    MODE_FLOAT).to_csr()
+        return FinitePropOp._sealed(self.space, self._rows_over(values, 1), MODE_FLOAT).to_csr()
 
     @cached_property
     def op(self) -> FinitePropOp:
-        rows: dict[int, dict] = {}
-        for (x, y), c in zip(self._pairs(), self.counts.tolist()):
-            rows.setdefault(x, {})[y] = c
-        d = 2 * self.n
-        return FinitePropOp._sealed(self.space, {x: _lowest(d, row) for x, row in rows.items()})
+        return FinitePropOp._sealed(self.space, self._rows_over(self.counts.tolist(), 2 * self.n))
 
 
 def build_averaging(perms: Iterable[PermutationOp]) -> AveragingOp:
@@ -217,20 +215,13 @@ def restrict(t: FinitePropOp, m: int) -> FinitePropOp:
     sub = t.space.component_space(m)
     idx = t.space.component_points(m).tolist()
     pos = {g: i for i, g in enumerate(idx)}
-    if t.mode == MODE_RATIONAL:
-        # a row keeps its denominator and numerators, so stays in lowest terms
-        rows = {}
-        for x in idx:
-            r = t._rows.get(x)
-            if r is not None:
-                rows[pos[x]] = (r[0], {pos[y]: n for y, n in r[1].items()})
-        return FinitePropOp._sealed(sub, rows)
-    entries = {}
-    for (x, y), v in t.entries.items():
-        px = pos.get(x)
-        if px is not None:
-            entries[(px, pos[y])] = v
-    return FinitePropOp._sealed(sub, entries, t.mode)
+    # a row keeps its denominator and numerators, so stays in lowest terms
+    rows = {}
+    for x in idx:
+        r = t._rows.get(x)
+        if r is not None:
+            rows[pos[x]] = (r[0], {pos[y]: n for y, n in r[1].items()})
+    return FinitePropOp._sealed(sub, rows, t.mode)
 
 
 class RateConstants(NamedTuple):

@@ -618,7 +618,7 @@ def is_generating(space: FiniteSpace, e: ControlledSet,
 def _parse_weight(token: str) -> float:
     try:
         w = float(Fraction(token))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"bad edge weight {token!r}")
     return w
 

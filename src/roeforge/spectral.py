@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NotSelfAdjointError, SpectralError
-from .transalg import MODE_RATIONAL, FinitePropOp
+from .transalg import MODE_RATIONAL, FinitePropOp, _in_order
 
 __all__ = [
     "DENSE_CUTOFF",
@@ -95,8 +95,9 @@ def require_self_adjoint(op: FinitePropOp, tol: float = 1e-12) -> None:
             raise NotSelfAdjointError(f"entry ({x}, {y}) has no matching conjugate entry")
         return
     scale = max(1.0, op.sup_entry_norm)
-    for (x, y), v in op.entries.items():
-        w = op.entries.get((y, x), 0.0)
+    rows = op._rows
+    for x, _, y, v in _in_order(rows):
+        w = rows[y][1].get(x, 0.0) if y in rows else 0.0
         if abs(v - complex(w).conjugate()) > tol * scale:
             raise NotSelfAdjointError(
                 f"entries ({x}, {y}) and ({y}, {x}) differ beyond tolerance")

@@ -7,15 +7,21 @@ same coarse component, and the largest distance over the support is the
 operator's *propagation*.  Together these matrices form a *-algebra; this
 module implements it in two scalar modes:
 
-* ``"rational"`` — entries are ``int`` / ``Fraction``, each row kept as
-  integer numerators over one denominator; sums and products are exact,
-  which is what the algebraic identities in :mod:`roeforge.kazhdan` are
-  verified in;
+* ``"rational"`` — entries are ``int`` / ``Fraction``; sums and products
+  are exact, which is what the algebraic identities in
+  :mod:`roeforge.kazhdan` are verified in;
 * ``"float"`` — entries are ``float`` / ``complex``; this is the mode the
   spectral routines consume.
 
-Conversion is explicit and one-way (:meth:`FinitePropOp.to_float`); mixing
-modes in arithmetic raises :class:`~roeforge.errors.ScalarModeError`.
+Both modes keep an operator the same way, as rows ``(d, {y: n})`` meaning
+entry ``(x, y) = n / d``: a rational row holds integer numerators over one
+denominator, a float row holds its values over 1.  Every operation is one
+body over those rows; the modes differ only in how a value is read in
+(:func:`_as_ratio`), in :meth:`FinitePropOp.adjoint` (float values are
+conjugated) and in which values :meth:`FinitePropOp.to_float` and the
+matrix conversions read.  Conversion is explicit and one-way
+(:meth:`FinitePropOp.to_float`); mixing modes in arithmetic raises
+:class:`~roeforge.errors.ScalarModeError`.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,8 +61,6 @@ __all__ = [
 MODE_RATIONAL = "rational"
 MODE_FLOAT = "float"
 
-Scalar = Union[int, Fraction, float, complex]
-
 _RATIONAL_TYPES = (int, Fraction)
 _FLOAT_TYPES = (int, float, complex, Fraction)
 
@@ -67,8 +71,9 @@ def _check_mode(mode: str):
 
 
 def _lowest(d: int, row: dict) -> tuple:
-    """``(d, row)``, nonzero int numerators over ``d > 0``, in lowest terms:
-    both divided by the gcd of ``d`` and all of ``row``, one C-level call."""
+    """``(d, row)``, nonzero numerators over ``d > 0``, in lowest terms: both
+    divided by the gcd of ``d`` and all of ``row``, one C-level call.  A
+    float row, over 1, is kept as it is."""
     if d == 1:
         return 1, row
     g = math.gcd(d, *row.values())
@@ -86,46 +91,58 @@ def _reduced(d: int, acc: dict):
     return _lowest(d, acc)
 
 
-def _rows_of(entries: Mapping) -> dict:
-    """The rows of a mapping ``(x, y) -> int | Fraction``, zeros dropped.
+def _rows_of(ratios: Mapping) -> dict:
+    """The rows of a mapping ``(x, y) -> (p, q)`` of :func:`_as_ratio`
+    values, zeros dropped.
 
     Over the lcm of a row's reduced denominators the numerators already
     have no common factor with it, so no gcd is taken.
     """
     grouped: dict[int, dict] = {}
-    for (x, y), v in entries.items():
-        if v:
-            grouped.setdefault(x, {})[y] = v.as_integer_ratio()
+    for (x, y), (p, q) in ratios.items():
+        if p:
+            grouped.setdefault(x, {})[y] = (p, q)
     rows = {}
     for x, row in grouped.items():
         d = math.lcm(*[q for _, q in row.values()])
-        rows[x] = (d, {y: p * (d // q) for y, (p, q) in row.items()})
+        rows[x] = (d, {y: p if q == d else p * (d // q) for y, (p, q) in row.items()})
     return rows
 
 
-def _row_sum(a: tuple, b: tuple):
-    """The sum of two rows ``(d, numerators)``, reduced; None if it is 0."""
+def _row_sum(a: tuple, b: tuple) -> tuple:
+    """The sum of two rows ``(d, numerators)``, zeros kept and not reduced.
+
+    A numerator is scaled only when its denominator changes, and one in
+    ``b`` alone is taken as it is: ``v * 1`` and ``0 + v`` can both flip
+    the sign of a complex value's zero imaginary part.
+    """
     (da, ra), (db, rb) = a, b
     d = math.lcm(da, db)
     fa, fb = d // da, d // db
-    acc = {y: n * fa for y, n in ra.items()}
+    acc = dict(ra) if fa == 1 else {y: n * fa for y, n in ra.items()}
+    get = acc.get
     for y, n in rb.items():
-        acc[y] = acc.get(y, 0) + n * fb
-    return _reduced(d, acc)
+        if fb != 1:
+            n *= fb
+        s = get(y)
+        acc[y] = n if s is None else s + n
+    return d, acc
 
 
 def _row_product(left: tuple, right: dict):
     """Row ``left`` times the operator whose rows are ``right``; None if 0.
 
     The sum is taken over ``d`` times the lcm of the denominators of the
-    rows of ``right`` that ``left`` meets.
+    rows of ``right`` that ``left`` meets, over the columns of ``left`` in
+    ascending order, so that float sums round the same way every time.
     """
     d, row = left
-    met = [(a, right[z]) for z, a in row.items() if z in right]
+    met = [(row[z], right[z]) for z in sorted(row) if z in right]
     if not met:
         return None
-    if d == 1 and len(met) == 1 and met[0][0] == 1:
-        # a row with one 1 picks a row of the right operand: share it
+    if d == 1 and len(met) == 1 and type(met[0][0]) is int and met[0][0] == 1:
+        # an int row with one 1 picks a row of the right operand: share it
+        # (a float row is summed as 0 + 1.0 * v, whose bits can differ)
         return met[0][1]
     m = math.lcm(*[dz for _, (dz, _) in met])
     acc = {}
@@ -138,9 +155,20 @@ def _row_product(left: tuple, right: dict):
     return _reduced(d * m, acc)
 
 
-def _exact_value(n: int, d: int):
-    """``n / d`` as the entry view shows it: an int, or a reduced Fraction."""
+def _exact_value(n, d: int):
+    """``n / d`` as the entry view shows it: the stored value over 1, else
+    an int or a reduced Fraction."""
+    if d == 1:
+        return n
     return n // d if n % d == 0 else Fraction(n, d)
+
+
+def _in_order(rows: dict):
+    """``(x, d, y, n)`` for each stored numerator, in sorted pair order."""
+    for x in sorted(rows):
+        d, row = rows[x]
+        for y in sorted(row):
+            yield x, d, y, row[y]
 
 
 def _check_compatible(space: FiniteSpace, mode: str, op: "FinitePropOp"):
@@ -153,19 +181,19 @@ def _check_compatible(space: FiniteSpace, mode: str, op: "FinitePropOp"):
             "convert explicitly with to_float()")
 
 
-def _check_value(v, mode: str):
-    """Validate and normalise one entry value for the given mode."""
+def _as_ratio(v, mode: str) -> tuple:
+    """Validate one entry value for the given mode, as ``(p, q)`` with value
+    ``p / q``: in lowest terms in rational mode, a float or complex over 1
+    in float mode."""
     if isinstance(v, bool):
         raise TypeError("bool is not a valid entry value")
     if mode == MODE_RATIONAL:
         if not isinstance(v, _RATIONAL_TYPES):
             raise TypeError(f"rational mode takes int/Fraction entries, got {type(v).__name__}")
-        return v
+        return v.as_integer_ratio()
     if not isinstance(v, _FLOAT_TYPES):
         raise TypeError(f"float mode takes numeric entries, got {type(v).__name__}")
-    if isinstance(v, complex):
-        return v
-    return float(v)
+    return (v if isinstance(v, complex) else float(v)), 1
 
 
 class FinitePropOp:
@@ -183,73 +211,65 @@ class FinitePropOp:
     idempotents) is valid by construction and skips that check; its
     ``propagation`` is computed when first read.
 
-    A float operator stores its ``entries`` dict.  A rational one stores,
-    for each nonzero row x, one pair ``(d_x, {y: n_xy})`` of Python ints
-    with entry ``(x, y)`` equal to ``n_xy / d_x``.  The pair is kept in
-    lowest terms: d_x is the lcm of the row's reduced denominators, so
-    after any operation it is the common denominator divided by its gcd
-    with all the row's numerators.  Two rational operators are then equal
-    exactly when their rows are, an int comparison, and sums, products,
-    adjoints and row sums multiply and add ints.  A product's row x is
-    taken over d_x times the lcm of the denominators of the right
-    operand's rows that row x meets; one lcm per operand would be simpler,
-    but an operand with many distinct wide denominators has an lcm
-    thousands of bits wide.  Rows are never changed once stored, so
-    operators share them.  ``entries`` of a rational operator is a view
-    built when first read: an int wherever the reduced denominator is 1
-    and a ``Fraction`` otherwise.  Float products are the plain loop over
-    the floats.
+    Both modes store, for each nonzero row x, one pair ``(d_x, {y: n_xy})``
+    with entry ``(x, y)`` equal to ``n_xy / d_x``.  A float row is its
+    values over 1.  A rational row holds Python ints in lowest terms: d_x
+    is the lcm of the row's reduced denominators, so after any operation
+    it is the common denominator divided by its gcd with all the row's
+    numerators.  Two operators are equal exactly when their rows are.  A
+    product's row x is taken over d_x times the lcm of the denominators of
+    the right operand's rows that row x meets; one lcm per operand would be
+    simpler, but an operand with many distinct wide denominators has an
+    lcm thousands of bits wide.  Float values are added in ascending column
+    order where the order can change their bits, along the left row of a
+    product and in a row sum.  Rows are never changed once stored, so
+    operators share them.  ``entries`` is a read-only view built when first
+    read: a float row's stored values, and for a rational row an int
+    wherever the reduced denominator is 1 and a ``Fraction`` otherwise.
     """
 
     __slots__ = ("space", "mode", "_rows", "_entries", "_propagation", "_csr", "_float")
 
     def __init__(self, space: FiniteSpace, entries: Mapping, mode: str = MODE_RATIONAL):
         _check_mode(mode)
-        values = {(int(x), int(y)): _check_value(v, mode) for (x, y), v in entries.items()}
-        self._store(space, _rows_of(values) if mode == MODE_RATIONAL else values, mode)
+        ratios = {(int(x), int(y)): _as_ratio(v, mode) for (x, y), v in entries.items()}
+        self._store(space, _rows_of(ratios), mode)
         self._propagation = support_diameter(space, *self._pairs())
 
-    def _store(self, space: FiniteSpace, data: Mapping, mode: str):
-        """Keep ``data``: a rational operator's rows in lowest terms, or a
-        float operator's entries, kept with zeros dropped and keys sorted."""
+    def _store(self, space: FiniteSpace, rows: Mapping, mode: str):
+        """Keep ``rows``, ``{x: (d, {y: n})}`` in lowest terms, zeros dropped."""
         self.space = space
         self.mode = mode
-        if mode == MODE_RATIONAL:
-            self._rows = data
-            self._entries = None
-        else:
-            self._rows = None
-            self._entries = {k: data[k] for k in sorted(data) if data[k] != 0}
+        self._rows = rows
+        self._entries = None
         self._propagation = None
         self._csr = None
         self._float = None
 
     @classmethod
-    def _sealed(cls, space: FiniteSpace, data: Mapping,
+    def _sealed(cls, space: FiniteSpace, rows: Mapping,
                 mode: str = MODE_RATIONAL) -> "FinitePropOp":
-        """An operator whose support is controlled by construction, from what
-        :meth:`_store` keeps: the package's own results skip the checks and
-        run no numpy."""
+        """An operator whose support is controlled by construction, from the
+        rows :meth:`_store` keeps: the package's own results skip the checks
+        and run no numpy."""
         _check_mode(mode)
         op = cls.__new__(cls)
-        op._store(space, data, mode)
+        op._store(space, rows, mode)
         return op
 
     @classmethod
-    def _ones(cls, space: FiniteSpace, pairs: Iterable[tuple[int, int]]) -> "FinitePropOp":
-        """The rational 0/1 operator with a 1 at each ``(x, y)``, one per row."""
-        return cls._sealed(space, {x: (1, {y: 1}) for x, y in pairs})
+    def _ones(cls, space: FiniteSpace, pairs: Iterable[tuple[int, int]],
+              mode: str = MODE_RATIONAL) -> "FinitePropOp":
+        """The 0/1 operator with a 1 at each ``(x, y)``, one per row."""
+        one, _ = _as_ratio(1, mode)
+        return cls._sealed(space, {x: (1, {y: one}) for x, y in pairs}, mode)
 
     @property
     def entries(self) -> dict:
         """``{(x, y): value}`` in sorted pair order, zeros dropped."""
         if self._entries is None:
-            view = {}
-            for x in sorted(self._rows):
-                d, row = self._rows[x]
-                for y in sorted(row):
-                    view[(x, y)] = _exact_value(row[y], d)
-            self._entries = view
+            self._entries = {(x, y): _exact_value(n, d)
+                             for x, d, y, n in _in_order(self._rows)}
         return self._entries
 
     @property
@@ -260,16 +280,17 @@ class FinitePropOp:
         return self._propagation
 
     def _keys(self):
-        """The support pairs: in entry order for a float operator, by row otherwise."""
-        if self._rows is None:
-            return self._entries
+        """The support pairs, row by row."""
         return ((x, y) for x, (_, row) in self._rows.items() for y in row)
 
     def _pairs(self):
-        """Row and column index arrays of the support."""
-        keys = np.fromiter(chain.from_iterable(self._keys()), dtype=np.int64,
-                           count=2 * self.nnz).reshape(-1, 2)
-        return keys[:, 0], keys[:, 1]
+        """Row and column index arrays of the support, row by row."""
+        rows = self._rows
+        lens = [len(row) for _, row in rows.values()]
+        xs = np.repeat(np.fromiter(rows, dtype=np.int64, count=len(rows)), lens)
+        ys = np.fromiter(chain.from_iterable([row for _, row in rows.values()]),
+                         dtype=np.int64, count=len(xs))
+        return xs, ys
 
     # -- constructors ------------------------------------------------------
 
@@ -279,10 +300,7 @@ class FinitePropOp:
 
     @classmethod
     def identity(cls, space: FiniteSpace, mode: str = MODE_RATIONAL) -> "FinitePropOp":
-        diagonal = ((i, i) for i in range(space.n_points))
-        if mode == MODE_RATIONAL:
-            return cls._ones(space, diagonal)
-        return cls._sealed(space, dict.fromkeys(diagonal, 1.0), mode)
+        return cls._ones(space, ((i, i) for i in range(space.n_points)), mode)
 
     @classmethod
     def diagonal(cls, space: FiniteSpace, values, mode: str = MODE_RATIONAL) -> "FinitePropOp":
@@ -303,21 +321,19 @@ class FinitePropOp:
         if not isinstance(other, FinitePropOp):
             return NotImplemented
         return (self.space is other.space and self.mode == other.mode
-                and (self._entries == other._entries if self._rows is None
-                     else self._rows == other._rows))
+                and self._rows == other._rows)
 
     __hash__ = None
 
     @property
     def nnz(self) -> int:
-        if self._rows is None:
-            return len(self._entries)
         return sum(len(row) for _, row in self._rows.values())
 
     @property
     def sup_entry_norm(self) -> float:
         """Largest absolute entry value (0.0 for the zero operator)."""
-        return max((abs(v) for v in self.entries.values()), default=0.0)
+        return max((_exact_value(max(map(abs, row.values())), d)
+                    for d, row in self._rows.values()), default=0.0)
 
     def support(self) -> ControlledSet:
         """The support as a controlled set (exact diameter = propagation)."""
@@ -339,17 +355,14 @@ class FinitePropOp:
         return (-1) * self
 
     def __rmul__(self, scalar) -> "FinitePropOp":
-        scalar = _check_value(scalar, self.mode)
-        if scalar == 0:
+        p, q = _as_ratio(scalar, self.mode)
+        if p == 0:
             return FinitePropOp.zero(self.space, self.mode)
-        if self._rows is None:
-            return FinitePropOp._sealed(self.space,
-                                        {k: scalar * v for k, v in self._entries.items()},
-                                        self.mode)
-        p, q = scalar.numerator, scalar.denominator
+        # a float product can underflow to 0
         return FinitePropOp._sealed(self.space, {
-            x: _lowest(d * q, {y: p * n for y, n in row.items()})
-            for x, (d, row) in self._rows.items()})
+            x: r for x, (d, row) in self._rows.items()
+            if (r := _reduced(d * q, {y: p * n for y, n in row.items()})) is not None},
+            self.mode)
 
     def __mul__(self, scalar) -> "FinitePropOp":
         if isinstance(scalar, FinitePropOp):
@@ -360,37 +373,26 @@ class FinitePropOp:
         if not isinstance(other, FinitePropOp):
             return NotImplemented
         _check_compatible(self.space, self.mode, other)
-        if self._rows is None:
-            orows: dict[int, list[tuple[int, Scalar]]] = {}
-            for (z, y), b in other._entries.items():
-                orows.setdefault(z, []).append((y, b))
-            acc: dict[tuple[int, int], Scalar] = {}
-            for (x, z), a in self._entries.items():
-                for y, b in orows.get(z, ()):
-                    key = (x, y)
-                    acc[key] = acc.get(key, 0) + a * b
-            return FinitePropOp._sealed(self.space, acc, self.mode)
         right = other._rows
         rows, done = {}, {}
         for x, row in self._rows.items():
             # operators share rows (a projection's block shares one), and
-            # each distinct row is multiplied once
+            # each distinct stored row is multiplied once
             key = id(row)
             if key not in done:
                 done[key] = _row_product(row, right)
             if done[key] is not None:
                 rows[x] = done[key]
-        return FinitePropOp._sealed(self.space, rows)
+        return FinitePropOp._sealed(self.space, rows, self.mode)
 
     def adjoint(self) -> "FinitePropOp":
-        if self._rows is None:
-            return FinitePropOp._sealed(
-                self.space, {(y, x): v.conjugate() for (x, y), v in self._entries.items()},
-                self.mode)
-        # rational entries are real: a transpose, each column over the lcm
-        # of the row denominators it crosses
         rows = self._rows
-        cols: dict[int, dict[int, int]] = {}
+        if self.mode == MODE_FLOAT:
+            rows = {x: (d, {y: v.conjugate() for y, v in row.items()})
+                    for x, (d, row) in rows.items()}
+        # a transpose, each column over the lcm of the row denominators it
+        # crosses
+        cols: dict[int, dict] = {}
         lcms: dict[int, int] = {}
         for x, (d, row) in rows.items():
             for y, n in row.items():
@@ -409,7 +411,7 @@ class FinitePropOp:
                 col = {x: n if rows[x][0] == m else n * (m // rows[x][0])
                        for x, n in col.items()}
             out[y] = _lowest(m, col)
-        return FinitePropOp._sealed(self.space, out)
+        return FinitePropOp._sealed(self.space, out, self.mode)
 
     # -- conversions -------------------------------------------------------
 
@@ -421,20 +423,23 @@ class FinitePropOp:
         if self.mode == MODE_FLOAT:
             return self
         if self._float is None:
-            self._float = FinitePropOp._sealed(
-                self.space, {(x, y): n / d for x, (d, row) in self._rows.items()
-                             for y, n in row.items()}, MODE_FLOAT)
+            # a tiny n / d can round to 0
+            self._float = FinitePropOp._sealed(self.space, {
+                x: r for x, (d, row) in self._rows.items()
+                if (r := _reduced(1, {y: n / d for y, n in row.items()})) is not None},
+                MODE_FLOAT)
         return self._float
 
     def _coo(self):
-        """Row, column and value arrays; values complex if any entry is, else float."""
-        if self._rows is not None:
+        """Row, column and value arrays in sorted pair order; values complex
+        if any entry is, else float."""
+        if self.mode == MODE_RATIONAL:
             return self.to_float()._coo()
-        vals = self._entries.values()
-        dtype = float
-        if any(isinstance(v, complex) for v in vals):
-            dtype = complex
-        return (*self._pairs(), np.fromiter(vals, dtype=dtype, count=len(vals)))
+        rows, cols = self._pairs()
+        # float rows hold floats and complexes only, so numpy picks the dtype
+        vals = np.array(list(chain.from_iterable([row.values() for _, row in self._rows.values()])))
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order], vals[order]
 
     def to_dense(self) -> np.ndarray:
         rows, cols, vals = self._coo()
@@ -459,30 +464,26 @@ def operator_sum(space: FiniteSpace, ops: Iterable[FinitePropOp], mode: str) -> 
 
     ``a + b`` is ``operator_sum(a.space, (a, b), a.mode)``.  Each entry is
     summed left to right in the order of ``ops``, so the result equals
-    folding ``+`` over ``ops``, float bits included; float entries are
-    accumulated in one pass and sorted once rather than once per term.
+    folding ``+`` over ``ops``, float bits included; a row is reduced and
+    its zeros dropped once, after the last term.
     """
     _check_mode(mode)
-    acc = None
+    acc, summed = {}, set()
     for op in ops:
         _check_compatible(space, mode, op)
-        terms = op._entries if op._rows is None else op._rows
-        if acc is None:
-            acc = dict(terms)
-        elif op._rows is None:
-            for k, v in terms.items():
-                s = acc.get(k)
-                acc[k] = v if s is None else s + v
+        for x, row in op._rows.items():
+            s = acc.get(x)
+            if s is None:
+                acc[x] = row
+            else:
+                acc[x] = _row_sum(s, row)
+                summed.add(x)
+    for x in summed:
+        if (row := _reduced(*acc[x])) is None:
+            del acc[x]
         else:
-            for x, row in terms.items():
-                s = acc.get(x)
-                if s is None:
-                    acc[x] = row
-                elif (s := _row_sum(s, row)) is None:
-                    del acc[x]
-                else:
-                    acc[x] = s
-    return FinitePropOp._sealed(space, acc or {}, mode)
+            acc[x] = row
+    return FinitePropOp._sealed(space, acc, mode)
 
 
 # -- row sums and the uniform-sum subalgebra -------------------------------
@@ -491,26 +492,25 @@ def row_sum_diagonal(op: FinitePropOp) -> FinitePropOp:
     """Diagonal operator whose (x, x) entry is the x-th row sum of ``op``.
 
     This map is linear, fixes diagonal operators, and for a partial
-    translation matrix it returns the indicator of the image.
+    translation matrix it returns the indicator of the image.  Each row is
+    summed from 0 in ascending column order (not with ``sum``, which adds
+    floats in its own way on newer Pythons).
     """
-    if op._rows is not None:
-        rows = {}
-        for x, (d, row) in op._rows.items():
-            s = sum(row.values())
-            if s:
-                rows[x] = _lowest(d, {x: s})
-        return FinitePropOp._sealed(op.space, rows)
-    sums: dict[tuple[int, int], Scalar] = {}
-    for (x, _), v in op.entries.items():
-        sums[(x, x)] = sums.get((x, x), 0) + v
-    return FinitePropOp._sealed(op.space, sums, op.mode)
+    rows = {}
+    for x, (d, row) in op._rows.items():
+        s = 0
+        for y in sorted(row):
+            s += row[y]
+        if s:
+            rows[x] = _lowest(d, {x: s})
+    return FinitePropOp._sealed(op.space, rows, op.mode)
 
 
 def _all_sums(op: FinitePropOp):
     n = op.space.n_points
     rows = [0] * n
     cols = [0] * n
-    for (x, y), v in op.entries.items():
+    for x, _, y, v in _in_order(op._rows):
         rows[x] += v
         cols[y] += v
     return rows, cols
@@ -614,11 +614,7 @@ class PartialTranslation:
                 f"propagation={self.propagation})")
 
     def as_operator(self, mode: str = MODE_RATIONAL) -> FinitePropOp:
-        _check_mode(mode)
-        pairs = ((x, y) for y, x in self.mapping.items())
-        if mode == MODE_RATIONAL:
-            return FinitePropOp._ones(self.space, pairs)
-        return FinitePropOp._sealed(self.space, dict.fromkeys(pairs, 1.0), mode)
+        return FinitePropOp._ones(self.space, ((x, y) for y, x in self.mapping.items()), mode)
 
 
 class PermutationOp:

@@ -373,6 +373,25 @@ def test_unparsable_space_reports_line(tmp_path, capsys):
     assert err.startswith("error:") and "line 2" in err
 
 
+def test_overflowing_edge_weight_exits_one(tmp_path, capsys):
+    path = write(tmp_path, "big.space", "space s\nedge a b 1e400\n")
+    for command in ("gap", "components"):
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: bad edge weight '1e400'\n"
+
+
+@pytest.mark.parametrize("text", ['{"family": ["margulis"], "members": [4]}',
+                                  '{"family": "margulis", "members": [1e400]}'])
+def test_malformed_manifest_exits_one(tmp_path, capsys, text):
+    path = write(tmp_path, "bad.json", text)
+    assert main(["gap", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_verify_small_run(capsys):
     assert main(["verify", "--cases", "3"]) == 0
     out = capsys.readouterr().out
@@ -434,6 +453,27 @@ def test_verify_case_compares_integer_rows(monkeypatch):
     assert built and {op.mode for op in built} == {rf.MODE_RATIONAL}
     assert [op for op in built if op._entries is not None] == []
     assert fractions == []
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+
+
+@pytest.mark.parametrize("name, code", [("margulis", 0), ("boxspace", 2)])
+def test_gap_builds_no_entries_view(capsys, monkeypatch, name, code):
+    """gap reads every operator it builds through its rows: none of them
+    builds its entries view."""
+    built = []
+    store = transalg.FinitePropOp._store
+
+    def recording(self, space, rows, mode):
+        built.append(self)
+        return store(self, space, rows, mode)
+
+    monkeypatch.setattr(transalg.FinitePropOp, "_store", recording)
+    assert main(["gap", str(WORKLOADS / f"{name}.json"), "--kmax", "32"]) == code
+    assert capsys.readouterr().out
+    assert built
+    assert [op for op in built if op._entries is not None] == []
 
 
 def test_verify_is_deterministic(capsys):

@@ -302,6 +302,11 @@ def test_load_manifest_errors():
         rf.load_manifest(json.dumps({"family": "cycle", "members": [2]}))
     with pytest.raises(ManifestError):
         rf.load_manifest(json.dumps([1, 2]))  # not an object
+    with pytest.raises(ManifestError, match="'family' must be a string"):
+        rf.load_manifest(json.dumps({"family": ["margulis"], "members": [4]}))
+    with pytest.raises(ManifestError, match="member 1"):
+        # JSON reads 1e400 as inf, which no int holds
+        rf.load_manifest('{"family": "margulis", "members": [4, 1e400]}')
 
 
 def test_metric_axioms_across_families():

@@ -239,6 +239,9 @@ def test_parse_space_file_error_lines():
     with pytest.raises(SpaceParseError) as err:
         rf.parse_space_file("space s\nedge a b 0\n")
     assert err.value.line == 2  # weights must be positive
+    with pytest.raises(SpaceParseError, match="bad edge weight '1e400'") as err:
+        rf.parse_space_file("space s\nedge a b 1\nedge b c 1e400\n")
+    assert err.value.line == 3  # no float holds the weight
 
 
 def test_load_space(tmp_path):

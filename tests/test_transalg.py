@@ -363,6 +363,188 @@ def test_exact_algebra_matches_the_fraction_reference_on_wide_powers():
         _assert_reference_algebra(gap_pow, p)
 
 
+# -- float arithmetic against the plain dict loops ----------------------------
+#
+# The loops float operators ran when they kept a dict of entries.  Every
+# ``_reference_float_*`` works on ``entries`` in sorted pair order and returns
+# an entry dict as one of those operators kept it: keys sorted, zeros dropped.
+
+def _float_normal(acc):
+    return {k: acc[k] for k in sorted(acc) if acc[k] != 0}
+
+
+def _reference_float_sum(terms):
+    """``operator_sum`` over entry dicts: each entry summed left to right,
+    zeros dropped only at the end."""
+    acc = {}
+    for entries in terms:
+        for k, v in entries.items():
+            s = acc.get(k)
+            acc[k] = v if s is None else s + v
+    return _float_normal(acc)
+
+
+def _reference_float_matmul(a, b):
+    return _float_normal(_reference_matmul(a, b))
+
+
+def _reference_float_scale(c, a):
+    c = c if isinstance(c, complex) else float(c)
+    return _float_normal({k: c * v for k, v in a.entries.items()})
+
+
+def _reference_float_adjoint(a):
+    return _float_normal({(y, x): v.conjugate() for (x, y), v in a.entries.items()})
+
+
+def _reference_float_row_sum_diagonal(a):
+    sums = {}
+    for (x, _), v in a.entries.items():
+        sums[(x, x)] = sums.get((x, x), 0) + v
+    return _float_normal(sums)
+
+
+def _reference_float_restrict(t, m):
+    pos = {g: i for i, g in enumerate(t.space.component_points(m).tolist())}
+    return _float_normal({(pos[x], pos[y]): v for (x, y), v in t.entries.items()
+                          if x in pos})
+
+
+def _reference_float_uniform_sum(op, tol=1e-12):
+    n = op.space.n_points
+    rows, cols = [0] * n, [0] * n
+    for (x, y), v in op.entries.items():
+        rows[x] += v
+        cols[y] += v
+    c = rows[0]
+    return c if all(abs(s - c) <= tol for s in rows + cols) else None
+
+
+def _reference_float_text(space, entries, propagation):
+    pts = space.points
+    return "".join([f"operator {space.name} float {propagation!r}\n"]
+                   + [f"entry {pts[x]} {pts[y]} {v!r}\n" for (x, y), v in entries.items()])
+
+
+def _reference_float_coo(entries):
+    keys = np.fromiter((i for k in entries for i in k), dtype=np.int64,
+                       count=2 * len(entries)).reshape(-1, 2)
+    dtype = complex if any(isinstance(v, complex) for v in entries.values()) else float
+    vals = np.fromiter(entries.values(), dtype=dtype, count=len(entries))
+    return keys[:, 0], keys[:, 1], vals
+
+
+def _bits(v):
+    """A value's type and the bits of its parts, signed zeros told apart."""
+    if isinstance(v, complex):
+        return "complex", repr(v.real), repr(v.imag), v.real.hex(), v.imag.hex()
+    return type(v).__name__, repr(v), float(v).hex()
+
+
+def _assert_float_matches(got, want):
+    """The float operator ``got`` shows exactly the reference entries
+    ``want``: key order and value bits; ``==`` both ways with the operator
+    the validating constructor makes of them; text bytes; COO and CSR
+    bytes."""
+    assert got.mode == rf.MODE_FLOAT
+    assert list(got.entries) == list(want)
+    assert [_bits(v) for v in got.entries.values()] == [_bits(v) for v in want.values()]
+    ref = FinitePropOp(got.space, want, "float")
+    assert got == ref and ref == got
+    assert rf.operator_to_text(got) == _reference_float_text(got.space, want, ref.propagation)
+    coo = _reference_float_coo(want)
+    for mine, theirs in zip(got._coo(), coo):
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+    n = got.space.n_points
+    csr = scipy.sparse.csr_matrix((coo[2], (coo[0], coo[1])), shape=(n, n))
+    for attr in ("indptr", "indices", "data"):
+        mine, theirs = getattr(got.to_csr(), attr), getattr(csr, attr)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
+def _float_op(rng, sp, kind):
+    """A float operator of one kind, its entries given in shuffled order so
+    that its rows are not column-sorted."""
+    pairs = sorted(rf.tube(sp, 2).pairs)
+    pairs = [pairs[i] for i in rng.permutation(len(pairs)) if rng.random() < 0.6]
+    if kind == "averaging":
+        return averaging_for(sp).op.to_float()
+    if kind == "rational-product":
+        a, b = (random_rational_op(rng, sp, density=0.5) for _ in range(2))
+        return (a @ b).to_float()
+    if kind == "shared":
+        # each component's rows are one stored row, as a projection's are
+        rows = {}
+        for m in range(sp.n_components):
+            idx = sp.component_points(m).tolist()
+            row = (1, {y: float(rng.normal()) for y in rng.permutation(idx).tolist()})
+            rows.update(dict.fromkeys(idx, row))
+        return FinitePropOp._sealed(sp, rows, "float")
+    values = rng.normal(size=len(pairs)) * 10.0 ** rng.integers(-3, 4, size=len(pairs))
+    op = FinitePropOp(sp, dict(zip(pairs, values.tolist())), "float")
+    if kind == "complex":
+        return op + 1j * op.adjoint()
+    if kind == "negative-zero":
+        # (1 + 0j) * v has imaginary part +0.0 and the adjoint makes it -0.0
+        return ((1 + 0j) * op).adjoint()
+    return op
+
+
+_FLOAT_KINDS = ("real", "complex", "negative-zero", "shared", "averaging", "rational-product")
+
+
+def _assert_reference_float_algebra(a, b):
+    """Every float operation on ``a`` and ``b`` against its dict loop."""
+    minus_b = _reference_float_scale(-1, b)
+    _assert_float_matches(a + b, _reference_float_sum([a.entries, b.entries]))
+    _assert_float_matches(a - b, _reference_float_sum([a.entries, minus_b]))
+    _assert_float_matches(a - a, {})
+    _assert_float_matches(operator_sum(a.space, (a, b, a - b, a), "float"),
+                          _reference_float_sum([a.entries, b.entries, (a - b).entries,
+                                                a.entries]))
+    _assert_float_matches(a @ b, _reference_float_matmul(a, b))
+    _assert_float_matches(b @ a, _reference_float_matmul(b, a))
+    # rows holding one 1.0 pick a row of the other operand
+    ident = FinitePropOp.identity(a.space, "float")
+    _assert_float_matches(ident @ a, _reference_float_matmul(ident, a))
+    for c in (0, 3, -1, 0.5, 1e-300, Fraction(1, 3), 1 + 0j, -2.5j):
+        _assert_float_matches(c * a, _reference_float_scale(c, a))
+    for op in (a, b):
+        _assert_float_matches(op.adjoint(), _reference_float_adjoint(op))
+        _assert_float_matches(rf.row_sum_diagonal(op), _reference_float_row_sum_diagonal(op))
+        for m in range(op.space.n_components):
+            _assert_float_matches(rf.restrict(op, m), _reference_float_restrict(op, m))
+        got, want = rf.uniform_sum_value(op), _reference_float_uniform_sum(op)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert _bits(got) == _bits(want)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**6), st.integers(2, 8),
+       st.sampled_from(_FLOAT_KINDS), st.sampled_from(_FLOAT_KINDS))
+def test_float_algebra_matches_the_dict_reference(seed, n, left, right):
+    rng = np.random.default_rng(seed)
+    sp = random_space(rng, max_points=n, max_blocks=2)
+    a = _float_op(rng, sp, left)
+    b = _float_op(rng, sp, right)
+    _assert_reference_float_algebra(a, b)
+    _assert_reference_float_algebra(a @ b, a.adjoint() - b)
+
+
+def test_float_reference_covers_signed_zeros_and_shared_rows():
+    """The kinds the Hypothesis test draws from hold what the reference is
+    there to catch: -0.0 imaginary parts, and stored rows several rows share."""
+    rng = np.random.default_rng(3)
+    sp = rf.disjoint_union([rf.make_cycle(5), rf.make_cycle(4)])
+    negative = _float_op(rng, sp, "negative-zero")
+    assert any(repr(v.imag) == "-0.0" for v in negative.entries.values())
+    shared = _float_op(rng, sp, "shared")
+    assert len({id(row) for row in shared._rows.values()}) == sp.n_components
+    _assert_reference_float_algebra(negative, shared)
+    _assert_reference_float_algebra(shared, negative @ shared)
+
+
 def test_operator_sum():
     sp = rf.make_cycle(5)
     rng = np.random.default_rng(2)
