@@ -14,14 +14,15 @@ lexicographic order; when the endpoints share a free colour take the
 smallest one, otherwise build a maximal fan around one endpoint, flip a
 two-coloured path to free the needed colour, and rotate the fan.  With the
 smallest-free-colour and lexicographic tie-breaks the output is a pure
-function of the graph.
+function of the graph.  A colouring is kept once, as an edge-end array
+and a colour array, which the involutions, text and validation all read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -48,61 +49,65 @@ __all__ = [
 ]
 
 
-def _tube_ends(space: FiniteSpace, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """End arrays ``us < vs`` of the tube's edges, in row-major order."""
+def _tube_ends(space: FiniteSpace, radius: float) -> np.ndarray:
+    """The tube's edges as rows ``(u, v)``, u < v, in row-major order."""
     rows, cols, _ = space.pairs_within(radius)
     upper = rows < cols
-    return rows[upper], cols[upper]
+    return np.column_stack((rows[upper], cols[upper]))
 
 
 def tube_graph_edges(space: FiniteSpace, radius: float) -> list[tuple[int, int]]:
     """Unordered pairs (u < v) of distinct points at distance <= radius."""
-    us, vs = _tube_ends(space, radius)
-    return list(zip(us.tolist(), vs.tolist()))
+    return list(map(tuple, _tube_ends(space, radius).tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeColouring:
-    """A proper edge colouring of a tube graph.
+    """A proper edge colouring of a tube graph, kept in two read-only int64 arrays.
 
-    ``colour_of`` maps each edge (u < v) to a colour in 1..n_colours, no two
-    edges sharing an endpoint getting the same colour; ``n_colours`` never
-    exceeds ``max_degree + 1``.
+    ``ends`` holds the tube's edges as rows u < v in row-major order and
+    ``colours`` the colour in 1..n_colours of each, no two edges sharing an
+    endpoint getting the same colour; ``n_colours`` <= ``max_degree + 1``.
+    ``edges`` (rows as tuples) and ``colour_of`` (a read-only
+    ``{edge: colour}`` in edge order) are views built when first read.
     """
 
     space: FiniteSpace
     radius: float
-    edges: tuple
-    colour_of: Mapping
+    ends: np.ndarray
+    colours: np.ndarray
     n_colours: int
     max_degree: int
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EdgeColouring):
+            return NotImplemented
+        return self.space is other.space and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("radius", "ends", "colours", "n_colours", "max_degree"))
+
+    __hash__ = None
+
+    @cached_property
+    def edges(self) -> tuple:
+        return tuple(map(tuple, self.ends.tolist()))
+
+    @cached_property
+    def colour_of(self) -> Mapping:
+        return MappingProxyType(dict(zip(self.edges, self.colours.tolist())))
+
     def classes(self) -> list[list[tuple[int, int]]]:
         """Edges grouped by colour; index i holds colour i+1 (a matching)."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.n_colours)]
-        for e in self.edges:
-            out[self.colour_of[e] - 1].append(e)
-        return out
+        return [list(map(tuple, self.ends[self.colours == c].tolist()))
+                for c in range(1, self.n_colours + 1)]
 
     @cached_property
     def _permutations(self) -> tuple:
-        """Built once per colouring, so every decomposition shares the
-        same permutations and their cached operators.
-
-        Each involution comes from the edge-end array cut by a colour
-        array.  The colours are read edge by edge, as ``colour_of[e]`` for
-        ``e`` in ``edges``, so a ``colour_of`` in another key order (say
-        from :func:`dataclasses.replace`) gives the same permutations.
-        """
-        m = len(self.edges)
-        ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64,
-                           count=2 * m).reshape(m, 2)
-        colours = np.fromiter(map(self.colour_of.__getitem__, self.edges),
-                              dtype=np.int64, count=m)
+        """Built once: every decomposition shares these and their operators."""
         perms = [PermutationOp.identity(self.space)]
         for c in range(1, self.n_colours + 1):
             # a matching of tube edges: a bijection moving points finitely
-            u, v = ends[colours == c].T
+            u, v = self.ends[self.colours == c].T
             perm = np.arange(self.space.n_points)
             perm[u] = v
             perm[v] = u
@@ -221,40 +226,42 @@ def edge_colouring(space: FiniteSpace, radius: float) -> EdgeColouring:
     """Properly colour the tube graph at ``radius`` with <= Delta+1 colours.
 
     Colour classes are renumbered 1..n by first use, so the result depends
-    only on the space and the radius.  The tube's end arrays come from one
-    :meth:`~roeforge.space.FiniteSpace.pairs_within`; degrees are their
-    ``bincount`` and the renumbering one ``np.unique``, so only the
-    fan/rotation loop of :func:`_misra_gries` runs per edge in Python.
+    only on the space and the radius.  The tube's end array comes from one
+    :meth:`~roeforge.space.FiniteSpace.pairs_within`, and the degrees and
+    the renumbering are numpy calls, so only the fan/rotation loop of
+    :func:`_misra_gries` runs per edge in Python.
     """
-    us, vs = _tube_ends(space, radius)
+    ends = _tube_ends(space, radius)
     n = space.n_points
-    degree = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
-    max_degree = int(degree.max()) if n else 0
-    us, vs = us.tolist(), vs.tolist()
-    edges = tuple(zip(us, vs))
+    max_degree = int(np.bincount(ends.ravel(), minlength=n).max()) if n else 0
+    us, vs = ends.T.tolist()
     raw = np.array(_misra_gries(n, us, vs, max_degree + 1), dtype=np.int64)
     values, first = np.unique(raw, return_index=True)
     renumber = np.zeros(max_degree + 2, dtype=np.int64)
     renumber[values[np.argsort(first)]] = np.arange(1, len(values) + 1)
-    colour_of = dict(zip(edges, renumber[raw].tolist()))
-    return EdgeColouring(space=space, radius=float(radius),
-                         edges=edges, colour_of=colour_of,
-                         n_colours=len(values), max_degree=max_degree)
+    colours = renumber[raw]
+    for a in (ends, colours):
+        a.setflags(write=False)
+    return EdgeColouring(space=space, radius=float(radius), ends=ends,
+                         colours=colours, n_colours=len(values),
+                         max_degree=max_degree)
 
 
 def validate_colouring(col: EdgeColouring) -> None:
     """Raise ValueError unless ``col`` is a proper colouring of its tube graph."""
-    expect = set(tube_graph_edges(col.space, col.radius))
-    if set(col.edges) != expect or set(col.colour_of) != expect:
+    expect = _tube_ends(col.space, col.radius)
+    ends, colours = col.ends, col.colours
+    if (ends.shape != expect.shape or colours.shape != expect.shape[:1]
+            or not np.array_equal(ends[np.lexsort(ends.T[::-1])], expect)):
         raise ValueError("colouring does not cover the tube graph edge set")
-    seen: dict[tuple[int, int], tuple[int, int]] = {}
-    for (u, v), c in col.colour_of.items():
+    seen: set[tuple[int, int]] = set()
+    for (u, v), c in zip(ends.tolist(), colours.tolist()):
         if not 1 <= c <= col.n_colours:
             raise ValueError(f"colour {c} out of range 1..{col.n_colours}")
         for end in (u, v):
             if (end, c) in seen:
                 raise ValueError(f"colour {c} repeats at point {col.space.points[end]}")
-            seen[(end, c)] = (u, v)
+            seen.add((end, c))
 
 
 def colour_permutations(col: EdgeColouring) -> list[PermutationOp]:
@@ -305,23 +312,16 @@ def decompose_translation(t: PartialTranslation, col: EdgeColouring) -> Translat
     """
     if t.space is not col.space:
         raise SpaceMismatchError("translation and colouring live over different spaces")
-    marks: dict[int, list[int]] = {i: [] for i in range(col.n_colours + 1)}
+    marks: list[list[int]] = [[] for _ in range(col.n_colours + 1)]
     for x, y in t.graph:
-        if x == y:
-            marks[0].append(x)
-            continue
-        key = (x, y) if x < y else (y, x)
-        c = col.colour_of.get(key)
+        c = 0 if x == y else col.colour_of.get((x, y) if x < y else (y, x))
         if c is None:
             raise SupportOutsideTubeError(
                 f"translation moves {col.space.points[y]} -> {col.space.points[x]}, "
                 f"outside the radius-{col.radius} tube")
         marks[c].append(x)
-    perms = colour_permutations(col)
-    idems = tuple(
-        FinitePropOp._ones(col.space, ((x, x) for x in marks[i]))
-        for i in range(col.n_colours + 1))
-    return TranslationDecomposition(radius=col.radius, perms=tuple(perms),
+    idems = tuple(FinitePropOp._ones(col.space, ((x, x) for x in m)) for m in marks)
+    return TranslationDecomposition(radius=col.radius, perms=col._permutations,
                                     idempotents=idems)
 
 
@@ -329,6 +329,6 @@ def colouring_to_text(col: EdgeColouring) -> str:
     """One ``colour <u> <v> <k>`` line per edge, in edge order."""
     pts = col.space.points
     lines = [f"colouring {col.space.name} {col.radius!r} {col.n_colours}"]
-    for u, v in col.edges:
-        lines.append(f"colour {pts[u]} {pts[v]} {col.colour_of[(u, v)]}")
+    lines += (f"colour {pts[u]} {pts[v]} {c}"
+              for (u, v), c in zip(col.ends.tolist(), col.colours.tolist()))
     return "\n".join(lines) + "\n"

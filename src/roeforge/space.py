@@ -65,12 +65,12 @@ class FiniteSpace:
         the diagonal.  +inf separates coarse components.
     name : str
         Single-token label used in file headers and reports.
-    validate : bool
-        When true (default), check the metric axioms that are cheap to
-        check: shape, symmetry, zero diagonal, positivity off the diagonal,
-        and consistency of the finite-distance relation with a partition.
-        The triangle inequality is O(n^3); use :func:`check_triangle`
-        separately when that guarantee is needed.
+
+    The constructor checks the metric axioms that are cheap to check:
+    shape, symmetry, zero diagonal, positivity off the diagonal, and
+    consistency of the finite-distance relation with a partition.  The
+    triangle inequality is O(n^3); use :func:`check_triangle` separately
+    when that guarantee is needed.
 
     Spaces built from graphs (:func:`space_from_graph`, and
     :func:`disjoint_union` of such spaces) hold their weighted graph and
@@ -83,46 +83,58 @@ class FiniteSpace:
     value x's search finds.
     """
 
-    def __init__(self, points: Sequence[str], dist, name: str = "space",
-                 validate: bool = True):
-        self.points = tuple(str(p) for p in points)
-        self.name = str(name)
+    def __init__(self, points: Sequence[str], dist, name: str = "space"):
+        points = tuple(str(p) for p in points)
+        name = str(name)
         d = np.array(dist, dtype=float)
-        n = len(self.points)
-        if validate:
-            _check_names(self.points, self.name)
-            if d.shape != (n, n):
-                raise ValueError(f"distance matrix must be {n}x{n}, got {d.shape}")
-            if np.isnan(d).any():
-                raise ValueError("distance matrix contains NaN")
-            if not np.array_equal(d, d.T):
-                raise ValueError("distance matrix must be symmetric")
-            if np.diagonal(d).any():
-                raise ValueError("distance matrix must have a zero diagonal")
-            offdiag = d[~np.eye(n, dtype=bool)]
-            if offdiag.size and offdiag.min() <= 0:
-                raise ValueError("off-diagonal distances must be positive")
+        n = len(points)
+        _check_names(points, name)
+        if d.shape != (n, n):
+            raise ValueError(f"distance matrix must be {n}x{n}, got {d.shape}")
+        if np.isnan(d).any():
+            raise ValueError("distance matrix contains NaN")
+        if not np.array_equal(d, d.T):
+            raise ValueError("distance matrix must be symmetric")
+        if np.diagonal(d).any():
+            raise ValueError("distance matrix must have a zero diagonal")
+        offdiag = d[~np.eye(n, dtype=bool)]
+        if offdiag.size and offdiag.min() <= 0:
+            raise ValueError("off-diagonal distances must be positive")
+        self._keep_matrix(points, d, name)
+        # the finite-distance relation must be an equivalence relation; one
+        # row per component only reads off its class correctly then
+        rows, cols = np.nonzero(np.isfinite(d))
+        comp = self.component_of
+        if not np.array_equal(comp[rows], comp[cols]):
+            raise ValueError("finite-distance relation is not transitive")
+
+    def _keep_matrix(self, points: tuple, d: np.ndarray, name: str):
+        """Hold the float matrix ``d`` (made read-only) and number the
+        components by their smallest point, reading one row per component."""
         d.setflags(write=False)
+        self.points = points
+        self.name = name
         self._dist = d
         self._graph = None
-
-        finite = np.isfinite(d)
-        comp = np.full(n, -1, dtype=np.int64)
+        comp = np.full(len(points), -1, dtype=np.int64)
         next_id = 0
-        for i in range(n):
+        for i in range(len(points)):
             if comp[i] < 0:
-                comp[finite[i]] = next_id
+                comp[np.isfinite(d[i])] = next_id
                 next_id += 1
-        if validate:
-            # the finite-distance relation must be an equivalence relation;
-            # one row per component only reads off its class correctly then
-            rows, cols = np.nonzero(finite)
-            if not np.array_equal(comp[rows], comp[cols]):
-                raise ValueError("finite-distance relation is not transitive")
         comp.setflags(write=False)
         self.component_of = comp
         self.n_components = next_id
         self._component_spaces: dict[int, FiniteSpace] = {}
+
+    @classmethod
+    def _from_matrix(cls, points: Sequence[str], d: np.ndarray,
+                     name: str) -> "FiniteSpace":
+        """A space on a float distance matrix known to be valid (a block of
+        a valid space's matrix), without the constructor's checks."""
+        space = cls.__new__(cls)
+        space._keep_matrix(tuple(points), d, str(name))
+        return space
 
     @classmethod
     def _from_graph(cls, points: Sequence[str], graph: sp.csr_matrix,
@@ -257,8 +269,8 @@ class FiniteSpace:
             points = [self.points[i] for i in idx]
             name = f"{self.name}.{component_id}"
             if self._dist is not None:
-                got = FiniteSpace(points, self._dist[np.ix_(idx, idx)], name=name,
-                                  validate=False)
+                got = FiniteSpace._from_matrix(points, self._dist[np.ix_(idx, idx)],
+                                               name)
             else:
                 got = FiniteSpace._from_graph(points, self._graph[idx][:, idx], name)
             self._component_spaces[component_id] = got

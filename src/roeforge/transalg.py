@@ -26,6 +26,7 @@ matrix conversions read.  Conversion is explicit and one-way
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from itertools import chain
@@ -155,6 +156,15 @@ def _row_product(left: tuple, right: dict):
     return _reduced(d * m, acc)
 
 
+def _overflows(n: int, d: int) -> bool:
+    """Whether ``n / d`` is too large for a float."""
+    try:
+        n / d
+    except OverflowError:
+        return True
+    return False
+
+
 def _exact_value(n, d: int):
     """``n / d`` as the entry view shows it: the stored value over 1, else
     an int or a reduced Fraction."""
@@ -193,7 +203,13 @@ def _as_ratio(v, mode: str) -> tuple:
         return v.as_integer_ratio()
     if not isinstance(v, _FLOAT_TYPES):
         raise TypeError(f"float mode takes numeric entries, got {type(v).__name__}")
-    return (v if isinstance(v, complex) else float(v)), 1
+    try:
+        f = v if isinstance(v, complex) else float(v)
+    except OverflowError:
+        raise ValueError("float mode entry is beyond float range") from None
+    if not cmath.isfinite(f):
+        raise ValueError(f"float mode takes finite entries, got {f!r}")
+    return f, 1
 
 
 class FinitePropOp:
@@ -419,15 +435,21 @@ class FinitePropOp:
         """Explicit promotion to float mode (the only direction allowed).
 
         An entry n / d is correctly rounded, as ``float(Fraction(n, d))`` is.
+        An entry beyond float range raises ValueError naming its ``(x, y)``.
         """
         if self.mode == MODE_FLOAT:
             return self
         if self._float is None:
-            # a tiny n / d can round to 0
-            self._float = FinitePropOp._sealed(self.space, {
-                x: r for x, (d, row) in self._rows.items()
-                if (r := _reduced(1, {y: n / d for y, n in row.items()})) is not None},
-                MODE_FLOAT)
+            try:
+                # a tiny n / d can round to 0
+                self._float = FinitePropOp._sealed(self.space, {
+                    x: r for x, (d, row) in self._rows.items()
+                    if (r := _reduced(1, {y: n / d for y, n in row.items()})) is not None},
+                    MODE_FLOAT)
+            except OverflowError:
+                x, y = next((x, y) for x, (d, row) in self._rows.items()
+                            for y, n in row.items() if _overflows(n, d))
+                raise ValueError(f"entry ({x}, {y}) is beyond float range") from None
         return self._float
 
     def _coo(self):
@@ -774,11 +796,12 @@ def _parse_value(tok: str, mode: str, lineno: int):
         if mode == MODE_RATIONAL:
             f = Fraction(tok)
             return int(f) if f.denominator == 1 else f
-        if "j" in tok or "J" in tok:
-            return complex(tok)
-        return float(tok)
+        v = complex(tok) if "j" in tok or "J" in tok else float(tok)
     except (ValueError, ZeroDivisionError):
         raise OperatorParseError(f"bad {mode} value {tok!r}", lineno) from None
+    if not cmath.isfinite(v):
+        raise OperatorParseError(f"non-finite {mode} value {tok!r}", lineno)
+    return v
 
 
 def operator_to_text(op: FinitePropOp) -> str:

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import roeforge as rf
-from roeforge import cli, spectral, transalg
+from roeforge import cli, colouring, spectral, transalg
 from roeforge.cli import main
 
 
@@ -474,6 +474,23 @@ def test_gap_builds_no_entries_view(capsys, monkeypatch, name, code):
     assert capsys.readouterr().out
     assert built
     assert [op for op in built if op._entries is not None] == []
+
+
+@pytest.mark.parametrize("name, code", [("margulis", 0), ("boxspace", 2)])
+def test_gap_builds_no_colouring_view(capsys, monkeypatch, name, code):
+    """gap reads each colouring through its arrays: none of them builds
+    its ``edges`` or ``colour_of`` view."""
+    made = []
+
+    def recording(space, radius):
+        made.append(colouring.edge_colouring(space, radius))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "edge_colouring", recording)
+    assert main(["gap", str(WORKLOADS / f"{name}.json"), "--kmax", "32"]) == code
+    assert capsys.readouterr().out
+    assert made
+    assert [col for col in made if {"edges", "colour_of"} & vars(col).keys()] == []
 
 
 def test_verify_is_deterministic(capsys):

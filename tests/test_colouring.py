@@ -64,6 +64,7 @@ def test_empty_tube_graph():
     assert col.n_colours == 0
     assert col.max_degree == 0
     assert col.edges == ()
+    assert col.ends.shape == (0, 2) and col.colours.shape == (0,)
     rf.validate_colouring(col)
     perms = rf.colour_permutations(col)
     assert len(perms) == 1  # just the identity
@@ -104,12 +105,14 @@ def test_classes_partition_edges():
 
 def test_validate_colouring_catches_clashes():
     col = rf.edge_colouring(rf.make_cycle(5), 1)
-    bad = dict(col.colour_of)
-    bad[(0, 1)] = bad[(1, 2)]  # two colours meeting at point 1
-    tampered = dataclasses.replace(col, colour_of=bad)
+    assert col.edges[0] == (0, 1) and col.edges[2] == (1, 2)
+    bad = col.colours.copy()
+    bad[0] = bad[2]  # two colours meeting at point 1
+    tampered = dataclasses.replace(col, colours=bad)
     with pytest.raises(ValueError):
         rf.validate_colouring(tampered)
-    missing = dataclasses.replace(col, edges=col.edges + ((2, 4),))
+    missing = dataclasses.replace(col, ends=np.vstack([col.ends, [(2, 4)]]),
+                                  colours=np.append(col.colours, 1))
     with pytest.raises(ValueError):
         rf.validate_colouring(missing)
 
@@ -138,7 +141,7 @@ def test_colour_permutations_are_built_once_per_colouring():
     dec = rf.decompose_translation(PartialTranslation(col.space, {0: 1}), col)
     assert all(p is q for p, q in zip(dec.perms, second))
     # a modified copy of a colouring gets its own permutations
-    other = dataclasses.replace(col, colour_of=dict(col.colour_of))
+    other = dataclasses.replace(col, colours=col.colours.copy())
     assert rf.colour_permutations(other)[1] is not second[1]
 
 
@@ -338,10 +341,22 @@ def test_colouring_matches_the_dict_loop_on_random_spaces(n, max_degree, seed,
     _assert_matches_reference(space, radius)
 
 
-def test_colour_permutations_read_colours_in_edge_order():
+def test_colouring_views_agree_with_the_arrays():
     col = rf.edge_colouring(rf.make_margulis(8), 2)
-    reordered = dataclasses.replace(
-        col, colour_of=dict(reversed(list(col.colour_of.items()))))
-    assert list(reordered.colour_of) != list(col.colour_of)
-    assert rf.colour_permutations(reordered) == rf.colour_permutations(col)
+    assert col.ends.dtype == col.colours.dtype == np.int64
+    assert col.ends.shape == (len(col.colours), 2)
+    assert not col.ends.flags.writeable and not col.colours.flags.writeable
+    assert col.edges == tuple(map(tuple, col.ends.tolist()))
+    assert all(u < v for u, v in col.edges)
+    assert list(col.colour_of) == list(col.edges)  # edge order
+    assert list(col.colour_of.values()) == col.colours.tolist()
+    assert col.edges is col.edges and col.colour_of is col.colour_of
+    with pytest.raises(TypeError):
+        col.colour_of[col.edges[0]] = 1
+    # equality is by value; a colouring is not hashable
+    twin = rf.edge_colouring(col.space, 2)
+    assert twin == col and twin is not col
+    assert dataclasses.replace(col, colours=col.colours[::-1].copy()) != col
+    with pytest.raises(TypeError):
+        hash(col)
 

@@ -94,6 +94,16 @@ def test_mode_validation():
         FinitePropOp(sp, {(0, 1): 0.5}, mode="rational")
     # rationals are coerced on the way into float mode, not rejected
     assert FinitePropOp(sp, {(0, 1): Fraction(1, 2)}, mode="float").entries == {(0, 1): 0.5}
+    # float mode takes finite values only; rational mode takes any size
+    one = FinitePropOp.identity(sp, mode="float")
+    for bad in (float("inf"), float("nan"), complex(0, float("inf")), 10**400):
+        with pytest.raises(ValueError):
+            FinitePropOp(sp, {(0, 0): bad}, mode="float")
+        with pytest.raises(ValueError):
+            FinitePropOp.diagonal(sp, [1.0, bad], mode="float")
+        with pytest.raises(ValueError):
+            one * bad
+    assert FinitePropOp(sp, {(0, 0): 10**400}).entries == {(0, 0): 10**400}
 
 
 def test_identity_diagonal_zero():
@@ -875,6 +885,21 @@ def test_operator_text_errors():
     # header propagation must match the recomputed value
     with pytest.raises(OperatorParseError):
         rf.operator_from_text("operator pair rational 0.0\nentry a b 1\n", sp)
+    # float values must be finite
+    for tok in ("1e400", "nan", "-inf", "1e400j", "nan+1j"):
+        with pytest.raises(OperatorParseError, match="non-finite") as err:
+            rf.operator_from_text(f"operator pair float 0.0\nentry a a 1.0\n"
+                                  f"entry b b {tok}\n", sp)
+        assert err.value.line == 3
+
+
+def test_to_float_names_an_entry_beyond_float_range():
+    op = FinitePropOp(rf.make_cycle(3), {(0, 0): 1, (2, 1): Fraction(10**400, 3)})
+    for convert in (op.to_float, op.to_csr, op.to_dense, lambda: op.matvec([1, 1, 1])):
+        with pytest.raises(ValueError, match=r"entry \(2, 1\) is beyond float range"):
+            convert()
+    tiny = FinitePropOp(rf.make_cycle(3), {(0, 0): Fraction(1, 10**400), (1, 1): 2})
+    assert tiny.to_float().entries == {(1, 1): 2.0}
 
 
 def test_operator_text_rejects_spacey_point_names():
