@@ -13,7 +13,6 @@ from .errors import (
     GapBoundError,
     GapComputationError,
     ManifestError,
-    NotSelfAdjointError,
     NotUniformSumError,
     OperatorParseError,
     RoeforgeError,
@@ -65,15 +64,9 @@ from .colouring import (
     tube_graph_edges,
     validate_colouring,
 )
-from .spectral import (
-    DEFAULT_TOL,
-    DENSE_CUTOFF,
-    SpectralResult,
-    op_norm,
-    operator_seed,
-    sym_extreme_eig,
-)
+from .spectral import DEFAULT_TOL, SpectralResult
 from .kazhdan import (
+    DENSE_CUTOFF,
     AveragingOp,
     ComponentGap,
     GapReport,

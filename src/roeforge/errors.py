@@ -25,10 +25,6 @@ class SupportOutsideTubeError(RoeforgeError, ValueError):
     """A translation's support leaves the tube whose colouring was supplied."""
 
 
-class NotSelfAdjointError(RoeforgeError, ValueError):
-    """A symmetric eigensolver was handed a non-self-adjoint operator."""
-
-
 class SpectralError(RoeforgeError, RuntimeError):
     """An eigenvalue computation failed to converge."""
 

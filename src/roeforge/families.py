@@ -12,6 +12,7 @@ space, random families included.
 from __future__ import annotations
 
 import json
+import numbers
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,9 +33,21 @@ __all__ = [
 ]
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an ``int``.  Integral floats such as 16.0 are taken;
+    bools, non-integral and non-numeric values raise :class:`FamilyError`
+    naming the value, instead of truncating it."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    raise FamilyError(f"{what} must be an integer, got {value!r}")
+
+
 def make_cycle(n: int) -> FiniteSpace:
     """The n-cycle with its path metric."""
-    n = int(n)
+    n = _integer(n, "n")
     if n < 3:
         raise FamilyError("a cycle needs at least 3 points")
     _check_size(n)
@@ -53,7 +66,7 @@ def _cycle_edges(n: int, at: int = 0) -> np.ndarray:
 
 
 def make_complete(n: int) -> FiniteSpace:
-    n = int(n)
+    n = _integer(n, "n")
     if n < 1:
         raise FamilyError("a complete graph needs at least 1 point")
     _check_size(n)
@@ -63,7 +76,7 @@ def make_complete(n: int) -> FiniteSpace:
 
 def make_hypercube(d: int) -> FiniteSpace:
     """The d-cube on 2^d points; distance = number of differing bits."""
-    d = int(d)
+    d = _integer(d, "d")
     if d < 1:
         raise FamilyError("hypercube dimension must be >= 1")
     n = 1 << d
@@ -82,8 +95,8 @@ def make_random_regular(n: int, d: int, seed: int = 0) -> FiniteSpace:
     seed.  Disconnected samples are kept — they simply show up as several
     coarse components.
     """
-    n = int(n)
-    d = int(d)
+    n = _integer(n, "n")
+    d = _integer(d, "d")
     if not 0 <= d < n:
         raise FamilyError("degree must satisfy 0 <= d < n")
     if (n * d) % 2:
@@ -121,7 +134,7 @@ def make_margulis(n: int) -> FiniteSpace:
     is simple of degree <= 8.  This generator set is part of the
     interface: reports depend on it bit for bit.
     """
-    n = int(n)
+    n = _integer(n, "n")
     if n < 2:
         raise FamilyError("torus side must be >= 2")
     _check_size(n * n)
@@ -141,7 +154,7 @@ def make_box_space_Z(sizes: Sequence[int]) -> FiniteSpace:
     the per-component rho climbs to 1 as the cycles grow.  Sizes must be
     strictly increasing, each at least 3.
     """
-    sizes = [int(s) for s in sizes]
+    sizes = [_integer(s, "cycle size") for s in sizes]
     if not sizes:
         raise FamilyError("need at least one cycle size")
     if any(s < 3 for s in sizes):
@@ -167,7 +180,8 @@ def random_bounded_degree_space(n: int, max_degree: int, seed: int = 0,
     as a randomised test corpus with a hard degree bound.  Deterministic
     per (n, max_degree, seed, edge_prob).
     """
-    n = int(n)
+    n = _integer(n, "n")
+    max_degree = _integer(max_degree, "max_degree")
     if n < 1:
         raise FamilyError("need at least one point")
     if max_degree < 0:

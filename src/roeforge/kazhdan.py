@@ -36,7 +36,6 @@ from .errors import GapBoundError, GapComputationError, SpaceMismatchError, Spec
 from .space import FiniteSpace
 from .spectral import (
     DEFAULT_TOL,
-    DENSE_CUTOFF,
     _MATVEC_CAP,
     SpectralResult,
     _checked,
@@ -54,6 +53,7 @@ __all__ = [
     "GapReport",
     "RateConstants",
     "EXACT_POWER_CAP",
+    "DENSE_CUTOFF",
     "build_averaging",
     "kazhdan_projection",
     "restrict",
@@ -73,6 +73,7 @@ NO_GAP_TOL = 1e-12          # rho >= 1 - NO_GAP_TOL counts as "no effective gap"
 CURVE_RTOL_DENSE = 1e-8
 CURVE_RTOL_ITER = 1e-7
 CURVE_ATOL = 1e-12
+DENSE_CUTOFF = 512          # gap_report's default largest dense component
 # Components of more than this many points try the banded path below the
 # dense cutoff too.  Per cycle component, curve included, with one BLAS
 # thread: dense eigh takes 3.1 ms at 128 points, 4.7 at 160, 7.2 at 192,

@@ -1,15 +1,16 @@
-"""Symmetric eigenvalue and operator-norm computations.
+"""Symmetric eigenvalue computations on numpy and scipy matrices.
 
-Small operators are handled by dense symmetric eigendecomposition; large
+Small matrices are handled by dense symmetric eigendecomposition; large
 ones by restarted Lanczos iteration on a matvec, with the starting vector
-drawn from a seed derived from the operator's own bytes, so repeated runs
-on the same operator produce identical results.  Every answer comes back
-as a :class:`SpectralResult` carrying the method used, the matvec count
-and an a-posteriori residual ``||A v - lambda v||``; for self-adjoint
-operators that residual bounds the distance from ``lambda`` to the true
-spectrum, so it is a certificate, not a diagnostic.  The solvers also
+drawn from a seed derived from the matrix's own bytes
+(:func:`_matrix_seed`), so repeated runs on the same matrix produce
+identical results.  Every solve reports an a-posteriori residual
+``||A v - lambda v||``; for a symmetric matrix that residual bounds the
+distance from ``lambda`` to the true spectrum, so it is a certificate, not
+a diagnostic (:func:`_checked` enforces the bound).  The solvers also
 return the certified eigenvector, on which :func:`eigvec_power_norms`
-measures the norms of powers.
+measures the norms of powers.  Which solver a component gets is decided
+in one place, :func:`roeforge.kazhdan.gap_report`.
 """
 
 from __future__ import annotations
@@ -23,17 +24,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NotSelfAdjointError, SpectralError
-from .transalg import MODE_RATIONAL, FinitePropOp, _in_order
+from .errors import SpectralError
 
 __all__ = [
-    "DENSE_CUTOFF",
     "DEFAULT_TOL",
     "SpectralResult",
-    "operator_seed",
-    "require_self_adjoint",
-    "sym_extreme_eig",
-    "op_norm",
     "dense_extreme_eig",
     "extreme_eig_matvec",
     "eigvec_power_norms",
@@ -41,7 +36,6 @@ __all__ = [
     "matvec_power_norm",
 ]
 
-DENSE_CUTOFF = 512
 DEFAULT_TOL = 1e-10
 _LANCZOS_NCV = 64        # Lanczos basis size (capped at the dimension)
 _MATVEC_CAP = 20_000     # matvecs one Lanczos solve may spend before it fails
@@ -49,12 +43,12 @@ _MATVEC_CAP = 20_000     # matvecs one Lanczos solve may spend before it fails
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """One computed eigenvalue or norm.
+    """One computed extreme eigenvalue.
 
-    ``value`` is nonnegative: the largest |eigenvalue|, or the norm itself
-    for norm computations.  ``method`` is ``"dense"``, ``"iterative"``
-    (Lanczos on the operator) or ``"shift-invert"`` (Lanczos on an inverse,
-    as :mod:`roeforge.kazhdan` runs it on narrow-band components);
+    ``value`` is nonnegative: the largest |eigenvalue|.  ``method`` is
+    ``"dense"``, ``"iterative"`` (Lanczos on the operator) or
+    ``"shift-invert"`` (Lanczos on an inverse, as :mod:`roeforge.kazhdan`
+    runs it on narrow-band components);
     ``iterations`` counts matvecs, or inverse solves (0 for dense);
     ``residual`` is the final ``||A v - lambda v||_2`` on the operator
     itself, which for self-adjoint input bounds the distance from the
@@ -69,11 +63,6 @@ class SpectralResult:
     seed: int | None = None
 
 
-def operator_seed(op: FinitePropOp, extra: bytes = b"") -> int:
-    """Deterministic 64-bit seed from the bytes of an operator's matrix."""
-    return _matrix_seed(op.to_csr(), extra)
-
-
 def _matrix_seed(csr: sp.csr_matrix, extra: bytes = b"") -> int:
     """Deterministic 64-bit seed: a blake2b of ``indptr``, ``indices`` and
     ``data`` (the indices as int64), then ``extra``."""
@@ -82,25 +71,6 @@ def _matrix_seed(csr: sp.csr_matrix, extra: bytes = b"") -> int:
         h.update(part.tobytes())
     h.update(extra)
     return int.from_bytes(h.digest(), "little")
-
-
-def require_self_adjoint(op: FinitePropOp, tol: float = 1e-12) -> None:
-    """Raise unless ``op`` equals its adjoint (exactly in rational mode)."""
-    if op.mode == MODE_RATIONAL:
-        # rational entries are real: compare the rows with the transpose's
-        adj = op.adjoint()
-        if op != adj:
-            mine, flipped = op.entries, adj.entries
-            x, y = next(k for k, v in mine.items() if flipped.get(k) != v)
-            raise NotSelfAdjointError(f"entry ({x}, {y}) has no matching conjugate entry")
-        return
-    scale = max(1.0, op.sup_entry_norm)
-    rows = op._rows
-    for x, _, y, v in _in_order(rows):
-        w = rows[y][1].get(x, 0.0) if y in rows else 0.0
-        if abs(v - complex(w).conjugate()) > tol * scale:
-            raise NotSelfAdjointError(
-                f"entries ({x}, {y}) and ({y}, {x}) differ beyond tolerance")
 
 
 def dense_extreme_eig(mat: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -119,7 +89,7 @@ def extreme_eig_matvec(matvec: Callable, n: int, seed: int, *,
     """Signed eigenvalue of largest modulus of a symmetric matvec, by Lanczos.
 
     Returns ``(value, vec, matvec_count, residual)`` — ``value`` keeps its
-    sign here; the public wrappers report |value|; ``vec`` is the Ritz
+    sign here; :class:`SpectralResult` reports |value|; ``vec`` is the Ritz
     vector whose residual is reported.  ARPACK computes that one Ritz pair
     in a basis of up to ``ncv`` vectors (capped at ``n``); a caller whose
     top eigenvalue is well separated can pass a smaller one than the
@@ -180,43 +150,6 @@ def _checked(res: SpectralResult, tol: float) -> SpectralResult:
         raise SpectralError(
             f"residual {res.residual:.3e} exceeds certified bound {bound:.3e}")
     return res
-
-
-def sym_extreme_eig(op: FinitePropOp, *, tol: float = DEFAULT_TOL,
-                    dense_cutoff: int = DENSE_CUTOFF) -> SpectralResult:
-    """Extreme eigenvalue of a self-adjoint operator: the modulus of the
-    eigenvalue of largest modulus.
-
-    Spaces up to ``dense_cutoff`` points use a dense symmetric
-    eigendecomposition; larger ones use seeded Lanczos on the sparse
-    matrix.  Spaces under 3 points always take the dense path.
-    """
-    require_self_adjoint(op)
-    n = op.space.n_points
-    if op.nnz == 0:
-        return SpectralResult(0.0, "dense", 0, 0.0)
-    if n <= max(dense_cutoff, 2):
-        lam, _, residual = dense_extreme_eig(op.to_dense())
-        return _checked(SpectralResult(abs(lam), "dense", 0, residual), tol)
-    csr = op.to_csr()
-    if np.iscomplexobj(csr):
-        raise SpectralError("iterative path handles real symmetric operators only; "
-                            "complex hermitian operators must fit under dense_cutoff")
-    seed = operator_seed(op)
-    lam, _, count, residual = extreme_eig_matvec(
-        lambda x: csr @ x, n, seed, tol=tol)
-    return _checked(SpectralResult(abs(lam), "iterative", count, residual, seed), tol)
-
-
-def op_norm(op: FinitePropOp, *, tol: float = DEFAULT_TOL,
-            dense_cutoff: int = DENSE_CUTOFF) -> SpectralResult:
-    """Operator (spectral) norm, via the top eigenvalue of ``op* op``."""
-    if op.nnz == 0:
-        return SpectralResult(0.0, "dense", 0, 0.0)
-    gram = op.adjoint() @ op
-    res = sym_extreme_eig(gram, tol=tol, dense_cutoff=dense_cutoff)
-    return SpectralResult(math.sqrt(max(res.value, 0.0)), res.method,
-                          res.iterations, res.residual, res.seed)
 
 
 def eigvec_power_norms(matvec: Callable, vec: np.ndarray,

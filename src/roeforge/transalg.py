@@ -345,12 +345,6 @@ class FinitePropOp:
     def nnz(self) -> int:
         return sum(len(row) for _, row in self._rows.values())
 
-    @property
-    def sup_entry_norm(self) -> float:
-        """Largest absolute entry value (0.0 for the zero operator)."""
-        return max((_exact_value(max(map(abs, row.values())), d)
-                    for d, row in self._rows.values()), default=0.0)
-
     def support(self) -> ControlledSet:
         """The support as a controlled set (exact diameter = propagation)."""
         return ControlledSet(self.space, frozenset(self._keys()), self.propagation)

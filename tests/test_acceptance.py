@@ -217,7 +217,7 @@ def test_criterion_07_family_separation():
 
 @criterion(8, "component restriction is an exact *-homomorphism")
 def test_criterion_08_restriction_homomorphism():
-    from conftest import random_rational_op, random_space
+    from helpers import random_rational_op, random_space
     rng = np.random.default_rng(108)
     for case in range(20):
         sp = random_space(rng)
@@ -259,7 +259,7 @@ def brute_force_invariants(space):
 
 @criterion(9, "averaged invariance pins down the constant vectors")
 def test_criterion_09_invariant_vectors():
-    from conftest import random_space
+    from helpers import random_space
     rng = np.random.default_rng(109)
     for case in range(20):
         sp = random_space(rng, max_points=12)

@@ -383,7 +383,9 @@ def test_overflowing_edge_weight_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ['{"family": ["margulis"], "members": [4]}',
-                                  '{"family": "margulis", "members": [1e400]}'])
+                                  '{"family": "margulis", "members": [1e400]}',
+                                  '{"family": "cycle", "members": [8.7]}',
+                                  '{"family": "box_space_Z", "members": [[3.9, 5.5]]}'])
 def test_malformed_manifest_exits_one(tmp_path, capsys, text):
     path = write(tmp_path, "bad.json", text)
     assert main(["gap", path]) == 1

@@ -13,7 +13,7 @@ from roeforge import (
     SpaceMismatchError,
     SupportOutsideTubeError,
 )
-from conftest import random_space, random_translation
+from helpers import random_space, random_translation
 
 
 def test_tube_graph_edges():

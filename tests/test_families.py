@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import roeforge as rf
 from roeforge import FamilyError, ManifestError, families
 
-from conftest import assert_same_csr, reference_graph
+from helpers import assert_same_csr, reference_graph
 
 
 def test_cycle_metric_matches_shortest_paths():
@@ -105,6 +106,31 @@ def test_box_space_sizes_must_grow():
         rf.make_box_space_Z([2, 4])
     with pytest.raises(FamilyError):
         rf.make_box_space_Z([])
+
+
+@pytest.mark.parametrize("make, good", [
+    (lambda v: rf.make_cycle(v), 8),
+    (lambda v: rf.make_complete(v), 4),
+    (lambda v: rf.make_hypercube(v), 3),
+    (lambda v: rf.make_random_regular(v, 2), 6),
+    (lambda v: rf.make_random_regular(6, v), 2),
+    (lambda v: rf.make_margulis(v), 4),
+    (lambda v: rf.make_box_space_Z([v, 5]), 3),
+    (lambda v: rf.random_bounded_degree_space(v, 2), 6),
+    (lambda v: rf.random_bounded_degree_space(6, v), 2),
+], ids=["cycle", "complete", "hypercube", "rr-n", "rr-d", "margulis", "box",
+        "bounded-n", "bounded-degree"])
+def test_family_sizes_must_be_integers(make, good):
+    """A size is an integer or an integral float; ``int()`` would have
+    turned 8.7 into 8 and True into 1 without a word."""
+    want = make(good)
+    for same in (float(good), np.int64(good)):
+        got = make(same)
+        assert (got.name, got.points) == (want.name, want.points)
+        assert_same_csr(got._graph, want._graph)
+    for bad in (good + 0.7, True, float("nan"), float("inf"), str(good), None):
+        with pytest.raises(FamilyError, match=f"must be an integer, got {re.escape(repr(bad))}$"):
+            make(bad)
 
 
 def test_random_bounded_degree_space():
@@ -307,6 +333,15 @@ def test_load_manifest_errors():
     with pytest.raises(ManifestError, match="member 1"):
         # JSON reads 1e400 as inf, which no int holds
         rf.load_manifest('{"family": "margulis", "members": [4, 1e400]}')
+    for members, bad in (([8.7], "n must be an integer, got 8.7"),
+                         ([True], "n must be an integer, got True"),
+                         (["8"], "n must be an integer, got '8'")):
+        with pytest.raises(ManifestError, match=f"^member 0: {bad}$"):
+            rf.load_manifest({"family": "cycle", "members": members})
+    with pytest.raises(ManifestError, match="^member 0: cycle size must be an integer, got 3.9$"):
+        rf.load_manifest({"family": "box_space_Z", "members": [[3.9, 5.5]]})
+    assert [s.name for s in rf.load_manifest({"family": "cycle", "members": [16.0]})[2]] \
+        == ["C16"]
 
 
 def test_metric_axioms_across_families():

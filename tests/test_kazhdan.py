@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import re
 import threading
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from roeforge import (
 from roeforge import kazhdan, spectral
 from roeforge.kazhdan import EXACT_POWER_CAP
 from roeforge.spectral import dense_power_norms, matvec_power_norm
-from conftest import random_rational_op, random_space, random_translation, spectral_norm
+from helpers import random_rational_op, random_space, random_translation, spectral_norm
 
 
 def averaging_for(space, radius=1.0):
@@ -190,7 +194,7 @@ def test_averaging_fixes_projection():
 def test_restrict_is_a_unital_star_homomorphism():
     rng = np.random.default_rng(9)
     sp = rf.disjoint_union([rf.make_cycle(4), rf.make_complete(3)])
-    from conftest import random_rational_op
+    from helpers import random_rational_op
     s = random_rational_op(rng, sp)
     t = random_rational_op(rng, sp)
     for m in range(sp.n_components):
@@ -769,3 +773,15 @@ def test_family_report_shape():
     assert len(d["members"]) == 2
     assert d["max_rho"] == max(r.max_rho for r in reps)
     json.dumps(d)  # serialisable as-is
+
+
+def test_readme_quick_start():
+    """The README's library quick start runs and prints what it says."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library quick start\n+```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    max_rho, bound = map(float, out.getvalue().split())
+    assert max_rho == pytest.approx(0.8535533905932737, abs=1e-12)
+    assert bound == 2 * (1 - max_rho)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import roeforge as rf
 from roeforge import SpaceParseError
 
-from conftest import assert_same_csr, reference_graph
+from helpers import assert_same_csr, reference_graph
 
 INF = float("inf")
 
@@ -425,7 +425,7 @@ def test_tube_queries_match_dijkstra_on_both_sides(share, weighted_parts, chunk,
     (lambda: rf.make_margulis(32), 3904, 9),
 ], ids=["box", "Mg32"])
 def test_box_space_colouring_builds_no_dense_metric(make, n_edges, n_colours):
-    from conftest import traced_peak
+    from helpers import traced_peak
     from roeforge.space import _CHUNK
 
     def build():
