@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -68,8 +66,9 @@ class EdgeColouring:
     ``ends`` holds the tube's edges as rows u < v in row-major order and
     ``colours`` the colour in 1..n_colours of each, no two edges sharing an
     endpoint getting the same colour; ``n_colours`` <= ``max_degree + 1``.
-    ``edges`` (rows as tuples) and ``colour_of`` (a read-only
-    ``{edge: colour}`` in edge order) are views built when first read.
+    ``edges``, the rows as tuples, is a view built when first read; the
+    package never reads it, but callers counting the tube's edges (the
+    benchmark's probes) do.
     """
 
     space: FiniteSpace
@@ -91,10 +90,6 @@ class EdgeColouring:
     @cached_property
     def edges(self) -> tuple:
         return tuple(map(tuple, self.ends.tolist()))
-
-    @cached_property
-    def colour_of(self) -> Mapping:
-        return MappingProxyType(dict(zip(self.edges, self.colours.tolist())))
 
     def classes(self) -> list[list[tuple[int, int]]]:
         """Edges grouped by colour; index i holds colour i+1 (a matching)."""
@@ -312,15 +307,20 @@ def decompose_translation(t: PartialTranslation, col: EdgeColouring) -> Translat
     """
     if t.space is not col.space:
         raise SpaceMismatchError("translation and colouring live over different spaces")
-    marks: list[list[int]] = [[] for _ in range(col.n_colours + 1)]
-    for x, y in t.graph:
-        c = 0 if x == y else col.colour_of.get((x, y) if x < y else (y, x))
-        if c is None:
-            raise SupportOutsideTubeError(
-                f"translation moves {col.space.points[y]} -> {col.space.points[x]}, "
-                f"outside the radius-{col.radius} tube")
-        marks[c].append(x)
-    idems = tuple(FinitePropOp._ones(col.space, ((x, x) for x in m)) for m in marks)
+    n = col.space.n_points
+    x, y = np.array(t.graph, dtype=np.int64).reshape(-1, 2).T
+    keys = col.ends[:, 0] * n + col.ends[:, 1]  # ascending: ends is row-major
+    want = np.minimum(x, y) * n + np.maximum(x, y)
+    at = np.searchsorted(keys, want)  # len(keys) past the last edge: the sentinels below
+    outside = (x != y) & (np.append(keys, -1)[at] != want)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise SupportOutsideTubeError(
+            f"translation moves {col.space.points[y[i]]} -> {col.space.points[x[i]]}, "
+            f"outside the radius-{col.radius} tube")
+    colour = np.where(x == y, 0, np.append(col.colours, 0)[at])
+    idems = tuple(FinitePropOp._ones(col.space, ((v, v) for v in x[colour == c].tolist()))
+                  for c in range(col.n_colours + 1))
     return TranslationDecomposition(radius=col.radius, perms=col._permutations,
                                     idempotents=idems)
 

@@ -73,13 +73,15 @@ NO_GAP_TOL = 1e-12          # rho >= 1 - NO_GAP_TOL counts as "no effective gap"
 CURVE_RTOL_DENSE = 1e-8
 CURVE_RTOL_ITER = 1e-7
 CURVE_ATOL = 1e-12
-DENSE_CUTOFF = 512          # gap_report's default largest dense component
-# Components of more than this many points try the banded path below the
-# dense cutoff too.  Per cycle component, curve included, with one BLAS
-# thread: dense eigh takes 3.1 ms at 128 points, 4.7 at 160, 7.2 at 192,
-# 8.8 at 224, 12.0 at 256 and 57 at 512; banded shift-invert takes
-# 3.0-3.7 ms from 96 to 256 points and about 4 at 512.  The crossover is
-# about 128-160 points; ROADMAP direction 5 says why 224 stays for now.
+# gap_report's routing (tests patch both; neither may go below 2): a
+# component of more than _BANDED_FROM points takes the band test, and one
+# with no band is solved densely up to DENSE_CUTOFF points, by Lanczos above.
+DENSE_CUTOFF = 512
+# Per cycle component, curve included, with one BLAS thread: dense eigh
+# takes 3.1 ms at 128 points, 4.7 at 160, 7.2 at 192, 8.8 at 224, 12.0 at
+# 256 and 57 at 512; banded shift-invert takes 3.0-3.7 ms from 96 to 256
+# points and about 4 at 512.  The crossover is about 128-160 points;
+# ROADMAP "Carried: Lower _BANDED_FROM from 224" says why 224 stays for now.
 _BANDED_FROM = 224
 # Basis size of the shift-invert Lanczos solve.  The shift stays under
 # lambda_2 (Fiedler's bound), so the inverse's top eigenvalues,
@@ -329,7 +331,7 @@ def _tube_band(block: sp.csr_matrix, denom: int):
     return order, band
 
 
-def _shift_invert(order: np.ndarray, band: np.ndarray, seed: int, tol: float):
+def _shift_invert(order: np.ndarray, band: np.ndarray, seed: int):
     """Lanczos on ``x -> P⊥ (L + eps)^-1 P⊥ x`` for the banded tube Laplacian L.
 
     Returns ``(vec, solves)``: the Ritz vector, in the block's own order,
@@ -350,12 +352,11 @@ def _shift_invert(order: np.ndarray, band: np.ndarray, seed: int, tol: float):
         z[order] = cho_solve_banded((factor, True), x[order] - x.mean(), check_finite=False)
         return z - z.mean()
 
-    _, vec, solves, _ = extreme_eig_matvec(inverse, s, seed, tol=tol, ncv=_SHIFT_INVERT_NCV)
+    _, vec, solves, _ = extreme_eig_matvec(inverse, s, seed, ncv=_SHIFT_INVERT_NCV)
     return vec, solves
 
 
-def _component_gap(avg: AveragingOp, m: int, ks: list[int], *,
-                   dense_cutoff: int, tol: float,
+def _component_gap(avg: AveragingOp, m: int, ks: list[int],
                    rates: RateConstants | None) -> ComponentGap:
     idx = avg.space.component_points(m)
     s = len(idx)
@@ -364,26 +365,24 @@ def _component_gap(avg: AveragingOp, m: int, ks: list[int], *,
     def deflated(x):
         return block @ x - x.mean()
 
-    banded = None
-    if s > max(min(dense_cutoff, _BANDED_FROM), 2):
-        banded = _tube_band(block, 2 * avg.n)
-    if banded is None and s <= max(dense_cutoff, 2):
+    banded = _tube_band(block, 2 * avg.n) if s > _BANDED_FROM else None
+    if banded is None and s <= DENSE_CUTOFF:
         lam, vec, residual = dense_extreme_eig(block.toarray() - 1.0 / s)
         spectral = SpectralResult(abs(lam), "dense", 0, residual)
         rtol = CURVE_RTOL_DENSE
     else:
         seed = _matrix_seed(block)
         if banded is None:
-            lam, vec, count, residual = extreme_eig_matvec(deflated, s, seed, tol=tol)
+            lam, vec, count, residual = extreme_eig_matvec(deflated, s, seed)
             spectral = SpectralResult(abs(lam), "iterative", count, residual, seed)
         else:
-            vec, count = _shift_invert(*banded, seed, tol)
+            vec, count = _shift_invert(*banded, seed)
             image = deflated(vec)
             lam = float(vec @ image) / float(vec @ vec)
             residual = float(np.linalg.norm(image - lam * vec))
             spectral = SpectralResult(abs(lam), "shift-invert", count, residual, seed)
         rtol = CURVE_RTOL_ITER
-    rho = _checked(spectral, tol).value
+    rho = _checked(spectral).value
     norms = eigvec_power_norms(deflated, vec, ks)
     for k in ks:
         expect = rho ** k
@@ -405,18 +404,17 @@ def _component_gap(avg: AveragingOp, m: int, ks: list[int], *,
 
 
 def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
-               c: float | None = None, *, threshold: float = 0.95,
-               dense_cutoff: int = DENSE_CUTOFF, tol: float = DEFAULT_TOL) -> GapReport:
+               c: float | None = None, *, threshold: float = 0.95) -> GapReport:
     """Per-component rho = ||A - P||_2 with measured convergence curves.
 
     Each component makes one eigensolve for rho and its certified
-    eigenvector v.  A component of more than 224 points, or of more than
-    ``dense_cutoff`` points if that is smaller (but never of 2 or fewer),
+    eigenvector v.  A component of more than ``_BANDED_FROM`` (224) points
     takes the band test: when its reverse Cuthill–McKee band is narrow
     (cycles, paths) it takes shift-invert on the tube Laplacian, which
     beats a dense solve from about 160 points on.  Any other component is
-    solved densely up to ``dense_cutoff`` points, and by Lanczos on A - P
-    above it (expanders).  The curve holds ||A^k - P||_2 at
+    solved densely up to ``DENSE_CUTOFF`` (512) points, and by Lanczos on
+    A - P above it (expanders).  ``params`` records that cutoff and the
+    solvers' tolerance ``DEFAULT_TOL``.  The curve holds ||A^k - P||_2 at
     k = 1, 2, 4, ... up to ``kmax`` (kmax itself always included),
     measured as ||(A - P)^k v|| by ``kmax`` applications of A - P to v:
     A - P is self-adjoint, so the norm of each power is attained on v.
@@ -441,7 +439,7 @@ def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
         raise ValueError(f"kmax must be <= {_MATVEC_CAP}, the matvec cap of one solve")
     rates = rate_constants(c, avg.n) if c is not None else None
     ks = _curve_powers(kmax)
-    comps = tuple(_component_gap(avg, m, ks, dense_cutoff=dense_cutoff, tol=tol, rates=rates)
+    comps = tuple(_component_gap(avg, m, ks, rates)
                   for m in range(avg.space.n_components))
     max_rho = max(g.rho for g in comps)
     return GapReport(
@@ -450,7 +448,7 @@ def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
         max_rho=max_rho,
         uniform_gap_threshold=float(threshold),
         uniform_gap=bool(max_rho < threshold),
-        params={"kmax": kmax, "c": c, "dense_cutoff": dense_cutoff, "tol": tol})
+        params={"kmax": kmax, "c": c, "dense_cutoff": DENSE_CUTOFF, "tol": DEFAULT_TOL})
 
 
 def kazhdan_lower_bound(report: GapReport, n: int) -> float:

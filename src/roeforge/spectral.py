@@ -36,7 +36,7 @@ __all__ = [
     "matvec_power_norm",
 ]
 
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = 1e-10      # ARPACK tolerance and residual bound of every solve
 _LANCZOS_NCV = 64        # Lanczos basis size (capped at the dimension)
 _MATVEC_CAP = 20_000     # matvecs one Lanczos solve may spend before it fails
 
@@ -85,7 +85,7 @@ def dense_extreme_eig(mat: np.ndarray) -> tuple[float, np.ndarray, float]:
 
 
 def extreme_eig_matvec(matvec: Callable, n: int, seed: int, *,
-                       tol: float = DEFAULT_TOL, ncv: int = _LANCZOS_NCV):
+                       ncv: int = _LANCZOS_NCV):
     """Signed eigenvalue of largest modulus of a symmetric matvec, by Lanczos.
 
     Returns ``(value, vec, matvec_count, residual)`` — ``value`` keeps its
@@ -93,13 +93,13 @@ def extreme_eig_matvec(matvec: Callable, n: int, seed: int, *,
     vector whose residual is reported.  ARPACK computes that one Ritz pair
     in a basis of up to ``ncv`` vectors (capped at ``n``); a caller whose
     top eigenvalue is well separated can pass a smaller one than the
-    default ``_LANCZOS_NCV``.  The start vector is
-    drawn from ``default_rng(seed)``, which makes the whole computation a
-    pure function of its arguments.  If the residual misses the bound that
-    :func:`_checked` applies, which a multiple top eigenvalue can cause, a
-    second solve starts from the Ritz vector; its matvecs count too.  A
-    solve that does not converge, or that would spend more than
-    ``_MATVEC_CAP`` matvecs in all, raises
+    default ``_LANCZOS_NCV``.  ARPACK's tolerance is ``DEFAULT_TOL``.  The
+    start vector is drawn from ``default_rng(seed)``, which makes the whole
+    computation a pure function of its arguments.  If the residual misses
+    the bound that :func:`_checked` applies, which a multiple top
+    eigenvalue can cause, a second solve starts from the Ritz vector; its
+    matvecs count too.  A solve that does not converge, or that would spend
+    more than ``_MATVEC_CAP`` matvecs in all, raises
     :class:`~roeforge.errors.SpectralError` naming ``n`` and the matvecs
     spent.
     """
@@ -123,7 +123,7 @@ def extreme_eig_matvec(matvec: Callable, n: int, seed: int, *,
     def solve(v0):
         try:
             # every restart costs a matvec, so the cap binds before maxiter does
-            vals, vecs = spla.eigsh(lin, k=1, which="LM", v0=v0, tol=tol,
+            vals, vecs = spla.eigsh(lin, k=1, which="LM", v0=v0, tol=DEFAULT_TOL,
                                     ncv=min(n, ncv), maxiter=_MATVEC_CAP)
         except spla.ArpackNoConvergence as exc:
             raise failure(exc) from exc
@@ -131,21 +131,19 @@ def extreme_eig_matvec(matvec: Callable, n: int, seed: int, *,
         return value, vec, float(np.linalg.norm(counting(vec) - value * vec))
 
     value, vec, residual = solve(np.random.default_rng(seed).standard_normal(n))
-    if residual > _residual_bound(value, tol):
+    if residual > _residual_bound(value):
         # on a multiple top eigenvalue ARPACK can stop with a Ritz vector
         # just short of the bound; a second solve started from it certifies
         value, vec, residual = solve(vec)
     return value, vec, count, residual
 
 
-def _residual_bound(value: float, tol: float) -> float:
-    # dense LAPACK results are full precision regardless of tol, so the
-    # effective bound never goes below a small multiple of machine epsilon
-    return max(tol, 64 * np.finfo(float).eps) * max(1.0, abs(value))
+def _residual_bound(value: float) -> float:
+    return DEFAULT_TOL * max(1.0, abs(value))
 
 
-def _checked(res: SpectralResult, tol: float) -> SpectralResult:
-    bound = _residual_bound(res.value, tol)
+def _checked(res: SpectralResult) -> SpectralResult:
+    bound = _residual_bound(res.value)
     if res.residual > bound:
         raise SpectralError(
             f"residual {res.residual:.3e} exceeds certified bound {bound:.3e}")
@@ -228,8 +226,7 @@ def dense_power_norms(mat: np.ndarray, ks: Iterable[int]) -> dict[int, float]:
     return out
 
 
-def matvec_power_norm(matvec: Callable, n: int, k: int, seed: int, *,
-                      tol: float = DEFAULT_TOL):
+def matvec_power_norm(matvec: Callable, n: int, k: int, seed: int):
     """``||M^k||_2`` for a symmetric matvec: top |eigenvalue| of the k-fold map.
 
     Returns ``(norm, matvec_count, residual)``; the matvec count is of the
@@ -247,5 +244,5 @@ def matvec_power_norm(matvec: Callable, n: int, k: int, seed: int, *,
             x = matvec(x)
         return x
 
-    value, _, _, residual = extreme_eig_matvec(mk, n, seed, tol=tol)
+    value, _, _, residual = extreme_eig_matvec(mk, n, seed)
     return abs(value), inner, residual

@@ -15,6 +15,7 @@ import pytest
 
 import roeforge as rf
 from roeforge import FinitePropOp, PermutationOp
+from roeforge import kazhdan
 
 # Largest measured Margulis-family contraction (n = 32, 1024 points), frozen
 # with headroom in the last digit.  Criterion 7 holds as long as the sweep
@@ -179,7 +180,7 @@ def test_criterion_06_exact_spectra():
         avg = rf.build_averaging(rf.colour_permutations(col)[1:])
         rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=1)
         (comp,) = rep.components
-        assert comp.spectral.method == ("shift-invert" if n > 224 else "dense")
+        assert comp.spectral.method == ("shift-invert" if n > kazhdan._BANDED_FROM else "dense")
         want = 0.5 + math.cos(2 * math.pi / n) / 2
         assert abs(comp.rho - want) <= 1e-9
 

@@ -74,8 +74,9 @@ def test_empty_tube_graph():
 def test_colouring_is_deterministic():
     a = rf.edge_colouring(rf.make_cycle(5), 1)
     b = rf.edge_colouring(rf.make_cycle(5), 1)
-    assert a.colour_of == b.colour_of
-    assert a.colour_of == {(0, 1): 1, (0, 4): 2, (1, 2): 2, (2, 3): 1, (3, 4): 3}
+    pairs = list(zip(a.edges, a.colours.tolist()))
+    assert pairs == list(zip(b.edges, b.colours.tolist()))
+    assert pairs == [((0, 1), 1), ((0, 4), 2), ((1, 2), 2), ((2, 3), 1), ((3, 4), 3)]
 
 
 def test_colours_are_renumbered_by_first_use():
@@ -83,8 +84,7 @@ def test_colours_are_renumbered_by_first_use():
         sp = rf.random_bounded_degree_space(30, 5, seed=seed)
         col = rf.edge_colouring(sp, 1)
         seen = []
-        for e in col.edges:
-            c = col.colour_of[e]
+        for _, c in zip(col.edges, col.colours.tolist()):
             if c not in seen:
                 seen.append(c)
         assert seen == list(range(1, col.n_colours + 1))
@@ -185,6 +185,28 @@ def test_decompose_rejects_support_outside_tube():
     far = PartialTranslation(sp, {0: 3})
     with pytest.raises(SupportOutsideTubeError):
         rf.decompose_translation(far, col)
+    # the first support pair outside the tube, in graph order, is named
+    t = PartialTranslation(sp, {0: 1, 6: 2, 5: 0, 4: 4})
+    assert t.graph == ((0, 5), (1, 0), (2, 6), (4, 4))
+    with pytest.raises(SupportOutsideTubeError,
+                       match=r"^translation moves 5 -> 0, outside the radius-1\.0 tube$"):
+        rf.decompose_translation(t, col)
+
+
+def test_decompose_on_an_empty_tube():
+    """With no tube edges only fixed points decompose, onto the identity."""
+    sp = rf.FiniteSpace(["a", "b", "c"], [[0, 3, 3], [3, 0, 3], [3, 3, 0]])
+    col = rf.edge_colouring(sp, 1)
+    assert col.ends.shape == (0, 2) and col.n_colours == 0
+    t = PartialTranslation.identity_on(sp, [0, 2])
+    dec = rf.decompose_translation(t, col)
+    assert dec.idempotents == (FinitePropOp.diagonal(sp, {0: 1, 2: 1}),)
+    assert dec.reconstruct() == t.as_operator()
+    empty = rf.decompose_translation(PartialTranslation(sp, {}), col)
+    assert empty.idempotents == (FinitePropOp.diagonal(sp, {}),)
+    with pytest.raises(SupportOutsideTubeError,
+                       match=r"^translation moves c -> b, outside the radius-1\.0 tube$"):
+        rf.decompose_translation(PartialTranslation(sp, {0: 0, 2: 1}), col)
 
 
 def test_decompose_rejects_wrong_space():
@@ -311,7 +333,7 @@ def _assert_matches_reference(space, radius):
     col = rf.edge_colouring(space, radius)
     edges, colour_of, n_colours, max_degree = _reference_colouring(space, radius)
     assert col.edges == edges
-    assert list(col.colour_of.items()) == list(colour_of.items())  # key order too
+    assert list(zip(col.edges, col.colours.tolist())) == list(colour_of.items())  # order too
     assert (col.n_colours, col.max_degree) == (n_colours, max_degree)
 
 
@@ -348,11 +370,10 @@ def test_colouring_views_agree_with_the_arrays():
     assert not col.ends.flags.writeable and not col.colours.flags.writeable
     assert col.edges == tuple(map(tuple, col.ends.tolist()))
     assert all(u < v for u, v in col.edges)
-    assert list(col.colour_of) == list(col.edges)  # edge order
-    assert list(col.colour_of.values()) == col.colours.tolist()
-    assert col.edges is col.edges and col.colour_of is col.colour_of
+    assert len(col.edges) == len(col.colours)  # one colour per edge, in edge order
+    assert col.edges is col.edges
     with pytest.raises(TypeError):
-        col.colour_of[col.edges[0]] = 1
+        col.edges[0] = (0, 1)
     # equality is by value; a colouring is not hashable
     twin = rf.edge_colouring(col.space, 2)
     assert twin == col and twin is not col

@@ -27,6 +27,13 @@ from roeforge.spectral import dense_power_norms, matvec_power_norm
 from helpers import random_rational_op, random_space, random_translation, spectral_norm
 
 
+def route_above(monkeypatch, n):
+    """Make gap_report send every component of more than ``n`` points to
+    the band test, and solve one with no band densely only up to ``n``."""
+    monkeypatch.setattr(kazhdan, "_BANDED_FROM", n)
+    monkeypatch.setattr(kazhdan, "DENSE_CUTOFF", n)
+
+
 def averaging_for(space, radius=1.0):
     col = rf.edge_colouring(space, radius)
     perms = rf.colour_permutations(col)[1:]
@@ -133,7 +140,8 @@ def test_shift_invert_gap_report_builds_no_exact_operator(monkeypatch):
         return real(self, space, entries, mode)
 
     monkeypatch.setattr(FinitePropOp, "_store", recording)
-    rep = rf.gap_report(avg, proj, kmax=4, dense_cutoff=8)
+    route_above(monkeypatch, 8)
+    rep = rf.gap_report(avg, proj, kmax=4)
     assert {c.spectral.method for c in rep.components} == {"shift-invert"}
     assert built == [(rf.MODE_FLOAT, threading.current_thread())]
     assert "op" not in vars(avg)
@@ -325,15 +333,16 @@ def test_gap_report_multi_component():
     assert rep.uniform_gap is True  # 0.854 < 0.95
 
 
-def test_gap_report_small_components_take_dense_path():
-    # a 2-point component is below the Lanczos minimum whatever the cutoff
+def test_gap_report_small_components_take_dense_path(monkeypatch):
+    # a 2-point component is below the Lanczos minimum: with the routing
+    # at its floor of 2 it stays dense and the 8-cycle takes shift-invert
     sp = rf.disjoint_union([rf.make_complete(2), rf.make_cycle(8)])
-    rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp),
-                        kmax=2, dense_cutoff=0)
+    full = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=2)
+    route_above(monkeypatch, 2)
+    rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=2)
     small, big = rep.components
     assert small.size == 2 and small.spectral.method == "dense"
     assert big.size == 8 and big.spectral.method == "shift-invert"
-    full = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=2)
     assert small.rho == full.components[0].rho
     assert big.rho == pytest.approx(full.components[1].rho, abs=1e-9)
 
@@ -363,9 +372,9 @@ def test_gap_report_rejects_uncertified_residual(monkeypatch, path):
             return vec, solves
 
         monkeypatch.setattr(kazhdan, "_shift_invert", off_eigenvector)
+    route_above(monkeypatch, 8 if path == "dense" else 2)
     with pytest.raises(SpectralError, match="residual"):
-        rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=1,
-                      dense_cutoff=8 if path == "dense" else 0)
+        rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=1)
 
 
 @pytest.mark.parametrize("make, radius, method", [
@@ -394,6 +403,26 @@ def test_rho_matches_laplacian_oracle(make, radius, method):
     lam2 = np.linalg.eigvalsh(lap)[1]
     assert abs(comp.rho - (1.0 - lam2 / (2 * col.n_colours))) <= 1e-9
     assert comp.spectral.method == method
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_box_space_rho_is_the_circulant_value_at_each_radius(radius):
+    """The box space's verdict is read at one propagation radius R; on
+    every cycle C_s the tube at R is the circulant joining steps 1..R, so
+    lambda_2 of its Laplacian is sum_{j<=R} 2(1 - cos(2 pi j / s)) and
+    rho = 1 - lambda_2 / (2c) for the colouring's c colours, on the dense
+    path (16, 64 points) and the shift-invert one (256, 1024) alike."""
+    sizes = [16, 64, 256, 1024]
+    box = rf.make_box_space_Z(sizes)
+    col = rf.edge_colouring(box, radius)
+    avg = rf.build_averaging(rf.colour_permutations(col)[1:])
+    rep = rf.gap_report(avg, rf.kazhdan_projection(box), kmax=1)
+    assert [comp.size for comp in rep.components] == sizes
+    for comp in rep.components:
+        s = comp.size
+        lam2 = sum(2 * (1 - math.cos(2 * math.pi * j / s)) for j in range(1, radius + 1))
+        assert abs(comp.rho - (1 - lam2 / (2 * col.n_colours))) <= 1e-12
+    assert {comp.spectral.method for comp in rep.components} == {"dense", "shift-invert"}
 
 
 def test_gap_report_threshold_verdict():
@@ -434,18 +463,21 @@ def test_gap_report_records_rate_bound():
     assert rep.params["c"] == 1.0
 
 
-@pytest.mark.parametrize("dense_cutoff", [rf.DENSE_CUTOFF, 0], ids=["default", "cutoff0"])
-def test_curve_follows_rho_powers(dense_cutoff):
+@pytest.mark.parametrize("floor", [False, True], ids=["default", "cutoff0"])
+def test_curve_follows_rho_powers(monkeypatch, floor):
     """The curve is measured on rho's eigenvector; it must follow rho^k and
     match an independent norm of each power: scaled repeated squaring on the
-    dense path, a Lanczos solve of the k-fold map on the iterative one."""
+    dense path, a Lanczos solve of the k-fold map on the iterative one.  With
+    the routing at its floor of 2, every component above 2 points leaves
+    the dense path."""
+    if floor:
+        route_above(monkeypatch, 2)
     rng = np.random.default_rng(77)
     methods = set()
     for _ in range(5):
         sp = random_space(rng, max_points=10)
         avg = averaging_for(sp)
-        rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=16,
-                            dense_cutoff=dense_cutoff)
+        rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=16)
         for comp in rep.components:
             idx = sp.component_points(comp.id)
             s = len(idx)
@@ -463,7 +495,7 @@ def test_curve_follows_rho_powers(dense_cutoff):
             for k, norm in comp.curve:
                 assert norm == pytest.approx(comp.rho**k, rel=1e-7, abs=1e-11)
                 assert norm == pytest.approx(ref[k], rel=rtol, abs=kazhdan.CURVE_ATOL)
-    assert methods == ({"dense", "shift-invert"} if dense_cutoff == 0 else {"dense"})
+    assert methods == ({"dense", "shift-invert"} if floor else {"dense"})
 
 
 def test_one_eigensolve_per_component(monkeypatch):
@@ -580,7 +612,7 @@ def test_shift_invert_at_two_to_the_sixteen_points():
                        shape=(n, n))
     order, band = kazhdan._tube_band(block, 4)
     assert band.shape == (3, n)
-    vec, solves = kazhdan._shift_invert(order, band, 1, rf.DEFAULT_TOL)
+    vec, solves = kazhdan._shift_invert(order, band, 1)
     image = block @ vec - vec.mean()
     rho = float(vec @ image)
     assert abs(rho - (0.5 + math.cos(2 * math.pi / n) / 2)) <= 1e-12
@@ -616,15 +648,16 @@ def test_cycle_at_two_to_the_sixteen_points_through_the_colouring():
     assert abs(comp.rho - math.cos(math.pi / n) ** 2) <= 1e-12
 
 
-@pytest.mark.parametrize("dense_cutoff", [rf.DENSE_CUTOFF, 0], ids=["default", "cutoff0"])
-def test_disconnected_tube_has_no_gap_on_shift_invert(dense_cutoff):
+@pytest.mark.parametrize("floor", [False, True], ids=["default", "cutoff0"])
+def test_disconnected_tube_has_no_gap_on_shift_invert(monkeypatch, floor):
     """A path with one weight-3 edge is one coarse component, but its tube at
     radius 1.5 falls in two: lambda_2 of the Laplacian is 0 and rho is 1."""
-    n = 8 if dense_cutoff == 0 else 1200
+    if floor:
+        route_above(monkeypatch, 2)
+    n = 8 if floor else 1200
     sp = _path(n, {n // 2 - 1: 3.0})
     assert sp.n_components == 1
-    rep = rf.gap_report(averaging_for(sp, 1.5), rf.kazhdan_projection(sp), kmax=4,
-                        dense_cutoff=dense_cutoff)
+    rep = rf.gap_report(averaging_for(sp, 1.5), rf.kazhdan_projection(sp), kmax=4)
     (comp,) = rep.components
     assert comp.spectral.method == "shift-invert"
     assert comp.rho == pytest.approx(1.0, abs=1e-12)
@@ -632,13 +665,13 @@ def test_disconnected_tube_has_no_gap_on_shift_invert(dense_cutoff):
     assert [v for _, v in comp.curve] == pytest.approx([1.0] * 3, abs=1e-9)
 
 
-def test_lanczos_curve_follows_rho_powers():
+def test_lanczos_curve_follows_rho_powers(monkeypatch):
     """The curve on a Lanczos eigenvector matches a Lanczos solve of each
     k-fold map, on wide-band spaces forced past the cutoff."""
+    route_above(monkeypatch, 2)
     for sp in (rf.make_margulis(8), rf.make_hypercube(5)):
         avg = averaging_for(sp)
-        (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=16,
-                                dense_cutoff=0).components
+        (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=16).components
         assert comp.spectral.method == "iterative"
         block = avg.csr
         for k, norm in comp.curve:

@@ -105,7 +105,7 @@ def test_lanczos_certifies_a_multiple_top_eigenvalue():
         value, _, count, residual = extreme_eig_matvec(
             lambda x: block @ x - x.mean(), sp.n_points, seed)
         res = spectral.SpectralResult(abs(value), "iterative", count, residual)
-        assert spectral._checked(res, rf.DEFAULT_TOL).value == pytest.approx(0.9, abs=1e-12)
+        assert spectral._checked(res).value == pytest.approx(0.9, abs=1e-12)
 
 
 def test_dense_power_norms_matches_matrix_power():
