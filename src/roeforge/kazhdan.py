@@ -44,7 +44,7 @@ from .spectral import (
     eigvec_power_norms,
     extreme_eig_matvec,
 )
-from .transalg import MODE_FLOAT, FinitePropOp, PermutationOp, _lowest
+from .transalg import MODE_FLOAT, FinitePropOp, PermutationOp, restrict
 
 __all__ = [
     "AveragingOp",
@@ -102,8 +102,8 @@ class AveragingOp:
     ``keys`` are the support's ``x * size + y``, ascending.  When first
     read, ``csr`` and ``op`` are made from the counts as a float and an
     exact :class:`FinitePropOp`; the float one's ``to_csr`` makes the matrix,
-    and the exact one's rows are the counts over 2n in lowest terms.  The
-    gap path reads only ``csr``.
+    and the exact one holds the counts over 2n.  The gap path reads only
+    ``csr``.
     """
 
     perms: tuple
@@ -112,23 +112,15 @@ class AveragingOp:
     keys: np.ndarray = field(compare=False, repr=False)
     counts: np.ndarray = field(compare=False, repr=False)
 
-    def _rows_over(self, values: list, d: int) -> dict:
-        """The rows ``values`` over ``d`` make, one value per key, in lowest terms."""
-        rows: dict[int, dict] = {}
-        xs, ys = np.divmod(self.keys, self.space.n_points)
-        for x, y, v in zip(xs.tolist(), ys.tolist(), values):
-            rows.setdefault(x, {})[y] = v
-        return {x: _lowest(d, row) for x, row in rows.items()}
-
     @cached_property
     def csr(self) -> sp.csr_matrix:
         # numpy divides exactly; scipy's csr / scalar multiplies by 1/(2n)
         values = (self.counts / (2 * self.n)).tolist()
-        return FinitePropOp._sealed(self.space, self._rows_over(values, 1), MODE_FLOAT).to_csr()
+        return FinitePropOp._from_keys(self.space, self.keys, values, 1, MODE_FLOAT).to_csr()
 
     @cached_property
     def op(self) -> FinitePropOp:
-        return FinitePropOp._sealed(self.space, self._rows_over(self.counts.tolist(), 2 * self.n))
+        return FinitePropOp._from_keys(self.space, self.keys, self.counts.tolist(), 2 * self.n)
 
 
 def build_averaging(perms: Iterable[PermutationOp]) -> AveragingOp:
@@ -165,29 +157,20 @@ class KazhdanProjection:
     On a component of size s every matrix entry is 1/s; across components
     everything is zero.  The matrix has quadratically many entries per
     component, so it is stored structurally (one rational value per
-    component) and materialised as a :class:`FinitePropOp` only through
-    the ``op`` property; the gap computations never materialise it.
+    component), and the ``op`` property makes a new :class:`FinitePropOp`
+    on every read; the gap computations never read it.
     """
 
-    __slots__ = ("space", "component_value", "_op")
+    __slots__ = ("space", "component_value")
 
     def __init__(self, space: FiniteSpace):
         self.space = space
         self.component_value = {
             m: Fraction(1, s) for m, s in enumerate(np.bincount(space.component_of).tolist())}
-        self._op = None
 
     @property
     def op(self) -> FinitePropOp:
-        if self._op is None:
-            rows = {}
-            for m, val in self.component_value.items():
-                idx = self.space.component_points(m).tolist()
-                # every row of the block is 1 over s: one row, shared
-                row = (val.denominator, dict.fromkeys(idx, 1))
-                rows.update(dict.fromkeys(idx, row))
-            self._op = FinitePropOp._sealed(self.space, rows)
-        return self._op
+        return FinitePropOp._block_constant(self.space)
 
     def matvec(self, x) -> np.ndarray:
         """Apply without materialising: mean of x on each component."""
@@ -206,25 +189,6 @@ class KazhdanProjection:
 def kazhdan_projection(space: FiniteSpace) -> KazhdanProjection:
     """The block-constant projection of a space (all components finite here)."""
     return KazhdanProjection(space)
-
-
-def restrict(t: FinitePropOp, m: int) -> FinitePropOp:
-    """Cut an operator down to coarse component ``m`` of its space.
-
-    Finite-propagation operators never connect distinct components, so
-    this block extraction is a unital *-homomorphism: it preserves sums,
-    products, adjoints and the identity, exactly in rational mode.
-    """
-    sub = t.space.component_space(m)
-    idx = t.space.component_points(m).tolist()
-    pos = {g: i for i, g in enumerate(idx)}
-    # a row keeps its denominator and numerators, so stays in lowest terms
-    rows = {}
-    for x in idx:
-        r = t._rows.get(x)
-        if r is not None:
-            rows[pos[x]] = (r[0], {pos[y]: n for y, n in r[1].items()})
-    return FinitePropOp._sealed(sub, rows, t.mode)
 
 
 class RateConstants(NamedTuple):

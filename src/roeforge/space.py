@@ -17,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -384,6 +385,20 @@ def _check_names(points: tuple, name: str) -> None:
         raise ValueError("space name must be a single non-empty token")
 
 
+def _integer(value, what: str, error: type = ValueError) -> int:
+    """``value`` as an ``int``.  Integral floats such as 16.0 and numpy
+    integers are taken; bools, non-integral and non-numeric values raise
+    ``error`` naming the value, instead of truncating it."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
 def _check_size(n: int) -> None:
     """Refuse a space of more than MAX_POINTS points, before building any of it."""
     if n > MAX_POINTS:
@@ -396,7 +411,7 @@ def space_from_graph(points: Sequence[str],
                      name: str = "space") -> FiniteSpace:
     """Build a space from an undirected weighted graph by path metric.
 
-    ``edges`` yields ``(u, v, w)`` index triples with ``w > 0``; an
+    ``edges`` yields ``(u, v, w)`` index triples with finite ``w > 0``; an
     ``(m, 3)`` array is such an iterable.  Points not reached by any edge
     sit at +inf from everything else.  Parallel edges keep the smallest
     weight; self-loops are ignored (they cannot change any shortest path).
@@ -412,12 +427,14 @@ def space_from_graph(points: Sequence[str],
         raise ValueError("edges must be (u, v, w) triples")
     u, v, w = e.reshape(-1, 3).T
     in_range = (0 <= u) & (u < n) & (0 <= v) & (v < n)
-    bad = ~in_range | ~(w > 0)
+    finite = np.isfinite(w)
+    bad = ~in_range | ~finite | ~(w > 0)
     if bad.any():
         i = int(bad.argmax())
         if not in_range[i]:
             raise ValueError(f"edge ({u[i]:.17g}, {v[i]:.17g}) out of range for {n} points")
-        raise ValueError(f"edge ({u[i]:.17g}, {v[i]:.17g}) has non-positive weight {w[i]}")
+        kind = "non-positive" if finite[i] else "non-finite"
+        raise ValueError(f"edge ({u[i]:.17g}, {v[i]:.17g}) has {kind} weight {w[i]}")
     u, v = u.astype(np.int64), v.astype(np.int64)
     keep = u != v
     lo, hi, w = np.minimum(u, v)[keep], np.maximum(u, v)[keep], w[keep]

@@ -41,7 +41,7 @@ from .errors import (
     ScalarModeError,
     SpaceMismatchError,
 )
-from .space import ControlledSet, FiniteSpace, support_diameter
+from .space import ControlledSet, FiniteSpace, _integer, support_diameter
 
 __all__ = [
     "MODE_RATIONAL",
@@ -49,6 +49,7 @@ __all__ = [
     "FinitePropOp",
     "PartialTranslation",
     "PermutationOp",
+    "restrict",
     "row_sum_diagonal",
     "uniform_sum_value",
     "uniform_sum",
@@ -239,16 +240,22 @@ class FinitePropOp:
     lcm thousands of bits wide.  Float values are added in ascending column
     order where the order can change their bits, along the left row of a
     product and in a row sum.  Rows are never changed once stored, so
-    operators share them.  ``entries`` is a read-only view built when first
-    read: a float row's stored values, and for a rational row an int
-    wherever the reduced denominator is 1 and a ``Fraction`` otherwise.
+    operators share them; they are all an operator keeps, and ``entries``,
+    :meth:`to_float` and the matrices are built anew on every call.
+    ``entries`` holds a float row's stored values, and for a rational row an
+    int wherever the reduced denominator is 1 and a ``Fraction`` otherwise.
+    Point indices are ints; integral floats and numpy integers are taken as
+    ints, bools and other values refused.
     """
 
-    __slots__ = ("space", "mode", "_rows", "_entries", "_propagation", "_csr", "_float")
+    __slots__ = ("space", "mode", "_rows", "_propagation")
 
     def __init__(self, space: FiniteSpace, entries: Mapping, mode: str = MODE_RATIONAL):
         _check_mode(mode)
-        ratios = {(int(x), int(y)): _as_ratio(v, mode) for (x, y), v in entries.items()}
+        if not all(type(x) is int and type(y) is int for x, y in entries):
+            entries = {(_integer(x, "point index"), _integer(y, "point index")): v
+                       for (x, y), v in entries.items()}
+        ratios = {xy: _as_ratio(v, mode) for xy, v in entries.items()}
         self._store(space, _rows_of(ratios), mode)
         self._propagation = support_diameter(space, *self._pairs())
 
@@ -257,10 +264,7 @@ class FinitePropOp:
         self.space = space
         self.mode = mode
         self._rows = rows
-        self._entries = None
         self._propagation = None
-        self._csr = None
-        self._float = None
 
     @classmethod
     def _sealed(cls, space: FiniteSpace, rows: Mapping,
@@ -280,13 +284,32 @@ class FinitePropOp:
         one, _ = _as_ratio(1, mode)
         return cls._sealed(space, {x: (1, {y: one}) for x, y in pairs}, mode)
 
+    @classmethod
+    def _from_keys(cls, space: FiniteSpace, keys: np.ndarray, numerators: list,
+                   d: int, mode: str = MODE_RATIONAL) -> "FinitePropOp":
+        """The operator with entry ``numerators[i] / d`` at each ascending
+        key ``keys[i] = x * n + y``, n the point count; no numerator is 0."""
+        rows: dict[int, dict] = {}
+        xs, ys = np.divmod(keys, space.n_points)
+        for x, y, v in zip(xs.tolist(), ys.tolist(), numerators):
+            rows.setdefault(x, {})[y] = v
+        return cls._sealed(space, {x: _lowest(d, row) for x, row in rows.items()}, mode)
+
+    @classmethod
+    def _block_constant(cls, space: FiniteSpace) -> "FinitePropOp":
+        """The projection with entries 1/s on each component of s points, whose
+        rows share one stored row, so that a product multiplies it once."""
+        rows = {}
+        for m in range(space.n_components):
+            idx = space.component_points(m).tolist()
+            row = (len(idx), dict.fromkeys(idx, 1))
+            rows.update(dict.fromkeys(idx, row))
+        return cls._sealed(space, rows)
+
     @property
     def entries(self) -> dict:
-        """``{(x, y): value}`` in sorted pair order, zeros dropped."""
-        if self._entries is None:
-            self._entries = {(x, y): _exact_value(n, d)
-                             for x, d, y, n in _in_order(self._rows)}
-        return self._entries
+        """A new ``{(x, y): value}`` in sorted pair order, zeros dropped."""
+        return {(x, y): _exact_value(n, d) for x, d, y, n in _in_order(self._rows)}
 
     @property
     def propagation(self) -> float:
@@ -325,7 +348,7 @@ class FinitePropOp:
             items = values.items()
         else:
             items = enumerate(values)
-        return cls(space, {(int(i), int(i)): v for i, v in items}, mode)
+        return cls(space, {(i, i): v for i, v in items}, mode)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -433,18 +456,16 @@ class FinitePropOp:
         """
         if self.mode == MODE_FLOAT:
             return self
-        if self._float is None:
-            try:
-                # a tiny n / d can round to 0
-                self._float = FinitePropOp._sealed(self.space, {
-                    x: r for x, (d, row) in self._rows.items()
-                    if (r := _reduced(1, {y: n / d for y, n in row.items()})) is not None},
-                    MODE_FLOAT)
-            except OverflowError:
-                x, y = next((x, y) for x, (d, row) in self._rows.items()
-                            for y, n in row.items() if _overflows(n, d))
-                raise ValueError(f"entry ({x}, {y}) is beyond float range") from None
-        return self._float
+        try:
+            # a tiny n / d can round to 0
+            return FinitePropOp._sealed(self.space, {
+                x: r for x, (d, row) in self._rows.items()
+                if (r := _reduced(1, {y: n / d for y, n in row.items()})) is not None},
+                MODE_FLOAT)
+        except OverflowError:
+            x, y = next((x, y) for x, (d, row) in self._rows.items()
+                        for y, n in row.items() if _overflows(n, d))
+            raise ValueError(f"entry ({x}, {y}) is beyond float range") from None
 
     def _coo(self):
         """Row, column and value arrays in sorted pair order; values complex
@@ -465,14 +486,31 @@ class FinitePropOp:
         return out
 
     def to_csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            rows, cols, vals = self._coo()
-            n = self.space.n_points
-            self._csr = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        return self._csr
+        rows, cols, vals = self._coo()
+        n = self.space.n_points
+        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
     def matvec(self, x) -> np.ndarray:
         return self.to_csr() @ np.asarray(x)
+
+
+def restrict(t: FinitePropOp, m: int) -> FinitePropOp:
+    """Cut an operator down to coarse component ``m`` of its space.
+
+    Finite-propagation operators never connect distinct components, so
+    this block extraction is a unital *-homomorphism: it preserves sums,
+    products, adjoints and the identity, exactly in rational mode.
+    """
+    sub = t.space.component_space(m)
+    idx = t.space.component_points(m).tolist()
+    pos = {g: i for i, g in enumerate(idx)}
+    # a row keeps its denominator and numerators, so stays in lowest terms
+    rows = {}
+    for x in idx:
+        r = t._rows.get(x)
+        if r is not None:
+            rows[pos[x]] = (r[0], {pos[y]: n for y, n in r[1].items()})
+    return FinitePropOp._sealed(sub, rows, t.mode)
 
 
 def operator_sum(space: FiniteSpace, ops: Iterable[FinitePropOp], mode: str) -> FinitePropOp:
@@ -594,7 +632,8 @@ class PartialTranslation:
     __slots__ = ("space", "mapping", "propagation")
 
     def __init__(self, space: FiniteSpace, mapping: Mapping[int, int]):
-        m = dict(sorted((int(y), int(x)) for y, x in mapping.items()))
+        m = dict(sorted((_integer(y, "point index"), _integer(x, "point index"))
+                        for y, x in mapping.items()))
         if len(set(m.values())) != len(m):
             raise ValueError("partial translation must be injective")
         self.propagation = support_diameter(space, list(m.values()), list(m))
@@ -603,7 +642,7 @@ class PartialTranslation:
 
     @classmethod
     def identity_on(cls, space: FiniteSpace, subset: Iterable[int]) -> "PartialTranslation":
-        return cls(space, {int(i): int(i) for i in subset})
+        return cls(space, {i: i for i in subset})
 
     @property
     def domain(self) -> tuple:
@@ -644,7 +683,9 @@ class PermutationOp:
     __slots__ = ("space", "perm", "_op")
 
     def __init__(self, space: FiniteSpace, perm: Sequence[int]):
-        p = np.asarray(perm, dtype=np.int64).copy()
+        if not (isinstance(perm, np.ndarray) and perm.dtype.kind in "iu"):
+            perm = [_integer(i, "point index") for i in perm]
+        p = np.array(perm, dtype=np.int64)
         n = space.n_points
         if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
             raise ValueError("perm must be a bijection of the point indices")
@@ -808,12 +849,12 @@ def operator_to_text(op: FinitePropOp) -> str:
     serialise to identical bytes.  Point names must be whitespace-free.
     """
     pts = op.space.points
-    used = {i for pair in op.entries for i in pair}
-    for i in used:
+    entries = op.entries
+    for i in {i for pair in entries for i in pair}:
         if any(c.isspace() for c in pts[i]):
             raise ValueError(f"point name {pts[i]!r} cannot be serialised (contains whitespace)")
     lines = [f"operator {op.space.name} {op.mode} {op.propagation!r}"]
-    for (x, y), v in op.entries.items():
+    for (x, y), v in entries.items():
         lines.append(f"entry {pts[x]} {pts[y]} {_format_value(v, op.mode)}")
     return "\n".join(lines) + "\n"
 

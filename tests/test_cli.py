@@ -427,6 +427,19 @@ def test_verify_zero_cases_warns(capsys):
     assert "nothing was checked" in captured.err
 
 
+def _record_entries_reads(monkeypatch) -> list:
+    """Patch ``FinitePropOp.entries`` to note each operator it is read on."""
+    reads = []
+    entries = transalg.FinitePropOp.entries.fget
+
+    def recording(self):
+        reads.append(self)
+        return entries(self)
+
+    monkeypatch.setattr(transalg.FinitePropOp, "entries", property(recording))
+    return reads
+
+
 def test_verify_case_compares_integer_rows(monkeypatch):
     """verify's identities compare rational operators row by row in ints:
     no case reads an operator's entries view, and transalg makes no
@@ -444,6 +457,7 @@ def test_verify_case_compares_integer_rows(monkeypatch):
 
     monkeypatch.setattr(transalg.FinitePropOp, "_store", recording)
     monkeypatch.setattr(transalg, "Fraction", fraction)
+    reads = _record_entries_reads(monkeypatch)
     components = set()
     for seed in (0, 7, 13):
         for i in range(4):
@@ -453,7 +467,7 @@ def test_verify_case_compares_integer_rows(monkeypatch):
             cli._verify_case(rng, space)
     assert len(components) > 1
     assert built and {op.mode for op in built} == {rf.MODE_RATIONAL}
-    assert [op for op in built if op._entries is not None] == []
+    assert reads == []
     assert fractions == []
 
 
@@ -472,10 +486,11 @@ def test_gap_builds_no_entries_view(capsys, monkeypatch, name, code):
         return store(self, space, rows, mode)
 
     monkeypatch.setattr(transalg.FinitePropOp, "_store", recording)
+    reads = _record_entries_reads(monkeypatch)
     assert main(["gap", str(WORKLOADS / f"{name}.json"), "--kmax", "32"]) == code
     assert capsys.readouterr().out
     assert built
-    assert [op for op in built if op._entries is not None] == []
+    assert reads == []
 
 
 @pytest.mark.parametrize("name, code", [("margulis", 0), ("boxspace", 2)])

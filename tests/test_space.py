@@ -94,8 +94,10 @@ def test_space_from_graph_reports_the_first_bad_edge():
     # within one edge the range check comes first
     with pytest.raises(ValueError, match="out of range"):
         rf.space_from_graph(points, np.array([[0, -1, -1.0]]))
-    with pytest.raises(ValueError, match="non-positive weight nan"):
+    with pytest.raises(ValueError, match=r"^edge \(0, 0\) has non-finite weight nan$"):
         rf.space_from_graph(points, [(0, 0, float("nan"))])
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\) has non-finite weight inf$"):
+        rf.space_from_graph(["a", "b", "c"], [(0, 1, float("inf")), (1, 2, 1.0)])
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -1,6 +1,7 @@
 import math
+import re
 from fractions import Fraction
-
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,6 +79,32 @@ def test_public_constructors_check_the_support(build):
         assert not isinstance(info.value, UncontrolledSupportError)
     with pytest.raises(UncontrolledSupportError):
         build(sp, 2, 0)
+
+
+def test_point_indices_must_be_integers():
+    """A non-integral or bool point index is refused, naming it, not
+    truncated; numpy integers and integral floats are taken as ints."""
+    sp = rf.make_cycle(5)
+    refused = [
+        ("0.7", lambda: FinitePropOp(sp, {(0.7, 1.9): 1, (1, 2): 3})),
+        ("True", lambda: FinitePropOp(sp, {(0, 1): 1, (True, 2): 3})),
+        ("0.5", lambda: PartialTranslation(sp, {0.5: 1.99})),
+        ("2.5", lambda: FinitePropOp.diagonal(sp, {2.5: 1})),
+        ("1.9", lambda: PermutationOp(sp, [1.9, 0.2, 2, 3, 4])),
+        ("True", lambda: PermutationOp(sp, [True, False, 2, 3, 4])),
+    ]
+    for value, build in refused:
+        with pytest.raises(ValueError, match=f"^point index must be an integer, got {value}$"):
+            build()
+    i0, i1 = np.int64(0), np.int64(1)
+    op = FinitePropOp(sp, {(i0, i1): 1, (2.0, 3): 2})
+    assert op == FinitePropOp(sp, {(0, 1): 1, (2, 3): 2})
+    assert all(type(i) is int for pair in op.entries for i in pair)
+    assert FinitePropOp.diagonal(sp, {np.int64(2): 1}) == FinitePropOp(sp, {(2, 2): 1})
+    assert PartialTranslation(sp, {i0: i1, 1.0: 2}).mapping == {0: 1, 1: 2}
+    swap = [1, 0, 2, 3, 4]
+    assert PermutationOp(sp, np.array(swap, dtype=float)) == PermutationOp(sp, swap)
+    assert PermutationOp(sp, [np.int64(i) for i in swap]) == PermutationOp(sp, swap)
 
 
 def test_construction_rejects_bool_entries():
@@ -606,9 +633,11 @@ def test_mixed_modes_refuse_silently_promoting():
     assert rat.to_float() + flo == 2.0 * flo
 
 
-def test_to_float_is_cached():
+def test_to_float_makes_a_new_operator_on_every_call():
     op = FinitePropOp.identity(rf.make_cycle(3))
-    assert op.to_float() is op.to_float()
+    flo = op.to_float()
+    assert flo == op.to_float() and flo is not op.to_float()
+    assert flo.to_float() is flo
 
 
 def test_cross_space_operations_rejected():
@@ -625,7 +654,6 @@ def test_dense_csr_matvec_agree():
     x = np.random.default_rng(0).normal(size=5)
     assert np.allclose(op.to_csr() @ x, d @ x)
     assert np.allclose(op.matvec(x), d @ x)
-    assert op.to_csr() is op.to_csr()
     # one dtype for all entries: a single complex entry makes both forms complex
     mixed = FinitePropOp(sp, {(0, 1): 0.5, (1, 0): 1 + 2j, (2, 2): -1.0}, mode="float")
     dense = mixed.to_dense()
@@ -634,6 +662,26 @@ def test_dense_csr_matvec_agree():
     for mode in ("rational", "float"):
         zero = FinitePropOp.zero(sp, mode=mode).to_csr()
         assert zero.shape == (5, 5) and zero.dtype == float and zero.nnz == 0
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_editing_an_entries_view_changes_no_later_read(mode):
+    sp = pair_space()
+    op = FinitePropOp(sp, {(0, 1): 1, (1, 0): 2}, mode)
+    entries, text = op.entries, rf.operator_to_text(op)
+    op.entries[(0, 1)] = 99
+    assert op.entries == entries
+    assert rf.operator_to_text(op) == text
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_editing_a_matrix_changes_no_later_matvec(mode):
+    sp = pair_space()
+    op = FinitePropOp(sp, {(0, 1): 1, (1, 0): 2}, mode)
+    x = np.array([1.0, 10.0])
+    op.to_csr().data[:] = 0
+    assert op.matvec(x).tolist() == [10.0, 2.0]
+    assert op.to_csr().toarray().tolist() == [[0.0, 1.0], [2.0, 0.0]]
 
 
 def test_coo_arrays_match_the_entry_list():
@@ -950,3 +998,16 @@ def test_star_and_propagation_axioms(seed, n):
 def test_row_sums_are_additive(seed, n):
     a, b = _ops_from_seed(seed, n, 2)
     assert rf.row_sum_diagonal(a + b) == rf.row_sum_diagonal(a) + rf.row_sum_diagonal(b)
+
+
+def test_only_transalg_touches_the_row_format():
+    """An operator's rows ``{x: (d, {y: n})}`` are read and built in
+    transalg alone: no other module reads ``._rows``, names ``_lowest`` or
+    calls ``FinitePropOp._sealed``."""
+    pattern = re.compile(r"\._rows\b|\b_lowest\b|FinitePropOp\._sealed\b")
+    found = [f"{path.name}:{n}: {line.strip()}"
+             for path in sorted(Path(transalg.__file__).parent.glob("*.py"))
+             if path.name != "transalg.py"
+             for n, line in enumerate(path.read_text().splitlines(), start=1)
+             if pattern.search(line)]
+    assert found == []
