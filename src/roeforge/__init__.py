@@ -70,7 +70,6 @@ from .kazhdan import (
     AveragingOp,
     ComponentGap,
     GapReport,
-    KazhdanProjection,
     RateConstants,
     build_averaging,
     family_report_to_dict,

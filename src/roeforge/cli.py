@@ -4,8 +4,8 @@ Three subcommands:
 
 * ``components`` — parse a space file and tabulate its coarse components;
 * ``gap`` — run the full pipeline (tube graph → edge colouring → averaging
-  operator → block-constant projection → per-component gap report) on a
-  space file or a family manifest, emitting JSON (and optionally CSV);
+  operator → per-component gap report) on a space file or a family
+  manifest, emitting JSON (and optionally CSV);
 * ``verify`` — run the randomised exact-arithmetic invariant suite, its
   cases spread over ``--jobs`` forked worker processes.
 
@@ -183,8 +183,7 @@ def _pipeline(space: FiniteSpace, *, radius: float, kmax: int,
     # leaves only the identity, giving A = 1 (rho is then honestly 1 on any
     # component with more than one point)
     avg = build_averaging(perms[1:] or perms[:1])
-    proj = kazhdan_projection(space)
-    report = gap_report(avg, proj, kmax, c, threshold=threshold)
+    report = gap_report(avg, kmax, c, threshold=threshold)
     # JSON has no infinity (RFC 8259), so an unbounded radius is written "inf"
     params = {"radius": radius if math.isfinite(radius) else "inf",
               "threshold": threshold, **report.params}
@@ -313,8 +312,7 @@ def _verify_case(rng, space: FiniteSpace) -> None:
     perms = colour_permutations(col)
     avg = build_averaging(perms[1:] or perms[:1])
     _need(uniform_sum(avg.op) == 1, "projection", "averaging operator row sums != 1")
-    proj = kazhdan_projection(space)
-    p_op = proj.op
+    p_op = kazhdan_projection(space)
     _need(p_op == p_op.adjoint(), "projection", "P != P*")
     _need(p_op == p_op @ p_op, "projection", "P != P^2")
     _need(avg.op @ p_op == p_op and p_op @ avg.op == p_op,
@@ -328,7 +326,7 @@ def _verify_case(rng, space: FiniteSpace) -> None:
               "restriction", "block extraction not multiplicative")
         _need(restrict(s.adjoint(), m) == restrict(s, m).adjoint(),
               "restriction", "block extraction not *-preserving")
-        _need(restrict(p_op, m) == kazhdan_projection(sub).op,
+        _need(restrict(p_op, m) == kazhdan_projection(sub),
               "restriction", "restricted P != component projection")
 
 

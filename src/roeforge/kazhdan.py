@@ -12,10 +12,13 @@ size s are all 1/s — and because A and P commute with P idempotent,
     A^k - P = (A - P)^k,
 
 so the convergence is geometric with ratio rho = ||A - P||_2, computed here
-per coarse component.  A gap report collects those per-component ratios,
-their measured convergence curves, and the family-level uniform-gap verdict
-against a threshold; families where rho stays below the threshold behave
-expander-like, families where rho creeps to 1 do not.
+per coarse component.  P itself is an exact operator of the algebra in
+:mod:`roeforge.transalg` (:func:`kazhdan_projection`); the gap report never
+builds it, since it deflates each component by its mean.  A gap report
+collects those per-component ratios, their measured convergence curves,
+and the family-level uniform-gap verdict against a threshold; families
+where rho stays below the threshold behave expander-like, families where
+rho creeps to 1 do not.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -33,7 +35,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse import csgraph
 
 from .errors import GapBoundError, GapComputationError, SpaceMismatchError, SpectralError
-from .space import FiniteSpace
+from .space import FiniteSpace, _integer
 from .spectral import (
     DEFAULT_TOL,
     _MATVEC_CAP,
@@ -48,7 +50,6 @@ from .transalg import MODE_FLOAT, FinitePropOp, PermutationOp, restrict
 
 __all__ = [
     "AveragingOp",
-    "KazhdanProjection",
     "ComponentGap",
     "GapReport",
     "RateConstants",
@@ -151,44 +152,15 @@ def build_averaging(perms: Iterable[PermutationOp]) -> AveragingOp:
     return AveragingOp(perms=perms, n=n, space=space, keys=keys, counts=counts)
 
 
-class KazhdanProjection:
-    """Projection onto vectors constant on each coarse component.
+def kazhdan_projection(space: FiniteSpace) -> FinitePropOp:
+    """The projection P onto vectors constant on each coarse component.
 
-    On a component of size s every matrix entry is 1/s; across components
-    everything is zero.  The matrix has quadratically many entries per
-    component, so it is stored structurally (one rational value per
-    component), and the ``op`` property makes a new :class:`FinitePropOp`
-    on every read; the gap computations never read it.
+    On a component of s points every entry of P is exactly 1/s; across
+    components P is zero.  Every component is finite here, so P is an
+    element of the operator algebra; each row of a component shares one
+    stored row (:meth:`FinitePropOp._block_constant`).
     """
-
-    __slots__ = ("space", "component_value")
-
-    def __init__(self, space: FiniteSpace):
-        self.space = space
-        self.component_value = {
-            m: Fraction(1, s) for m, s in enumerate(np.bincount(space.component_of).tolist())}
-
-    @property
-    def op(self) -> FinitePropOp:
-        return FinitePropOp._block_constant(self.space)
-
-    def matvec(self, x) -> np.ndarray:
-        """Apply without materialising: mean of x on each component."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        for m in range(self.space.n_components):
-            idx = self.space.component_points(m)
-            out[idx] = x[idx].mean()
-        return out
-
-    def __repr__(self) -> str:
-        return (f"KazhdanProjection({self.space.name!r}, "
-                f"n_components={self.space.n_components})")
-
-
-def kazhdan_projection(space: FiniteSpace) -> KazhdanProjection:
-    """The block-constant projection of a space (all components finite here)."""
-    return KazhdanProjection(space)
+    return FinitePropOp._block_constant(space)
 
 
 class RateConstants(NamedTuple):
@@ -208,7 +180,7 @@ def rate_constants(c: float, n: int) -> RateConstants:
     and the averaging operator contracts that orthogonal complement by
     delta_tilde per power.  Requires 0 < c <= 2n so delta is real.
     """
-    n = int(n)
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be a positive integer")
     c = float(c)
@@ -219,15 +191,13 @@ def rate_constants(c: float, n: int) -> RateConstants:
     return RateConstants(delta, delta_tilde)
 
 
-def power_gap(avg: AveragingOp, proj: KazhdanProjection, k: int) -> FinitePropOp:
+def power_gap(avg: AveragingOp, k: int) -> FinitePropOp:
     """``A^k - P`` as an exact rational operator.
 
     Powers are capped at k <= EXACT_POWER_CAP because the entry
     denominators grow like (2n)^k.  This materialises P, so it is meant
     for small spaces; large-space curves go through :func:`gap_report`.
     """
-    if proj.space is not avg.space:
-        raise SpaceMismatchError("projection and averaging operator live over different spaces")
     if k < 1:
         raise ValueError("power must be >= 1")
     if k > EXACT_POWER_CAP:
@@ -235,7 +205,7 @@ def power_gap(avg: AveragingOp, proj: KazhdanProjection, k: int) -> FinitePropOp
     acc = avg.op
     for _ in range(k - 1):
         acc = acc @ avg.op
-    return acc - proj.op
+    return acc - kazhdan_projection(avg.space)
 
 
 @dataclass(frozen=True)
@@ -367,8 +337,8 @@ def _component_gap(avg: AveragingOp, m: int, ks: list[int],
         spectral=spectral)
 
 
-def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
-               c: float | None = None, *, threshold: float = 0.95) -> GapReport:
+def gap_report(avg: AveragingOp, kmax: int = 32, c: float | None = None, *,
+               threshold: float = 0.95) -> GapReport:
     """Per-component rho = ||A - P||_2 with measured convergence curves.
 
     Each component makes one eigensolve for rho and its certified
@@ -394,8 +364,6 @@ def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
     component's result depends on that component alone, not on the space
     around it or its name.
     """
-    if proj.space is not avg.space:
-        raise SpaceMismatchError("projection and averaging operator live over different spaces")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     if kmax > _MATVEC_CAP:
@@ -415,17 +383,14 @@ def gap_report(avg: AveragingOp, proj: KazhdanProjection, kmax: int = 32,
         params={"kmax": kmax, "c": c, "dense_cutoff": DENSE_CUTOFF, "tol": DEFAULT_TOL})
 
 
-def kazhdan_lower_bound(report: GapReport, n: int) -> float:
+def kazhdan_lower_bound(report: GapReport) -> float:
     """Certified displacement lower bound from a measured gap.
 
     For any unit vector orthogonal to the invariants, the identity
     sum_i (A_i - 1) = 2n (A - 1) forces the worst of the n permutations to
     move the vector by at least 2(1 - rho).  The factor n cancels, so the
-    bound is 2(1 - max rho); ``n`` is validated for positivity only, to
-    keep the averaging context explicit at call sites.
+    bound is 2(1 - max rho) whatever the number of permutations.
     """
-    if int(n) < 1:
-        raise ValueError("n must be a positive integer")
     return max(0.0, 2.0 * (1.0 - report.max_rho))
 
 

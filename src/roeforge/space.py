@@ -406,13 +406,25 @@ def _check_size(n: int) -> None:
                           f"(the limit is {MAX_POINTS})")
 
 
+def _bool_ends(edges, m: int) -> np.ndarray:
+    """For each of the m triples ``(u, v, w)`` in ``edges``, whether u or v
+    is a bool; one dtype test when ``edges`` is a numeric array."""
+    if isinstance(edges, np.ndarray) and edges.dtype != object:
+        return np.full(m, edges.dtype == bool)
+    flags = (bool, np.bool_)
+    return np.array([isinstance(a, flags) or isinstance(b, flags) for a, b, _ in edges],
+                    dtype=bool)
+
+
 def space_from_graph(points: Sequence[str],
                      edges: Iterable[tuple[int, int, float]],
                      name: str = "space") -> FiniteSpace:
     """Build a space from an undirected weighted graph by path metric.
 
     ``edges`` yields ``(u, v, w)`` index triples with finite ``w > 0``; an
-    ``(m, 3)`` array is such an iterable.  Points not reached by any edge
+    ``(m, 3)`` array is such an iterable.  Indices follow :func:`_integer`'s
+    rule: integral floats and numpy integers are taken, bools and
+    non-integral values refused.  Points not reached by any edge
     sit at +inf from everything else.  Parallel edges keep the smallest
     weight; self-loops are ignored (they cannot change any shortest path).
     This is the one place that applies that policy, so generators may pass
@@ -422,17 +434,22 @@ def space_from_graph(points: Sequence[str],
     _check_size(n)
     points = tuple(str(p) for p in points)
     _check_names(points, str(name))
-    e = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=float)
+    given = edges if isinstance(edges, np.ndarray) else list(edges)
+    e = np.array(given, dtype=float)
     if e.size and e.shape[1:] != (3,):
         raise ValueError("edges must be (u, v, w) triples")
     u, v, w = e.reshape(-1, 3).T
     in_range = (0 <= u) & (u < n) & (0 <= v) & (v < n)
+    # _integer's rule: integral floats and numpy integers pass, bools do not
+    integral = (u == np.trunc(u)) & (v == np.trunc(v)) & ~_bool_ends(given, len(u))
     finite = np.isfinite(w)
-    bad = ~in_range | ~finite | ~(w > 0)
+    bad = ~in_range | ~integral | ~finite | ~(w > 0)
     if bad.any():
         i = int(bad.argmax())
         if not in_range[i]:
             raise ValueError(f"edge ({u[i]:.17g}, {v[i]:.17g}) out of range for {n} points")
+        if not integral[i]:
+            raise ValueError(f"edge ({given[i][0]}, {given[i][1]}) has a non-integer index")
         kind = "non-positive" if finite[i] else "non-finite"
         raise ValueError(f"edge ({u[i]:.17g}, {v[i]:.17g}) has {kind} weight {w[i]}")
     u, v = u.astype(np.int64), v.astype(np.int64)

@@ -63,13 +63,12 @@ class SpectralResult:
     seed: int | None = None
 
 
-def _matrix_seed(csr: sp.csr_matrix, extra: bytes = b"") -> int:
+def _matrix_seed(csr: sp.csr_matrix) -> int:
     """Deterministic 64-bit seed: a blake2b of ``indptr``, ``indices`` and
-    ``data`` (the indices as int64), then ``extra``."""
+    ``data`` (the indices as int64)."""
     h = hashlib.blake2b(digest_size=8)
     for part in (csr.indptr.astype(np.int64), csr.indices.astype(np.int64), csr.data):
         h.update(part.tobytes())
-    h.update(extra)
     return int.from_bytes(h.digest(), "little")
 
 

@@ -9,7 +9,8 @@ module implements it in two scalar modes:
 
 * ``"rational"`` — entries are ``int`` / ``Fraction``; sums and products
   are exact, which is what the algebraic identities in
-  :mod:`roeforge.kazhdan` are verified in;
+  :mod:`roeforge.kazhdan` are verified in, the block-constant projection
+  :func:`~roeforge.kazhdan.kazhdan_projection` among them;
 * ``"float"`` — entries are ``float`` / ``complex``; this is the mode the
   spectral routines consume.
 
@@ -713,9 +714,13 @@ class PermutationOp:
     @classmethod
     def from_swaps(cls, space: FiniteSpace, swaps: Iterable[tuple[int, int]]) -> "PermutationOp":
         """Involution exchanging the given disjoint pairs, fixing the rest."""
-        perm = np.arange(space.n_points)
+        n = space.n_points
+        perm = np.arange(n)
         touched = set()
         for u, v in swaps:
+            u, v = _integer(u, "point index"), _integer(v, "point index")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"swap ({u}, {v}) out of range for {n} points")
             if u in touched or v in touched or u == v:
                 raise ValueError("swap pairs must be disjoint")
             touched.update((u, v))

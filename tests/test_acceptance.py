@@ -67,12 +67,10 @@ def test_criterion_01_projections_exact():
         k = int(rng.integers(1, 11))
         sp = components_space(rng, k)
         assert sp.n_components == k
-        proj = rf.kazhdan_projection(sp)
-        op = proj.op
+        op = rf.kazhdan_projection(sp)
         for m in range(k):
             idx = sp.component_points(m)
             size = len(idx)
-            assert proj.component_value[m] == Fraction(1, size)
             for x in idx:
                 for y in idx:
                     assert op.entries[(int(x), int(y))] == Fraction(1, size)
@@ -138,17 +136,17 @@ def test_criterion_04_power_identity():
         sp = components_space(rng, k_comp)
         avg = averaging_for(sp)
         proj = rf.kazhdan_projection(sp)
-        gap = avg.op - proj.op
+        gap = avg.op - proj
         a_pow, gap_pow = avg.op, gap
         for k in range(1, 21):
-            assert a_pow - proj.op == gap_pow
+            assert a_pow - proj == gap_pow
             if k in (1, 7, 20):
-                assert rf.power_gap(avg, proj, k) == gap_pow
+                assert rf.power_gap(avg, k) == gap_pow
             if k < 20:
                 a_pow = a_pow @ avg.op
                 gap_pow = gap_pow @ gap
 
-        rep = rf.gap_report(avg, proj, kmax=1)
+        rep = rf.gap_report(avg, kmax=1)
         rho = rep.max_rho
         m = gap.to_float().to_dense().real
         acc = np.eye(sp.n_points)
@@ -178,14 +176,14 @@ def test_criterion_06_exact_spectra():
         col = rf.edge_colouring(sp, 1)
         assert col.n_colours == 2  # even cycles split into two matchings
         avg = rf.build_averaging(rf.colour_permutations(col)[1:])
-        rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=1)
+        rep = rf.gap_report(avg, kmax=1)
         (comp,) = rep.components
         assert comp.spectral.method == ("shift-invert" if n > kazhdan._BANDED_FROM else "dense")
         want = 0.5 + math.cos(2 * math.pi / n) / 2
         assert abs(comp.rho - want) <= 1e-9
 
     k4 = rf.make_complete(4)
-    rep = rf.gap_report(averaging_for(k4), rf.kazhdan_projection(k4), kmax=1)
+    rep = rf.gap_report(averaging_for(k4), kmax=1)
     assert rep.components[0].spectral.method == "dense"
     assert abs(rep.max_rho - 1 / 3) <= 1e-12
 
@@ -194,7 +192,7 @@ def margulis_sweep():
     out = {}
     for n in (4, 8, 16, 32):
         sp = rf.make_margulis(n)
-        rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=1)
+        rep = rf.gap_report(averaging_for(sp), kmax=1)
         out[n] = rep.max_rho
     return out
 
@@ -204,7 +202,7 @@ def test_criterion_07_family_separation():
     start = time.time()
     sizes = [4 * 2**i for i in range(9)]  # 4 .. 1024
     box = rf.make_box_space_Z(sizes)
-    rep = rf.gap_report(averaging_for(box), rf.kazhdan_projection(box), kmax=1)
+    rep = rf.gap_report(averaging_for(box), kmax=1)
     rhos = [c.rho for c in rep.components]
     assert all(a < b for a, b in zip(rhos, rhos[1:]))
     assert rhos[-1] > 0.99
@@ -224,14 +222,14 @@ def test_criterion_08_restriction_homomorphism():
         sp = random_space(rng)
         s = random_rational_op(rng, sp, density=0.5)
         t = random_rational_op(rng, sp, density=0.5)
-        p = rf.kazhdan_projection(sp).op
+        p = rf.kazhdan_projection(sp)
         for m in range(sp.n_components):
             sub = sp.component_space(m)
             assert rf.restrict(FinitePropOp.identity(sp), m) == FinitePropOp.identity(sub)
             assert rf.restrict(s + t, m) == rf.restrict(s, m) + rf.restrict(t, m)
             assert rf.restrict(s @ t, m) == rf.restrict(s, m) @ rf.restrict(t, m)
             assert rf.restrict(s.adjoint(), m) == rf.restrict(s, m).adjoint()
-            assert rf.restrict(p, m) == rf.kazhdan_projection(sub).op
+            assert rf.restrict(p, m) == rf.kazhdan_projection(sub)
 
 
 def projector_onto(columns):

@@ -120,7 +120,7 @@ def test_averaging_counts_match_fraction_loop(make):
 def test_dense_gap_report_builds_no_exact_operator():
     sp = rf.make_margulis(16)
     avg = averaging_for(sp)
-    rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=4)
+    rep = rf.gap_report(avg, kmax=4)
     assert {c.spectral.method for c in rep.components} == {"dense"}
     assert "op" not in vars(avg)
 
@@ -131,7 +131,6 @@ def test_shift_invert_gap_report_builds_no_exact_operator(monkeypatch):
     # the calling thread
     sp = rf.disjoint_union([rf.make_cycle(12), rf.make_cycle(14)])
     avg = averaging_for(sp)
-    proj = rf.kazhdan_projection(sp)
     built = []
     real = FinitePropOp._store
 
@@ -141,7 +140,7 @@ def test_shift_invert_gap_report_builds_no_exact_operator(monkeypatch):
 
     monkeypatch.setattr(FinitePropOp, "_store", recording)
     route_above(monkeypatch, 8)
-    rep = rf.gap_report(avg, proj, kmax=4)
+    rep = rf.gap_report(avg, kmax=4)
     assert {c.spectral.method for c in rep.components} == {"shift-invert"}
     assert built == [(rf.MODE_FLOAT, threading.current_thread())]
     assert "op" not in vars(avg)
@@ -159,7 +158,7 @@ def test_iterative_rho_and_seed_are_pinned(make, method, rho, old_rho, seed):
     ``old_rho`` is the value pinned when both took four-Ritz-pair Lanczos."""
     sp = make()
     avg = averaging_for(sp)
-    (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=1).components
+    (comp,) = rf.gap_report(avg, kmax=1).components
     assert comp.spectral.method == method
     assert repr(comp.rho) == rho and comp.spectral.seed == seed
     assert abs(comp.rho - old_rho) <= 1e-12
@@ -168,9 +167,7 @@ def test_iterative_rho_and_seed_are_pinned(make, method, rho, old_rho, seed):
 
 def test_projection_entries_are_component_means():
     sp = rf.disjoint_union([rf.make_cycle(3), rf.make_complete(4)])
-    proj = rf.kazhdan_projection(sp)
-    assert proj.component_value == {0: Fraction(1, 3), 1: Fraction(1, 4)}
-    op = proj.op
+    op = rf.kazhdan_projection(sp)
     for x in range(3):
         for y in range(3):
             assert op.entries[(x, y)] == Fraction(1, 3)
@@ -179,22 +176,15 @@ def test_projection_entries_are_component_means():
 
 def test_projection_is_an_exact_projection():
     sp = rf.disjoint_union([rf.make_cycle(3), rf.make_complete(2)])
-    p = rf.kazhdan_projection(sp).op
+    p = rf.kazhdan_projection(sp)
     assert p == p.adjoint()
     assert p @ p == p
-
-
-def test_projection_matvec_takes_component_means():
-    sp = rf.disjoint_union([rf.make_cycle(3), rf.make_complete(2)])
-    proj = rf.kazhdan_projection(sp)
-    x = np.array([1.0, 2.0, 3.0, 10.0, 20.0])
-    assert np.allclose(proj.matvec(x), [2, 2, 2, 15, 15])
 
 
 def test_averaging_fixes_projection():
     sp = rf.make_cycle(6)
     avg = averaging_for(sp)
-    p = rf.kazhdan_projection(sp).op
+    p = rf.kazhdan_projection(sp)
     assert avg.op @ p == p
     assert p @ avg.op == p
 
@@ -215,10 +205,10 @@ def test_restrict_is_a_unital_star_homomorphism():
 
 def test_restrict_projection_is_component_projection():
     sp = rf.disjoint_union([rf.make_cycle(4), rf.make_complete(3)])
-    p = rf.kazhdan_projection(sp).op
+    p = rf.kazhdan_projection(sp)
     for m in range(2):
         sub = sp.component_space(m)
-        assert rf.restrict(p, m) == rf.kazhdan_projection(sub).op
+        assert rf.restrict(p, m) == rf.kazhdan_projection(sub)
 
 
 def test_restrict_rejects_bad_component():
@@ -247,7 +237,7 @@ def test_sealed_builders_match_the_validating_constructor(make):
     col = rf.edge_colouring(sp, 1.0)
     dec = rf.decompose_translation(random_translation(rng, sp), col)
     t = random_rational_op(rng, sp)
-    built = [rf.kazhdan_projection(sp).op, averaging_for(sp).op, *dec.idempotents,
+    built = [rf.kazhdan_projection(sp), averaging_for(sp).op, *dec.idempotents,
              *(rf.restrict(op, m) for op in (t, t.to_float())
                for m in range(sp.n_components))]
     for mode in ("rational", "float"):
@@ -274,35 +264,38 @@ def test_rate_constants_validation():
         rf.rate_constants(5, 2)  # c > 2n
     with pytest.raises(ValueError):
         rf.rate_constants(1, 0)
+    # n is refused, not truncated, unless it is integral
+    for n in (2.7, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            rf.rate_constants(1.0, n)
+    assert rf.rate_constants(1, 2.0) == rf.rate_constants(1, np.int64(2)) == rf.rate_constants(1, 2)
 
 
 def test_power_gap_identity():
     """A^k - P equals (A - P)^k, checked exactly in rational arithmetic."""
     sp = rf.make_complete(4)
     avg = averaging_for(sp)
-    p = rf.kazhdan_projection(sp)
-    gap = avg.op - p.op
+    gap = avg.op - rf.kazhdan_projection(sp)
     acc = gap
     for k in range(1, 8):
-        assert rf.power_gap(avg, p, k) == acc
+        assert rf.power_gap(avg, k) == acc
         acc = acc @ gap
 
 
 def test_power_gap_caps_rational_exponents():
     sp = rf.make_complete(3)
     avg = averaging_for(sp)
-    p = rf.kazhdan_projection(sp)
-    rf.power_gap(avg, p, EXACT_POWER_CAP)
+    rf.power_gap(avg, EXACT_POWER_CAP)
     with pytest.raises(ValueError):
-        rf.power_gap(avg, p, EXACT_POWER_CAP + 1)
+        rf.power_gap(avg, EXACT_POWER_CAP + 1)
     with pytest.raises(ValueError):
-        rf.power_gap(avg, p, 0)
+        rf.power_gap(avg, 0)
 
 
 def test_gap_report_on_even_cycle():
     sp = rf.make_cycle(4)
     avg = averaging_for(sp)
-    rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=4)
+    rep = rf.gap_report(avg, kmax=4)
     (comp,) = rep.components
     assert comp.rho == pytest.approx(0.5, abs=1e-14)
     assert [k for k, _ in comp.curve] == [1, 2, 4]
@@ -317,16 +310,16 @@ def test_gap_report_on_even_cycle():
 def test_gap_report_known_rhos():
     for n, want in ((8, 0.5 + math.cos(2 * math.pi / 8) / 2), (4, 0.5)):
         sp = rf.make_cycle(n)
-        rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=1)
+        rep = rf.gap_report(averaging_for(sp), kmax=1)
         assert rep.max_rho == pytest.approx(want, abs=1e-12)
     k4 = rf.make_complete(4)
-    rep = rf.gap_report(averaging_for(k4), rf.kazhdan_projection(k4), kmax=1)
+    rep = rf.gap_report(averaging_for(k4), kmax=1)
     assert rep.max_rho == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_gap_report_multi_component():
     sp = rf.disjoint_union([rf.make_cycle(4), rf.make_cycle(8)])
-    rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=2)
+    rep = rf.gap_report(averaging_for(sp), kmax=2)
     assert [c.id for c in rep.components] == [0, 1]
     assert [c.size for c in rep.components] == [4, 8]
     assert rep.max_rho == max(c.rho for c in rep.components)
@@ -337,9 +330,9 @@ def test_gap_report_small_components_take_dense_path(monkeypatch):
     # a 2-point component is below the Lanczos minimum: with the routing
     # at its floor of 2 it stays dense and the 8-cycle takes shift-invert
     sp = rf.disjoint_union([rf.make_complete(2), rf.make_cycle(8)])
-    full = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=2)
+    full = rf.gap_report(averaging_for(sp), kmax=2)
     route_above(monkeypatch, 2)
-    rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=2)
+    rep = rf.gap_report(averaging_for(sp), kmax=2)
     small, big = rep.components
     assert small.size == 2 and small.spectral.method == "dense"
     assert big.size == 8 and big.spectral.method == "shift-invert"
@@ -374,7 +367,7 @@ def test_gap_report_rejects_uncertified_residual(monkeypatch, path):
         monkeypatch.setattr(kazhdan, "_shift_invert", off_eigenvector)
     route_above(monkeypatch, 8 if path == "dense" else 2)
     with pytest.raises(SpectralError, match="residual"):
-        rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=1)
+        rf.gap_report(averaging_for(sp), kmax=1)
 
 
 @pytest.mark.parametrize("make, radius, method", [
@@ -394,7 +387,7 @@ def test_rho_matches_laplacian_oracle(make, radius, method):
     sp = make()
     col = rf.edge_colouring(sp, radius)
     avg = rf.build_averaging(rf.colour_permutations(col)[1:])
-    (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=1).components
+    (comp,) = rf.gap_report(avg, kmax=1).components
     n = sp.n_points
     lap = np.zeros((n, n))
     for u, v in rf.tube_graph_edges(sp, radius):
@@ -416,7 +409,7 @@ def test_box_space_rho_is_the_circulant_value_at_each_radius(radius):
     box = rf.make_box_space_Z(sizes)
     col = rf.edge_colouring(box, radius)
     avg = rf.build_averaging(rf.colour_permutations(col)[1:])
-    rep = rf.gap_report(avg, rf.kazhdan_projection(box), kmax=1)
+    rep = rf.gap_report(avg, kmax=1)
     assert [comp.size for comp in rep.components] == sizes
     for comp in rep.components:
         s = comp.size
@@ -427,8 +420,7 @@ def test_box_space_rho_is_the_circulant_value_at_each_radius(radius):
 
 def test_gap_report_threshold_verdict():
     sp = rf.make_cycle(8)
-    rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp),
-                        kmax=1, threshold=0.8)
+    rep = rf.gap_report(averaging_for(sp), kmax=1, threshold=0.8)
     assert rep.uniform_gap is False
     assert rep.uniform_gap_threshold == 0.8
 
@@ -438,7 +430,7 @@ def test_no_effective_gap_for_identity_averaging():
     # the identity, the averaging operator is the identity, and nothing decays
     sp = rf.FiniteSpace(["a", "b"], [[0, 3], [3, 0]])
     avg = rf.build_averaging([PermutationOp.identity(sp)])
-    rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=2)
+    rep = rf.gap_report(avg, kmax=2)
     (comp,) = rep.components
     assert comp.rho == pytest.approx(1.0)
     assert comp.no_effective_gap is True
@@ -450,12 +442,12 @@ def test_gap_report_rejects_violated_rate_bound():
     # measured gap and must be reported as an inconsistency
     sp = rf.make_cycle(8)
     with pytest.raises(GapBoundError):
-        rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=1, c=3.9)
+        rf.gap_report(averaging_for(sp), kmax=1, c=3.9)
 
 
 def test_gap_report_records_rate_bound():
     sp = rf.make_complete(4)
-    rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=1, c=1.0)
+    rep = rf.gap_report(averaging_for(sp), kmax=1, c=1.0)
     (comp,) = rep.components
     want = rf.rate_constants(1.0, 3).delta_tilde
     assert comp.delta_tilde == want
@@ -477,7 +469,7 @@ def test_curve_follows_rho_powers(monkeypatch, floor):
     for _ in range(5):
         sp = random_space(rng, max_points=10)
         avg = averaging_for(sp)
-        rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=16)
+        rep = rf.gap_report(avg, kmax=16)
         for comp in rep.components:
             idx = sp.component_points(comp.id)
             s = len(idx)
@@ -518,7 +510,7 @@ def test_one_eigensolve_per_component(monkeypatch):
     for sp, method in ((rf.make_cycle(600), "shift-invert"),
                        (rf.make_margulis(24), "iterative")):
         calls.update(solve=0, seed=0)
-        rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=32)
+        rep = rf.gap_report(averaging_for(sp), kmax=32)
         (comp,) = rep.components
         assert comp.spectral.method == method
         assert [k for k, _ in comp.curve] == [1, 2, 4, 8, 16, 32]
@@ -549,7 +541,7 @@ def test_components_route_by_band(make, method):
     sp = make()
     col = rf.edge_colouring(sp, 1.0)
     avg = rf.build_averaging(rf.colour_permutations(col)[1:])
-    rep = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=1)
+    rep = rf.gap_report(avg, kmax=1)
     for comp in rep.components:
         assert comp.size > rf.DENSE_CUTOFF
         assert comp.spectral.method == method
@@ -568,7 +560,7 @@ def test_shift_invert_on_a_long_cycle():
     sp = rf.make_cycle(n)
     avg = averaging_for(sp)
     start = time.perf_counter()
-    (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=32).components
+    (comp,) = rf.gap_report(avg, kmax=32).components
     assert time.perf_counter() - start < 5.0
     assert comp.spectral.method == "shift-invert"
     assert abs(comp.rho - (0.5 + math.cos(2 * math.pi / n) / 2)) <= 1e-12
@@ -592,7 +584,7 @@ def test_shift_invert_on_a_near_degenerate_narrow_band():
     other.  The small basis still converges in one pass on the top one."""
     sp = _spider([100, 101, 102])
     avg = averaging_for(sp)
-    (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=32).components
+    (comp,) = rf.gap_report(avg, kmax=32).components
     assert comp.size == 304 and comp.spectral.method == "shift-invert"
     assert comp.spectral.iterations == kazhdan._SHIFT_INVERT_NCV + 2
     top = np.sort(np.abs(np.linalg.eigvalsh(avg.csr.toarray() - 1.0 / comp.size)))
@@ -627,7 +619,7 @@ def test_band_test_starts_above_the_crossover():
                       (kazhdan._BANDED_FROM + 2, "shift-invert")):
         sp = rf.make_cycle(n)
         avg = averaging_for(sp)
-        (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=4).components
+        (comp,) = rf.gap_report(avg, kmax=4).components
         assert comp.spectral.method == method
         assert abs(comp.rho - math.cos(math.pi / n) ** 2) <= 1e-12
 
@@ -643,7 +635,7 @@ def test_cycle_at_two_to_the_sixteen_points_through_the_colouring():
     assert time.perf_counter() - start < 1.0
     assert len(col.edges) == n and col.n_colours == 2
     avg = rf.build_averaging(rf.colour_permutations(col)[1:])
-    (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=32).components
+    (comp,) = rf.gap_report(avg, kmax=32).components
     assert comp.spectral.method == "shift-invert"
     assert abs(comp.rho - math.cos(math.pi / n) ** 2) <= 1e-12
 
@@ -657,7 +649,7 @@ def test_disconnected_tube_has_no_gap_on_shift_invert(monkeypatch, floor):
     n = 8 if floor else 1200
     sp = _path(n, {n // 2 - 1: 3.0})
     assert sp.n_components == 1
-    rep = rf.gap_report(averaging_for(sp, 1.5), rf.kazhdan_projection(sp), kmax=4)
+    rep = rf.gap_report(averaging_for(sp, 1.5), kmax=4)
     (comp,) = rep.components
     assert comp.spectral.method == "shift-invert"
     assert comp.rho == pytest.approx(1.0, abs=1e-12)
@@ -671,7 +663,7 @@ def test_lanczos_curve_follows_rho_powers(monkeypatch):
     route_above(monkeypatch, 2)
     for sp in (rf.make_margulis(8), rf.make_hypercube(5)):
         avg = averaging_for(sp)
-        (comp,) = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=16).components
+        (comp,) = rf.gap_report(avg, kmax=16).components
         assert comp.spectral.method == "iterative"
         block = avg.csr
         for k, norm in comp.curve:
@@ -688,35 +680,34 @@ def test_component_report_depends_only_on_its_block():
     over the small basis: basis + 1 solves, and one for the residual check."""
     sizes = [64, 128, 256, 512, 1024]
     box = rf.make_box_space_Z(sizes)
-    rep = rf.gap_report(averaging_for(box), rf.kazhdan_projection(box), kmax=32)
+    rep = rf.gap_report(averaging_for(box), kmax=32)
     assert [c.spectral.iterations for c in rep.components] == [
         0, 0, *[kazhdan._SHIFT_INVERT_NCV + 2] * 3]
     assert {c.spectral.method for c in rep.components} == {"dense", "shift-invert"}
     for comp, s in zip(rep.components, sizes):
         cycle = rf.make_cycle(s)
-        (alone,) = rf.gap_report(averaging_for(cycle), rf.kazhdan_projection(cycle),
-                                 kmax=32).components
+        (alone,) = rf.gap_report(averaging_for(cycle), kmax=32).components
         assert replace(comp, id=0) == alone
     q10 = rf.make_hypercube(10)
     renamed = rf.disjoint_union([q10], name="Q10v0")
-    comps = [rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=32).components
+    comps = [rf.gap_report(averaging_for(sp), kmax=32).components
              for sp in (q10, renamed)]
     assert comps[0] == comps[1]
 
 
 def test_kazhdan_lower_bound():
     k4 = rf.make_complete(4)
-    rep = rf.gap_report(averaging_for(k4), rf.kazhdan_projection(k4), kmax=1)
-    assert rf.kazhdan_lower_bound(rep, 3) == pytest.approx(4 / 3)
+    rep = rf.gap_report(averaging_for(k4), kmax=1)
+    assert rf.kazhdan_lower_bound(rep) == pytest.approx(4 / 3)
     sp = rf.FiniteSpace(["a", "b"], [[0, 3], [3, 0]])
     avg = rf.build_averaging([PermutationOp.identity(sp)])
-    flat = rf.gap_report(avg, rf.kazhdan_projection(sp), kmax=1)
-    assert rf.kazhdan_lower_bound(flat, 1) == 0.0
+    flat = rf.gap_report(avg, kmax=1)
+    assert rf.kazhdan_lower_bound(flat) == 0.0
 
 
 def test_report_json_is_frozen():
     sp = rf.make_cycle(4)
-    rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=4)
+    rep = rf.gap_report(averaging_for(sp), kmax=4)
     assert rf.report_to_json(rep) == (
         '{\n'
         '  "space": "C4",\n'
@@ -760,23 +751,23 @@ def test_kmax_above_the_matvec_cap_is_refused():
     # the curve spends kmax matvecs on each component, so kmax gets the cap
     # of one solve
     sp = rf.make_cycle(4)
-    avg, proj = averaging_for(sp), rf.kazhdan_projection(sp)
+    avg = averaging_for(sp)
     with pytest.raises(ValueError, match="kmax must be <= 20000"):
-        rf.gap_report(avg, proj, kmax=spectral._MATVEC_CAP + 1)
-    rep = rf.gap_report(avg, proj, kmax=spectral._MATVEC_CAP)
+        rf.gap_report(avg, kmax=spectral._MATVEC_CAP + 1)
+    rep = rf.gap_report(avg, kmax=spectral._MATVEC_CAP)
     assert rep.components[0].curve[-1][0] == spectral._MATVEC_CAP
 
 
 def test_report_json_refuses_non_finite_floats():
     sp = rf.make_cycle(4)
-    rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=1)
+    rep = rf.gap_report(averaging_for(sp), kmax=1)
     with pytest.raises(ValueError, match="not JSON compliant"):
         rf.report_to_json(replace(rep, params={"radius": math.inf}))
 
 
 def test_report_dict_key_order():
     sp = rf.make_cycle(4)
-    rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=1)
+    rep = rf.gap_report(averaging_for(sp), kmax=1)
     d = rf.report_to_dict(rep)
     assert list(d) == ["space", "components", "max_rho",
                        "uniform_gap_threshold", "uniform_gap", "params"]
@@ -786,7 +777,7 @@ def test_report_dict_key_order():
 
 def test_csv_output_is_frozen():
     sp = rf.make_cycle(4)
-    rep = rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=4)
+    rep = rf.gap_report(averaging_for(sp), kmax=4)
     assert rf.reports_to_csv([rep]) == (
         "space,component_id,size,rho,delta_tilde,no_effective_gap,"
         "max_rho,uniform_gap_threshold,uniform_gap\n"
@@ -798,7 +789,7 @@ def test_family_report_shape():
     reps = []
     for n in (4, 6):
         sp = rf.make_cycle(n)
-        reps.append(rf.gap_report(averaging_for(sp), rf.kazhdan_projection(sp), kmax=1))
+        reps.append(rf.gap_report(averaging_for(sp), kmax=1))
     d = rf.family_report_to_dict("cycle", {"foo": 1}, reps, 0.95)
     assert list(d) == ["family", "params", "members", "max_rho",
                        "uniform_gap_threshold", "uniform_gap"]

@@ -98,6 +98,15 @@ def test_space_from_graph_reports_the_first_bad_edge():
         rf.space_from_graph(points, [(0, 0, float("nan"))])
     with pytest.raises(ValueError, match=r"^edge \(0, 1\) has non-finite weight inf$"):
         rf.space_from_graph(["a", "b", "c"], [(0, 1, float("inf")), (1, 2, 1.0)])
+    # indices follow _integer's rule: refused, not truncated, unless integral
+    with pytest.raises(ValueError, match=r"^edge \(0\.5, 1\.7\) has a non-integer index$"):
+        rf.space_from_graph(["a", "b", "c"], [(0.5, 1.7, 1.0), (True, 2, 1.0)])
+    with pytest.raises(ValueError, match=r"^edge \(True, 2\) has a non-integer index$"):
+        rf.space_from_graph(["a", "b", "c"], [(0, 1, 1.0), (True, 2, 1.0)])
+    with pytest.raises(ValueError, match=r"^edge \(1\.5, 2\.0\) has a non-integer index$"):
+        rf.space_from_graph(["a", "b", "c"], np.array([[0, 1, 1.0], [1.5, 2, 1.0]]))
+    sp = rf.space_from_graph(["a", "b", "c"], [(0.0, np.int64(1), 1.0), (np.int32(1), 2.0, 1)])
+    assert sp.dist[0, 2] == 2.0
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -384,7 +384,7 @@ def test_exact_algebra_matches_the_fraction_reference_on_wide_powers():
     for case in range(8):
         sp = components_space(rng, int(rng.integers(1, 4)))
         a = averaging_for(sp).op
-        p = rf.kazhdan_projection(sp).op
+        p = rf.kazhdan_projection(sp)
         gap = a - p
         a_pow, gap_pow = a, gap
         ref_a, ref_gap = a.entries, gap.entries
@@ -845,6 +845,17 @@ def test_permutation_rejects_non_bijection():
     sp = rf.make_cycle(3)
     with pytest.raises(ValueError):
         PermutationOp(sp, [0, 0, 1])
+
+
+@pytest.mark.parametrize("pair, message", [
+    ((0, 7), r"^swap \(0, 7\) out of range for 5 points$"),
+    ((-1, 1), r"^swap \(-1, 1\) out of range for 5 points$"),
+    ((0.5, 1), r"^point index must be an integer, got 0\.5$"),
+    ((True, 2), r"^point index must be an integer, got True$"),
+])
+def test_from_swaps_checks_each_index(pair, message):
+    with pytest.raises(ValueError, match=message):
+        PermutationOp.from_swaps(rf.make_cycle(5), [pair])
 
 
 def test_permutation_adjoint_inverts():
