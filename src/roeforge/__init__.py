@@ -13,7 +13,6 @@ from .errors import (
     GapBoundError,
     GapComputationError,
     ManifestError,
-    NotUniformSumError,
     OperatorParseError,
     RoeforgeError,
     ScalarModeError,
@@ -29,7 +28,6 @@ from .space import (
     FiniteSpace,
     GeneratingResult,
     check_triangle,
-    coarse_components,
     compose,
     controlled,
     disjoint_union,
@@ -51,7 +49,6 @@ from .transalg import (
     operator_to_text,
     row_sum_diagonal,
     single_pair_translations,
-    uniform_sum,
     uniform_sum_value,
 )
 from .colouring import (
@@ -79,7 +76,6 @@ from .kazhdan import (
     power_gap,
     rate_constants,
     report_to_dict,
-    report_to_json,
     reports_to_csv,
     restrict,
 )

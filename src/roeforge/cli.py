@@ -54,7 +54,7 @@ from .transalg import (
     FinitePropOp,
     PartialTranslation,
     row_sum_diagonal,
-    uniform_sum,
+    uniform_sum_value,
 )
 
 __all__ = ["main"]
@@ -63,15 +63,6 @@ VERIFY_MAX_POINTS = 64
 
 
 def _default_jobs() -> int:
-    raw = os.environ.get("ROEFORGE_JOBS", "").strip()
-    if raw:
-        try:
-            v = int(raw)
-            if v >= 1:
-                return v
-        except ValueError:
-            pass
-        print(f"warning: ignoring invalid ROEFORGE_JOBS={raw!r}", file=sys.stderr)
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -118,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--cases", type=int, default=500, help="number of cases (default 500)")
     v.add_argument("--seed", type=int, default=0, help="corpus seed (default 0)")
     v.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers (default: ROEFORGE_JOBS, else the usable cores)")
+                   help="parallel workers (default: the usable cores)")
     return p
 
 
@@ -311,7 +302,7 @@ def _verify_case(rng, space: FiniteSpace) -> None:
 
     perms = colour_permutations(col)
     avg = build_averaging(perms[1:] or perms[:1])
-    _need(uniform_sum(avg.op) == 1, "projection", "averaging operator row sums != 1")
+    _need(uniform_sum_value(avg.op) == 1, "projection", "averaging operator row sums != 1")
     p_op = kazhdan_projection(space)
     _need(p_op == p_op.adjoint(), "projection", "P != P*")
     _need(p_op == p_op @ p_op, "projection", "P != P^2")
@@ -353,6 +344,8 @@ def _cmd_verify(args) -> int:
     jobs = _jobs(args)
     if args.cases < 0:
         raise ValueError("--cases must be >= 0")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     fixed = None
     if args.input is not None:
         fixed = load_space(args.input)

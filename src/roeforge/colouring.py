@@ -91,11 +91,6 @@ class EdgeColouring:
     def edges(self) -> tuple:
         return tuple(map(tuple, self.ends.tolist()))
 
-    def classes(self) -> list[list[tuple[int, int]]]:
-        """Edges grouped by colour; index i holds colour i+1 (a matching)."""
-        return [list(map(tuple, self.ends[self.colours == c].tolist()))
-                for c in range(1, self.n_colours + 1)]
-
     @cached_property
     def _permutations(self) -> tuple:
         """Built once: every decomposition shares these and their operators."""

@@ -17,10 +17,6 @@ class UncontrolledSupportError(RoeforgeError, ValueError):
     """An operator entry connects points at infinite distance."""
 
 
-class NotUniformSumError(RoeforgeError, ValueError):
-    """Operator does not have a single common row/column sum."""
-
-
 class SupportOutsideTubeError(RoeforgeError, ValueError):
     """A translation's support leaves the tube whose colouring was supplied."""
 
@@ -37,24 +33,22 @@ class GapBoundError(RoeforgeError, ValueError):
     """The measured gap contradicts a caller-supplied displacement constant."""
 
 
-class SpaceParseError(RoeforgeError, ValueError):
+class _LineError(RoeforgeError, ValueError):
+    """A text file could not be parsed; carries the offending line number."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+class SpaceParseError(_LineError):
     """A space file could not be parsed; carries the offending line number."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
-
-class OperatorParseError(RoeforgeError, ValueError):
+class OperatorParseError(_LineError):
     """An operator file could not be parsed; carries the offending line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class ManifestError(RoeforgeError, ValueError):

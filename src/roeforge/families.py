@@ -74,6 +74,14 @@ def make_hypercube(d: int) -> FiniteSpace:
     return space_from_graph([format(v, f"0{d}b") for v in range(n)], edges, name=f"Q{d}")
 
 
+def _seed(seed) -> int:
+    """A random family's seed: an integer under ``_integer``'s rule, >= 0."""
+    seed = _integer(seed, "seed", FamilyError)
+    if seed < 0:
+        raise FamilyError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def make_random_regular(n: int, d: int, seed: int = 0) -> FiniteSpace:
     """Simple d-regular graph on n points, by rejection-sampled pairings.
 
@@ -88,6 +96,7 @@ def make_random_regular(n: int, d: int, seed: int = 0) -> FiniteSpace:
         raise FamilyError("degree must satisfy 0 <= d < n")
     if (n * d) % 2:
         raise FamilyError("n*d must be even for a d-regular graph to exist")
+    seed = _seed(seed)
     _check_size(n)
     name = f"RR{n}x{d}s{seed}"
     if d == 0:
@@ -173,6 +182,7 @@ def random_bounded_degree_space(n: int, max_degree: int, seed: int = 0,
         raise FamilyError("need at least one point")
     if max_degree < 0:
         raise FamilyError("max_degree must be >= 0")
+    seed = _seed(seed)
     _check_size(n)
     rng = np.random.default_rng(seed)
     # shuffling the pair indices draws exactly what shuffling the list of

@@ -23,7 +23,6 @@ rho creeps to 1 do not.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -63,7 +62,6 @@ __all__ = [
     "gap_report",
     "kazhdan_lower_bound",
     "report_to_dict",
-    "report_to_json",
     "family_report_to_dict",
     "reports_to_csv",
     "CSV_COLUMNS",
@@ -422,10 +420,6 @@ def report_to_dict(report: GapReport) -> dict:
         "uniform_gap": report.uniform_gap,
         "params": dict(report.params),
     }
-
-
-def report_to_json(report: GapReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
 
 
 def family_report_to_dict(family: str, params: Mapping,

@@ -41,7 +41,6 @@ __all__ = [
     "controlled",
     "tube",
     "compose",
-    "coarse_components",
     "is_generating",
     "parse_space_file",
     "load_space",
@@ -610,11 +609,6 @@ def compose(e: ControlledSet, f: ControlledSet) -> ControlledSet:
     return controlled(e.space, out)
 
 
-def coarse_components(space: FiniteSpace) -> list[list[int]]:
-    """Partition of point indices into coarse components, ascending ids."""
-    return [space.component_points(c).tolist() for c in range(space.n_components)]
-
-
 @dataclass(frozen=True)
 class GeneratingResult:
     """Outcome of :func:`is_generating`.
@@ -669,6 +663,15 @@ def _parse_weight(token: str) -> float:
     return w
 
 
+def _directives(text: str):
+    """``(line number, tokens)`` for each line of ``text`` that is neither
+    blank nor a ``#`` comment; line numbers are 1-based."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if parts and not parts[0].startswith("#"):
+            yield lineno, parts
+
+
 def parse_space_file(text: str) -> FiniteSpace:
     """Parse the line-oriented space format.
 
@@ -685,11 +688,7 @@ def parse_space_file(text: str) -> FiniteSpace:
     """
     blocks: list[dict] = []
     block = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in _directives(text):
         kind = parts[0]
         if kind == "space":
             if len(parts) != 2:

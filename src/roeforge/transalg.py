@@ -36,13 +36,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    NotUniformSumError,
-    OperatorParseError,
-    ScalarModeError,
-    SpaceMismatchError,
-)
-from .space import ControlledSet, FiniteSpace, _integer, support_diameter
+from .errors import OperatorParseError, ScalarModeError, SpaceMismatchError
+from .space import ControlledSet, FiniteSpace, _directives, _integer, support_diameter
 
 __all__ = [
     "MODE_RATIONAL",
@@ -53,7 +48,6 @@ __all__ = [
     "restrict",
     "row_sum_diagonal",
     "uniform_sum_value",
-    "uniform_sum",
     "invariance_defect",
     "single_pair_translations",
     "invariant_subspace_basis",
@@ -66,6 +60,7 @@ MODE_FLOAT = "float"
 
 _RATIONAL_TYPES = (int, Fraction)
 _FLOAT_TYPES = (int, float, complex, Fraction)
+_FLOAT_SUM_TOL = 1e-12  # float row/column sums this close count as one sum
 
 
 def _check_mode(mode: str):
@@ -491,9 +486,6 @@ class FinitePropOp:
         n = self.space.n_points
         return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
-    def matvec(self, x) -> np.ndarray:
-        return self.to_csr() @ np.asarray(x)
-
 
 def restrict(t: FinitePropOp, m: int) -> FinitePropOp:
     """Cut an operator down to coarse component ``m`` of its space.
@@ -586,37 +578,24 @@ def _exact_uniform_sum(op: FinitePropOp):
     return _exact_value(s, d)
 
 
-def uniform_sum_value(op: FinitePropOp, tol=None):
+def uniform_sum_value(op: FinitePropOp):
     """The common row/column sum of ``op``, or None if sums differ.
 
     Operators with one common row and column sum form a unital
     *-subalgebra, and on it this map is a homomorphism to scalars.  In
-    rational mode the comparison is exact and ``tol`` must be omitted or 0;
-    in float mode ``tol`` is an absolute tolerance (default 1e-12).
+    rational mode the comparison is exact; in float mode two sums agree
+    within the absolute tolerance ``_FLOAT_SUM_TOL``.
     """
     if op.mode == MODE_RATIONAL:
-        if tol not in (None, 0):
-            raise ValueError("rational mode compares sums exactly; tol must be 0")
         return _exact_uniform_sum(op)
-    if tol is None:
-        tol = 1e-12
     rows, cols = _all_sums(op)
     c = rows[0]
     for s in rows:
-        if abs(s - c) > tol:
+        if abs(s - c) > _FLOAT_SUM_TOL:
             return None
     for s in cols:
-        if abs(s - c) > tol:
+        if abs(s - c) > _FLOAT_SUM_TOL:
             return None
-    return c
-
-
-def uniform_sum(op: FinitePropOp, tol=None):
-    """Like :func:`uniform_sum_value` but raising when sums are not uniform."""
-    c = uniform_sum_value(op, tol)
-    if c is None:
-        raise NotUniformSumError(
-            f"operator on {op.space.name!r} has no common row/column sum")
     return c
 
 
@@ -640,10 +619,6 @@ class PartialTranslation:
         self.propagation = support_diameter(space, list(m.values()), list(m))
         self.space = space
         self.mapping = m
-
-    @classmethod
-    def identity_on(cls, space: FiniteSpace, subset: Iterable[int]) -> "PartialTranslation":
-        return cls(space, {i: i for i in subset})
 
     @property
     def domain(self) -> tuple:
@@ -792,7 +767,7 @@ def single_pair_translations(space: FiniteSpace) -> list[PartialTranslation]:
             if x != y and cx == cy]
 
 
-def invariant_subspace_basis(space: FiniteSpace, ops=None, rtol: float = 1e-9) -> np.ndarray:
+def invariant_subspace_basis(space: FiniteSpace, ops=None) -> np.ndarray:
     """Orthonormal basis of vectors fixed under row-sum replacement.
 
     Returns a basis of ``{xi : row_sum_diagonal(T) xi = T xi for all T}``,
@@ -819,7 +794,8 @@ def invariant_subspace_basis(space: FiniteSpace, ops=None, rtol: float = 1e-9) -
     _, s, vt = np.linalg.svd(m)
     if s.size == 0 or s[0] == 0:
         return np.eye(n)
-    rank = int(np.sum(s > rtol * s[0]))
+    # singular values below 1e-9 of the largest count as zero
+    rank = int(np.sum(s > 1e-9 * s[0]))
     return vt[rank:].T
 
 
@@ -875,11 +851,7 @@ def operator_from_text(text: str, space: FiniteSpace) -> FinitePropOp:
     entries = {}
     mode = None
     recorded_prop = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in _directives(text):
         if header is None:
             if parts[0] != "operator" or len(parts) != 4:
                 raise OperatorParseError(

@@ -4,6 +4,7 @@ import multiprocessing
 import threading
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -190,16 +191,6 @@ def test_gap_rate_bound_violation_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_jobs_env_fallback(tmp_path, capsys, monkeypatch):
-    path = write(tmp_path, "tri.space", TRI)
-    monkeypatch.setenv("ROEFORGE_JOBS", "2")
-    assert main(["gap", path]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("ROEFORGE_JOBS", "banana")
-    assert main(["gap", path]) == 0
-    assert "ROEFORGE_JOBS" in capsys.readouterr().err
-
-
 def test_gap_lanczos_non_convergence_exits_one(tmp_path, capsys, monkeypatch):
     def stuck(*args, **kwargs):
         raise spla.ArpackNoConvergence("ARPACK error -1: No convergence",
@@ -290,6 +281,50 @@ def test_infinite_radius_writes_strict_json(tmp_path, capsys, name, text):
     for report in doc.get("members", [doc]):
         assert report["params"]["radius"] == "inf"
     assert Path(out_path).read_text() == out
+
+
+def test_gap_report_json_is_frozen(tmp_path, capsys):
+    path = write(tmp_path, "c4.space", "space C4\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 0\n")
+    assert main(["gap", path, "--kmax", "4"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n'
+        '  "space": "C4",\n'
+        '  "components": [\n'
+        '    {\n'
+        '      "id": 0,\n'
+        '      "size": 4,\n'
+        '      "rho": 0.5,\n'
+        '      "curve": [\n'
+        '        {\n'
+        '          "k": 1,\n'
+        '          "norm": 0.5\n'
+        '        },\n'
+        '        {\n'
+        '          "k": 2,\n'
+        '          "norm": 0.25\n'
+        '        },\n'
+        '        {\n'
+        '          "k": 4,\n'
+        '          "norm": 0.0625\n'
+        '        }\n'
+        '      ],\n'
+        '      "delta_tilde": null,\n'
+        '      "no_effective_gap": false\n'
+        '    }\n'
+        '  ],\n'
+        '  "max_rho": 0.5,\n'
+        '  "uniform_gap_threshold": 0.95,\n'
+        '  "uniform_gap": true,\n'
+        '  "params": {\n'
+        '    "radius": 1.0,\n'
+        '    "threshold": 0.95,\n'
+        '    "kmax": 4,\n'
+        '    "c": null,\n'
+        '    "dense_cutoff": 512,\n'
+        '    "tol": 1e-10\n'
+        '  }\n'
+        '}\n'
+    )
 
 
 def test_gap_refuses_non_finite_floats_in_its_output(tmp_path, capsys, monkeypatch):
@@ -599,6 +634,29 @@ def test_verify_single_case_starts_no_pool(capsys, monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     assert main(["verify", "--cases", "1", "--jobs", "2"]) == 0
     assert capsys.readouterr().out.endswith("PASS (1 cases)\n")
+
+
+def test_verify_refuses_a_negative_seed_before_any_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert main(["verify", "--cases", "4", "--jobs", "2", "--seed", "-1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: --seed must be >= 0\n"
+
+
+def test_verify_reports_a_non_uniform_averaging_operator_as_a_failure(capsys, monkeypatch):
+    # an averaging operator without unit row and column sums is a "no"
+    # (exit 2) from the projection check, not an operational error
+    def lopsided(perms):
+        return SimpleNamespace(op=rf.FinitePropOp.diagonal(perms[0].space, {0: 1}))
+
+    monkeypatch.setattr(cli, "build_averaging", lopsided)
+    assert main(["verify", "--cases", "1", "--jobs", "1"]) == 2
+    out = capsys.readouterr().out
+    assert "projection\tFAIL\t1 failure(s)\n" in out
+    assert out.endswith("FAIL (1/1 cases failed)\n")
 
 
 def test_console_script_wiring():

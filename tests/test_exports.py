@@ -28,3 +28,13 @@ def test_the_package_imports_only_exported_names():
             exported = importlib.import_module(f"roeforge.{node.module}").__all__
             stray += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
     assert stray == []
+
+
+def test_the_package_reads_no_environment_variable():
+    """Every setting is a command-line option or an argument; a new
+    environment setting has to change this test on purpose."""
+    src = Path(roeforge.__file__).parent
+    readers = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+               for i, line in enumerate(path.read_text().splitlines(), start=1)
+               if "environ" in line or "getenv" in line]
+    assert readers == []

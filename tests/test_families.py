@@ -118,11 +118,13 @@ def test_box_space_sizes_must_grow():
     (lambda v: rf.make_box_space_Z([v, 5]), 3),
     (lambda v: rf.random_bounded_degree_space(v, 2), 6),
     (lambda v: rf.random_bounded_degree_space(6, v), 2),
+    (lambda v: rf.make_random_regular(10, 3, seed=v), 2),
+    (lambda v: rf.random_bounded_degree_space(8, 3, seed=v), 2),
 ], ids=["cycle", "complete", "hypercube", "rr-n", "rr-d", "margulis", "box",
-        "bounded-n", "bounded-degree"])
+        "bounded-n", "bounded-degree", "rr-seed", "bounded-seed"])
 def test_family_sizes_must_be_integers(make, good):
-    """A size is an integer or an integral float; ``int()`` would have
-    turned 8.7 into 8 and True into 1 without a word."""
+    """A size or seed is an integer or an integral float; ``int()`` would
+    have turned 8.7 into 8 and True into 1 without a word."""
     want = make(good)
     for same in (float(good), np.int64(good)):
         got = make(same)
@@ -131,6 +133,16 @@ def test_family_sizes_must_be_integers(make, good):
     for bad in (good + 0.7, True, float("nan"), float("inf"), str(good), None):
         with pytest.raises(FamilyError, match=f"must be an integer, got {re.escape(repr(bad))}$"):
             make(bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: rf.make_random_regular(10, 3, seed=seed),
+    lambda seed: rf.random_bounded_degree_space(8, 3, seed=seed),
+], ids=["rr", "bounded"])
+def test_random_families_refuse_a_negative_seed(make):
+    with pytest.raises(FamilyError, match=r"^seed must be >= 0, got -1$"):
+        make(-1)
+    assert make(0).name.endswith("s0")
 
 
 def test_random_bounded_degree_space():

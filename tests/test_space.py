@@ -181,11 +181,6 @@ def test_compose_definition():
     assert rf.compose(f, e).pairs == frozenset()
 
 
-def test_coarse_components_listing():
-    sp = rf.disjoint_union([rf.make_complete(2), rf.make_complete(3)])
-    assert rf.coarse_components(sp) == [[0, 1], [2, 3, 4]]
-
-
 def test_is_generating_cycle():
     sp = rf.make_cycle(6)
     res = rf.is_generating(sp, rf.tube(sp, 1))

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 import roeforge as rf
 from roeforge import (
     FinitePropOp,
-    NotUniformSumError,
     OperatorParseError,
     PartialTranslation,
     PermutationOp,
@@ -653,7 +652,6 @@ def test_dense_csr_matvec_agree():
     d = op.to_dense().astype(float)
     x = np.random.default_rng(0).normal(size=5)
     assert np.allclose(op.to_csr() @ x, d @ x)
-    assert np.allclose(op.matvec(x), d @ x)
     # one dtype for all entries: a single complex entry makes both forms complex
     mixed = FinitePropOp(sp, {(0, 1): 0.5, (1, 0): 1 + 2j, (2, 2): -1.0}, mode="float")
     dense = mixed.to_dense()
@@ -680,7 +678,7 @@ def test_editing_a_matrix_changes_no_later_matvec(mode):
     op = FinitePropOp(sp, {(0, 1): 1, (1, 0): 2}, mode)
     x = np.array([1.0, 10.0])
     op.to_csr().data[:] = 0
-    assert op.matvec(x).tolist() == [10.0, 2.0]
+    assert (op.to_csr() @ x).tolist() == [10.0, 2.0]
     assert op.to_csr().toarray().tolist() == [[0.0, 1.0], [2.0, 0.0]]
 
 
@@ -720,11 +718,8 @@ def test_uniform_sum_detection():
     sp = rf.make_cycle(4)
     ident = FinitePropOp.identity(sp)
     assert rf.uniform_sum_value(ident) == 1
-    assert rf.uniform_sum(ident) == 1
     skew = FinitePropOp.diagonal(sp, {0: Fraction(1)})
     assert rf.uniform_sum_value(skew) is None
-    with pytest.raises(NotUniformSumError):
-        rf.uniform_sum(skew)
 
 
 def test_uniform_sum_needs_column_sums_too():
@@ -794,8 +789,6 @@ def test_uniform_sum_float_tolerance():
     assert rf.uniform_sum_value(op) == pytest.approx(1.0)
     off = FinitePropOp(sp, {(0, 0): 1.0, (1, 1): 1.5}, mode="float")
     assert rf.uniform_sum_value(off) is None
-    with pytest.raises(ValueError):
-        rf.uniform_sum_value(FinitePropOp.identity(sp), tol=1e-9)  # exact mode
 
 
 def test_partial_translation_basics():
@@ -822,12 +815,6 @@ def test_partial_translation_rejects_uncontrolled():
     sp = two_blocks()
     with pytest.raises(UncontrolledSupportError):
         PartialTranslation(sp, {0: 2})
-
-
-def test_identity_on():
-    sp = rf.make_cycle(5)
-    t = PartialTranslation.identity_on(sp, [1, 3])
-    assert t.as_operator() == FinitePropOp.diagonal(sp, {1: 1, 3: 1})
 
 
 def test_permutation_op():
@@ -953,7 +940,7 @@ def test_operator_text_errors():
 
 def test_to_float_names_an_entry_beyond_float_range():
     op = FinitePropOp(rf.make_cycle(3), {(0, 0): 1, (2, 1): Fraction(10**400, 3)})
-    for convert in (op.to_float, op.to_csr, op.to_dense, lambda: op.matvec([1, 1, 1])):
+    for convert in (op.to_float, op.to_csr, op.to_dense):
         with pytest.raises(ValueError, match=r"entry \(2, 1\) is beyond float range"):
             convert()
     tiny = FinitePropOp(rf.make_cycle(3), {(0, 0): Fraction(1, 10**400), (1, 1): 2})
