@@ -66,8 +66,8 @@ def make_hypercube(d: int) -> FiniteSpace:
     d = _integer(d, "d", FamilyError)
     if d < 1:
         raise FamilyError("hypercube dimension must be >= 1")
+    _check_size(1 << min(d, 21))    # 2^21 is over the limit: no larger shift is made
     n = 1 << d
-    _check_size(n)
     # each edge once, from its end v with bit b clear
     v, b = np.nonzero((np.arange(n)[:, None] >> np.arange(d) & 1) == 0)
     edges = _unit_edges(v, v | 1 << b)
@@ -238,8 +238,10 @@ def load_manifest(source) -> tuple[str, dict, list[FiniteSpace]]:
     if isinstance(source, (str, bytes)):
         try:
             data = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ManifestError(f"manifest is not valid JSON: {exc}") from None
+        except ValueError:  # an integer past Python's limit on digits
+            raise ManifestError("manifest holds an integer too long to read") from None
     else:
         data = source
     if not isinstance(data, Mapping):

@@ -23,6 +23,8 @@ rho creeps to 1 do not.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -451,11 +453,13 @@ def reports_to_csv(reports: Sequence[GapReport]) -> str:
     The curve is variable-length and so lives only in the JSON form; the
     CSV is the flat per-component summary.
     """
-    lines = [",".join(CSV_COLUMNS)]
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")   # quotes a cell holding , or "
+    out.writerow(CSV_COLUMNS)
     for r in reports:
         for g in r.components:
-            lines.append(",".join(_csv_cell(v) for v in (
+            out.writerow([_csv_cell(v) for v in (
                 r.space_name, g.id, g.size, g.rho, g.delta_tilde,
                 g.no_effective_gap, r.max_rho, r.uniform_gap_threshold,
-                r.uniform_gap)))
-    return "\n".join(lines) + "\n"
+                r.uniform_gap)])
+    return buf.getvalue()

@@ -100,7 +100,7 @@ class FiniteSpace:
         offdiag = d[~np.eye(n, dtype=bool)]
         if offdiag.size and offdiag.min() <= 0:
             raise ValueError("off-diagonal distances must be positive")
-        self._keep_matrix(points, d, name)
+        self._init(points, name, dist=d)
         # the finite-distance relation must be an equivalence relation; one
         # row per component only reads off its class correctly then
         rows, cols = np.nonzero(np.isfinite(d))
@@ -108,53 +108,37 @@ class FiniteSpace:
         if not np.array_equal(comp[rows], comp[cols]):
             raise ValueError("finite-distance relation is not transitive")
 
-    def _keep_matrix(self, points: tuple, d: np.ndarray, name: str):
-        """Hold the float matrix ``d`` (made read-only) and number the
-        components by their smallest point, reading one row per component."""
-        d.setflags(write=False)
+    def _init(self, points: tuple, name: str, dist: np.ndarray | None = None,
+              graph: sp.csr_matrix | None = None):
+        """Hold ``dist``, a valid float matrix (made read-only), or ``graph``, a
+        symmetric CSR (positive weights, no self-loops), and number the
+        components by their smallest point."""
         self.points = points
         self.name = name
-        self._dist = d
-        self._graph = None
-        comp = np.full(len(points), -1, dtype=np.int64)
-        next_id = 0
-        for i in range(len(points)):
-            if comp[i] < 0:
-                comp[np.isfinite(d[i])] = next_id
-                next_id += 1
+        self._dist = dist
+        self._graph = graph
+        if graph is None:
+            dist.setflags(write=False)
+            comp = np.full(len(points), -1, dtype=np.int64)
+            n_components = 0
+            for i in range(len(points)):
+                if comp[i] < 0:
+                    comp[np.isfinite(dist[i])] = n_components
+                    n_components += 1
+        else:
+            n_components, labels = connected_components(graph, directed=False)
+            comp = labels.astype(np.int64)
         comp.setflags(write=False)
         self.component_of = comp
-        self.n_components = next_id
+        self.n_components = int(n_components)
         self._component_spaces: dict[int, FiniteSpace] = {}
 
     @classmethod
-    def _from_matrix(cls, points: Sequence[str], d: np.ndarray,
-                     name: str) -> "FiniteSpace":
-        """A space on a float distance matrix known to be valid (a block of
-        a valid space's matrix), without the constructor's checks."""
+    def _built(cls, points: Sequence[str], name: str, **storage) -> "FiniteSpace":
+        """A space on storage known to be valid (``dist=`` or ``graph=``, as
+        :meth:`_init` takes them), without the constructor's checks."""
         space = cls.__new__(cls)
-        space._keep_matrix(tuple(points), d, str(name))
-        return space
-
-    @classmethod
-    def _from_graph(cls, points: Sequence[str], graph: sp.csr_matrix,
-                    name: str) -> "FiniteSpace":
-        """A space on a symmetric CSR graph (positive weights, no self-loops).
-
-        Components are numbered by their smallest point, as the matrix
-        constructor does.
-        """
-        space = cls.__new__(cls)
-        space.points = tuple(points)
-        space.name = str(name)
-        space._dist = None
-        space._graph = graph
-        n_components, labels = connected_components(graph, directed=False)
-        comp = labels.astype(np.int64)
-        comp.setflags(write=False)
-        space.component_of = comp
-        space.n_components = int(n_components)
-        space._component_spaces = {}
+        space._init(tuple(points), str(name), **storage)
         return space
 
     @property
@@ -269,10 +253,9 @@ class FiniteSpace:
             points = [self.points[i] for i in idx]
             name = f"{self.name}.{component_id}"
             if self._dist is not None:
-                got = FiniteSpace._from_matrix(points, self._dist[np.ix_(idx, idx)],
-                                               name)
+                got = FiniteSpace._built(points, name, dist=self._dist[np.ix_(idx, idx)])
             else:
-                got = FiniteSpace._from_graph(points, self._graph[idx][:, idx], name)
+                got = FiniteSpace._built(points, name, graph=self._graph[idx][:, idx])
             self._component_spaces[component_id] = got
         return got
 
@@ -399,10 +382,10 @@ def _integer(value, what: str, error: type = ValueError) -> int:
 
 
 def _check_size(n: int) -> None:
-    """Refuse a space of more than MAX_POINTS points, before building any of it."""
+    """Refuse a space of more than MAX_POINTS points, before building any of it.
+    The message leaves n out: Python will not format an int of 4300 digits."""
     if n > MAX_POINTS:
-        raise MemoryError(f"Unable to allocate a space of {n} points "
-                          f"(the limit is {MAX_POINTS})")
+        raise MemoryError(f"Unable to allocate a space of more than {MAX_POINTS} points")
 
 
 def _bool_ends(edges, m: int) -> np.ndarray:
@@ -461,33 +444,41 @@ def space_from_graph(points: Sequence[str],
     graph = sp.csr_matrix((np.concatenate([vals, vals]),
                            (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
                           shape=(n, n))
-    return FiniteSpace._from_graph(points, graph, name)
+    return FiniteSpace._built(points, name, graph=graph)
 
 
 def disjoint_union(spaces: Sequence[FiniteSpace], name: str | None = None) -> FiniteSpace:
     """Disjoint union: distances kept within each part, +inf across parts.
 
-    Point names are qualified as ``<part-name>:<point-name>`` so the union
-    has distinct names even when parts repeat.  A union of spaces built
-    from graphs keeps their graphs, as one block-diagonal graph.
+    Point names are qualified as ``<part-name>:<point-name>``; two parts
+    that give the same qualified name (a part repeated, say) are refused
+    with a ValueError naming both.  A union of spaces built from graphs
+    keeps their graphs, as one block-diagonal graph.
     """
     if not spaces:
         raise ValueError("disjoint_union needs at least one space")
     total = sum(s.n_points for s in spaces)
     _check_size(total)
-    names = [f"{s.name}:{p}" for s in spaces for p in s.points]
+    part_of: dict[str, int] = {}
+    for i, s in enumerate(spaces):
+        for p in s.points:
+            q = f"{s.name}:{p}"
+            if part_of.setdefault(q, i) != i:
+                raise ValueError(f"part {i} ({s.name!r}) repeats the point name {q!r} "
+                                 f"of part {part_of[q]}")
     if name is None:
         name = "+".join(s.name for s in spaces)
+    names = tuple(part_of)
+    _check_names(names, str(name))
     if any(s._graph is None for s in spaces):
         d = np.full((total, total), INF)
         at = 0
         for s in spaces:
             d[at:at + s.n_points, at:at + s.n_points] = s.dist
             at += s.n_points
-        return FiniteSpace(names, d, name=name)
-    _check_names(tuple(names), str(name))
+        return FiniteSpace._built(names, name, dist=d)
     graph = sp.block_diag([s._graph for s in spaces], format="csr")
-    return FiniteSpace._from_graph(names, graph, name)
+    return FiniteSpace._built(names, name, graph=graph)
 
 
 def check_triangle(space: FiniteSpace) -> None:
@@ -574,8 +565,10 @@ def support_diameter(space: FiniteSpace, rows, cols) -> float:
 
 
 def controlled(space: FiniteSpace, pairs: Iterable[tuple[int, int]]) -> ControlledSet:
-    """Wrap explicit pairs as a controlled set, validating finiteness."""
-    ps = frozenset((int(x), int(y)) for x, y in pairs)
+    """Wrap explicit pairs as a controlled set, validating finiteness.
+
+    Indices follow :func:`_integer`'s rule, as every constructor's do."""
+    ps = frozenset((_integer(x, "point index"), _integer(y, "point index")) for x, y in pairs)
     keys = np.array(list(ps), dtype=np.int64).reshape(-1, 2)
     return ControlledSet(space, ps, support_diameter(space, keys[:, 0], keys[:, 1]))
 
@@ -623,8 +616,7 @@ class GeneratingResult:
     n: int | None = None
 
 
-def is_generating(space: FiniteSpace, e: ControlledSet,
-                  n_max: int | None = None) -> GeneratingResult:
+def is_generating(e: ControlledSet, n_max: int | None = None) -> GeneratingResult:
     """Does some n-fold composition of ``e`` cover the largest tube?
 
     The largest tube is Tube(R) for R the largest finite distance, i.e. all
@@ -633,8 +625,7 @@ def is_generating(space: FiniteSpace, e: ControlledSet,
     covered the answer is a certified "no".  ``n_max`` (default: number of
     points squared) bounds the search otherwise.
     """
-    if e.space is not space:
-        raise SpaceMismatchError("controlled set belongs to a different space")
+    space = e.space
     n_pts = space.n_points
     if n_max is None:
         n_max = max(1, n_pts * n_pts)
@@ -695,7 +686,7 @@ def parse_space_file(text: str) -> FiniteSpace:
                 raise SpaceParseError("'space' takes exactly one name", lineno)
             if any(b["name"] == parts[1] for b in blocks):
                 raise SpaceParseError(f"duplicate space name {parts[1]!r}", lineno)
-            block = {"name": parts[1], "order": [], "index": {}, "edges": []}
+            block = {"name": parts[1], "index": {}, "edges": []}
             blocks.append(block)
             continue
         if block is None:
@@ -711,28 +702,21 @@ def parse_space_file(text: str) -> FiniteSpace:
                     raise SpaceParseError(str(exc), lineno) from None
                 if not w > 0:
                     raise SpaceParseError(f"edge weight must be positive, got {parts[3]}", lineno)
-            idx = []
-            for tok in parts[1:3]:
-                if tok not in block["index"]:
-                    block["index"][tok] = len(block["order"])
-                    block["order"].append(tok)
-                idx.append(block["index"][tok])
-            block["edges"].append((idx[0], idx[1], w))
+            index = block["index"]   # name -> index, in order of first appearance
+            block["edges"].append((index.setdefault(parts[1], len(index)),
+                                   index.setdefault(parts[2], len(index)), w))
         elif kind == "point":
             if len(parts) != 2:
                 raise SpaceParseError("'point' takes exactly one name", lineno)
-            tok = parts[1]
-            if tok not in block["index"]:
-                block["index"][tok] = len(block["order"])
-                block["order"].append(tok)
+            block["index"].setdefault(parts[1], len(block["index"]))
         else:
             raise SpaceParseError(f"unknown directive {kind!r}", lineno)
     if not blocks:
         raise SpaceParseError("no spaces defined")
     for b in blocks:
-        if not b["order"]:
+        if not b["index"]:
             raise SpaceParseError(f"space {b['name']!r} has no points")
-    built = [space_from_graph(b["order"], b["edges"], name=b["name"]) for b in blocks]
+    built = [space_from_graph(list(b["index"]), b["edges"], name=b["name"]) for b in blocks]
     if len(built) == 1:
         return built[0]
     return disjoint_union(built)

@@ -241,7 +241,8 @@ class FinitePropOp:
     ``entries`` holds a float row's stored values, and for a rational row an
     int wherever the reduced denominator is 1 and a ``Fraction`` otherwise.
     Point indices are ints; integral floats and numpy integers are taken as
-    ints, bools and other values refused.
+    ints, bools and other values refused.  The constants :meth:`identity`
+    and :meth:`zero` are exact; ``.to_float()`` gives their float form.
     """
 
     __slots__ = ("space", "mode", "_rows", "_propagation")
@@ -274,11 +275,9 @@ class FinitePropOp:
         return op
 
     @classmethod
-    def _ones(cls, space: FiniteSpace, pairs: Iterable[tuple[int, int]],
-              mode: str = MODE_RATIONAL) -> "FinitePropOp":
-        """The 0/1 operator with a 1 at each ``(x, y)``, one per row."""
-        one, _ = _as_ratio(1, mode)
-        return cls._sealed(space, {x: (1, {y: one}) for x, y in pairs}, mode)
+    def _ones(cls, space: FiniteSpace, pairs: Iterable[tuple[int, int]]) -> "FinitePropOp":
+        """The exact 0/1 operator with a 1 at each ``(x, y)``, one per row."""
+        return cls._sealed(space, {x: (1, {y: 1}) for x, y in pairs})
 
     @classmethod
     def _from_keys(cls, space: FiniteSpace, keys: np.ndarray, numerators: list,
@@ -330,12 +329,12 @@ class FinitePropOp:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, space: FiniteSpace, mode: str = MODE_RATIONAL) -> "FinitePropOp":
-        return cls._sealed(space, {}, mode)
+    def zero(cls, space: FiniteSpace) -> "FinitePropOp":
+        return cls._sealed(space, {})
 
     @classmethod
-    def identity(cls, space: FiniteSpace, mode: str = MODE_RATIONAL) -> "FinitePropOp":
-        return cls._ones(space, ((i, i) for i in range(space.n_points)), mode)
+    def identity(cls, space: FiniteSpace) -> "FinitePropOp":
+        return cls._ones(space, ((i, i) for i in range(space.n_points)))
 
     @classmethod
     def diagonal(cls, space: FiniteSpace, values, mode: str = MODE_RATIONAL) -> "FinitePropOp":
@@ -386,7 +385,7 @@ class FinitePropOp:
     def __rmul__(self, scalar) -> "FinitePropOp":
         p, q = _as_ratio(scalar, self.mode)
         if p == 0:
-            return FinitePropOp.zero(self.space, self.mode)
+            return FinitePropOp._sealed(self.space, {}, self.mode)
         # a float product can underflow to 0
         return FinitePropOp._sealed(self.space, {
             x: r for x, (d, row) in self._rows.items()
@@ -644,8 +643,8 @@ class PartialTranslation:
         return (f"PartialTranslation({self.space.name!r}, |domain|={len(self.mapping)}, "
                 f"propagation={self.propagation})")
 
-    def as_operator(self, mode: str = MODE_RATIONAL) -> FinitePropOp:
-        return FinitePropOp._ones(self.space, ((x, y) for y, x in self.mapping.items()), mode)
+    def as_operator(self) -> FinitePropOp:
+        return FinitePropOp._ones(self.space, ((x, y) for y, x in self.mapping.items()))
 
 
 class PermutationOp:
@@ -849,6 +848,7 @@ def operator_from_text(text: str, space: FiniteSpace) -> FinitePropOp:
     """
     header = None
     entries = {}
+    index = {p: i for i, p in enumerate(space.points)}
     mode = None
     recorded_prop = None
     for lineno, parts in _directives(text):
@@ -872,10 +872,10 @@ def operator_from_text(text: str, space: FiniteSpace) -> FinitePropOp:
         if parts[0] != "entry" or len(parts) != 4:
             raise OperatorParseError("expected 'entry <x> <y> <value>'", lineno)
         try:
-            x = space.index_of(parts[1])
-            y = space.index_of(parts[2])
+            x, y = index[parts[1]], index[parts[2]]
         except KeyError as exc:
-            raise OperatorParseError(str(exc.args[0]), lineno) from None
+            raise OperatorParseError(f"no point named {exc.args[0]!r} in space "
+                                     f"{space.name!r}", lineno) from None
         if (x, y) in entries:
             raise OperatorParseError(f"duplicate entry ({parts[1]}, {parts[2]})", lineno)
         entries[(x, y)] = _parse_value(parts[3], mode, lineno)

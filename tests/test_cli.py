@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import multiprocessing
@@ -115,6 +116,17 @@ def test_uneven_distances_are_symmetric(monkeypatch, chunk):
         sum(1 for x, _ in t.pairs if x == c) for c in range(s.n_points))
     rf.FiniteSpace(s.points, s.dist)      # symmetric: passes validation
     assert rf.tube(s, 0.6) == t
+
+
+@pytest.mark.parametrize("name", ["a,b", '"q', 'x"y'])
+def test_gap_csv_quotes_a_name_holding_a_comma_or_quote(tmp_path, capsys, name):
+    path = write(tmp_path, "q.space", f"space {name}\nedge x y\n")
+    out = str(tmp_path / "q.csv")
+    assert main(["gap", path, "--csv", out]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [9, 9]
+    assert rows[0] == list(rf.kazhdan.CSV_COLUMNS) and rows[1][0] == name
 
 
 def test_gap_threshold_changes_verdict(tmp_path, capsys):
@@ -420,13 +432,23 @@ def test_overflowing_edge_weight_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("text", ['{"family": ["margulis"], "members": [4]}',
                                   '{"family": "margulis", "members": [1e400]}',
                                   '{"family": "cycle", "members": [8.7]}',
-                                  '{"family": "box_space_Z", "members": [[3.9, 5.5]]}'])
+                                  '{"family": "box_space_Z", "members": [[3.9, 5.5]]}',
+                                  # sizes too long for Python to print
+                                  pytest.param(json.dumps({"family": "hypercube",
+                                                           "members": [20000]}),
+                                               id="hypercube-20000"),
+                                  pytest.param(json.dumps({"family": "margulis",
+                                                           "members": [10**2200]}),
+                                               id="margulis-2201-digits"),
+                                  pytest.param('{"family": "cycle", "members": ['
+                                               + "7" * 5000 + "]}", id="5000-digits")])
 def test_malformed_manifest_exits_one(tmp_path, capsys, text):
     path = write(tmp_path, "bad.json", text)
     assert main(["gap", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "digits" not in captured.err
 
 
 def test_verify_small_run(capsys):

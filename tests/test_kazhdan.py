@@ -17,11 +17,13 @@ import roeforge as rf
 from roeforge import (
     FinitePropOp,
     GapBoundError,
+    GapComputationError,
     PermutationOp,
     SpaceMismatchError,
     SpectralError,
 )
 from roeforge import kazhdan, spectral
+from roeforge.cli import main
 from roeforge.kazhdan import EXACT_POWER_CAP
 from roeforge.spectral import dense_power_norms, matvec_power_norm
 from helpers import random_rational_op, random_space, random_translation, spectral_norm
@@ -240,8 +242,8 @@ def test_sealed_builders_match_the_validating_constructor(make):
     built = [rf.kazhdan_projection(sp), averaging_for(sp).op, *dec.idempotents,
              *(rf.restrict(op, m) for op in (t, t.to_float())
                for m in range(sp.n_components))]
-    for mode in ("rational", "float"):
-        built += [FinitePropOp.identity(sp, mode), FinitePropOp.zero(sp, mode)]
+    for op in (FinitePropOp.identity(sp), FinitePropOp.zero(sp)):
+        built += [op, op.to_float()]
     for op in built:
         rebuilt = FinitePropOp(op.space, op.entries, op.mode)
         assert rebuilt == op
@@ -724,6 +726,35 @@ def test_report_dict_key_order():
                        "uniform_gap_threshold", "uniform_gap", "params"]
     assert list(d["components"][0]) == ["id", "size", "rho", "curve",
                                         "delta_tilde", "no_effective_gap"]
+
+
+def _gap_stops_in_one_line(tmp_path, capsys, n, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"family": "cycle", "members": [n]}))
+    assert main(["gap", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_a_curve_that_disagrees_with_rho_stops_the_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(kazhdan, "eigvec_power_norms", lambda op, vec, ks: {k: 2.0 for k in ks})
+    message = "component 0: measured ||(A-P)^1|| = 2.0 disagrees with rho^1 = "
+    with pytest.raises(GapComputationError, match=re.escape(message)):
+        rf.gap_report(averaging_for(rf.make_cycle(6)), kmax=4)
+    _gap_stops_in_one_line(tmp_path, capsys, 6, message)
+
+
+def test_a_failed_banded_cholesky_stops_the_report(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(kazhdan, "cholesky_banded", fail)
+    assert 300 > kazhdan._BANDED_FROM  # so C300 takes the banded path
+    message = "banded Cholesky failed on 300 points: not positive definite"
+    with pytest.raises(SpectralError, match=f"^{message}$"):
+        rf.gap_report(averaging_for(rf.make_cycle(300)), kmax=4)
+    _gap_stops_in_one_line(tmp_path, capsys, 300, message)
 
 
 def test_csv_output_is_frozen():

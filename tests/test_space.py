@@ -71,6 +71,35 @@ def test_disjoint_union_qualifies_names():
     assert sp.dist[0, 3] == INF
 
 
+def test_union_of_a_matrix_part_and_a_graph_part():
+    far = rf.FiniteSpace(["a", "b", "c"], [[0, 2, INF], [2, 0, INF], [INF, INF, 0]], name="m")
+    sp = rf.disjoint_union([far, rf.make_cycle(4)])
+    assert sp._graph is None and sp.name == "m+C4"
+    assert sp.points == ("m:a", "m:b", "m:c", "C4:0", "C4:1", "C4:2", "C4:3")
+    assert sp.n_components == 3
+    assert list(sp.component_of) == [0, 0, 1, 2, 2, 2, 2]
+    want = np.full((7, 7), INF)
+    want[:3, :3] = far.dist
+    want[3:, 3:] = rf.make_cycle(4).dist
+    assert np.array_equal(sp.dist, want) and not sp.dist.flags.writeable
+    ring = {(x, y) for x in range(3, 7) for y in range(3, 7) if (x - y) % 4 != 2}
+    assert rf.tube(sp, 1).pairs == {(0, 0), (1, 1), (2, 2)} | ring
+    assert rf.tube(sp, 2).pairs == rf.tube(sp, 1).pairs | {(0, 1), (1, 0), (3, 5), (5, 3),
+                                                          (4, 6), (6, 4)}
+
+
+@pytest.mark.parametrize("second", [rf.make_cycle(4),
+                                    rf.FiniteSpace(["0"], [[0]], name="C4")],
+                         ids=["graph", "matrix"])
+def test_union_names_the_part_that_repeats_a_point_name(second):
+    with pytest.raises(ValueError,
+                       match=r"^part 1 \('C4'\) repeats the point name 'C4:0' of part 0$"):
+        rf.disjoint_union([rf.make_cycle(4), second])
+    # one name for two parts is fine while their points differ
+    other = rf.FiniteSpace(["x"], [[0]], name="C4")
+    assert rf.disjoint_union([rf.make_cycle(4), other]).points[-1] == "C4:x"
+
+
 def test_space_from_graph_distances():
     # path a-b-c: shortest paths, not direct edges
     sp = rf.space_from_graph(["a", "b", "c"], [(0, 1, 1), (1, 2, 1)], name="path")
@@ -158,6 +187,15 @@ def test_controlled_set_validation():
         rf.controlled(sp, [(0, 99)])
 
 
+@pytest.mark.parametrize("pairs", [[(0.5, 1.7)], [(True, 2)], [("1", 2)]],
+                         ids=["fraction", "bool", "str"])
+def test_controlled_refuses_non_integer_indices(pairs):
+    with pytest.raises(ValueError, match="point index must be an integer"):
+        rf.controlled(rf.make_cycle(4), pairs)
+    # integral floats and numpy integers are indices, as everywhere else
+    assert rf.controlled(rf.make_cycle(4), [(1.0, np.int64(2))]).pairs == {(1, 2)}
+
+
 def test_controlled_set_operations():
     sp = rf.make_cycle(6)
     e = rf.controlled(sp, [(0, 1), (2, 5)])
@@ -183,7 +221,7 @@ def test_compose_definition():
 
 def test_is_generating_cycle():
     sp = rf.make_cycle(6)
-    res = rf.is_generating(sp, rf.tube(sp, 1))
+    res = rf.is_generating(rf.tube(sp, 1))
     assert res.status == "generating"
     assert res.n == 3  # compositions needed to cover the diameter
 
@@ -195,14 +233,14 @@ def test_is_generating_certified_failure():
     sp = rf.make_cycle(4)
     odd = rf.controlled(sp, [(i, j) for i in range(4) for j in range(4)
                              if sp.dist[i, j] == 1])
-    res = rf.is_generating(sp, odd)
+    res = rf.is_generating(odd)
     assert res.status == "not_generating"
     assert res.n is None
 
 
 def test_is_generating_respects_n_max():
     sp = rf.make_cycle(12)
-    res = rf.is_generating(sp, rf.tube(sp, 1), n_max=2)
+    res = rf.is_generating(rf.tube(sp, 1), n_max=2)
     assert res.status == "inconclusive"
 
 
@@ -453,11 +491,11 @@ def test_spaces_above_the_size_limit_are_refused_up_front():
     from roeforge.space import MAX_POINTS
 
     over = MAX_POINTS + 1
-    for n, build in ((over, lambda: rf.make_cycle(over)),
-                     (1025 * 1025, lambda: rf.make_margulis(1025)),
-                     (over, lambda: rf.make_box_space_Z([3, over - 3])),
-                     (over, lambda: rf.space_from_graph(range(over), []))):
-        with pytest.raises(MemoryError, match=f"^Unable to allocate a space of {n} points"):
+    for build in (lambda: rf.make_cycle(over), lambda: rf.make_margulis(1025),
+                  lambda: rf.make_box_space_Z([3, over - 3]),
+                  lambda: rf.space_from_graph(range(over), [])):
+        with pytest.raises(MemoryError,
+                           match=f"^Unable to allocate a space of more than {MAX_POINTS} points$"):
             build()
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -121,7 +122,7 @@ def test_mode_validation():
     # rationals are coerced on the way into float mode, not rejected
     assert FinitePropOp(sp, {(0, 1): Fraction(1, 2)}, mode="float").entries == {(0, 1): 0.5}
     # float mode takes finite values only; rational mode takes any size
-    one = FinitePropOp.identity(sp, mode="float")
+    one = FinitePropOp.identity(sp).to_float()
     for bad in (float("inf"), float("nan"), complex(0, float("inf")), 10**400):
         with pytest.raises(ValueError):
             FinitePropOp(sp, {(0, 0): bad}, mode="float")
@@ -541,7 +542,7 @@ def _assert_reference_float_algebra(a, b):
     _assert_float_matches(a @ b, _reference_float_matmul(a, b))
     _assert_float_matches(b @ a, _reference_float_matmul(b, a))
     # rows holding one 1.0 pick a row of the other operand
-    ident = FinitePropOp.identity(a.space, "float")
+    ident = FinitePropOp.identity(a.space).to_float()
     _assert_float_matches(ident @ a, _reference_float_matmul(ident, a))
     for c in (0, 3, -1, 0.5, 1e-300, Fraction(1, 3), 1 + 0j, -2.5j):
         _assert_float_matches(c * a, _reference_float_scale(c, a))
@@ -586,8 +587,8 @@ def test_operator_sum():
     rng = np.random.default_rng(2)
     ops = [random_rational_op(rng, sp) for _ in range(4)]
     floats = [(1 / 3) * op.to_float() for op in ops]
-    for terms, mode in ((ops, "rational"), (floats, "float")):
-        folded = FinitePropOp.zero(sp, mode)
+    zero = FinitePropOp.zero(sp)
+    for terms, mode, folded in ((ops, "rational", zero), (floats, "float", zero.to_float())):
         for op in terms:
             folded = folded + op
         total = operator_sum(sp, terms, mode)
@@ -624,7 +625,7 @@ def test_adjoint_transposes_and_conjugates():
 def test_mixed_modes_refuse_silently_promoting():
     sp = pair_space()
     rat = FinitePropOp.identity(sp)
-    flo = FinitePropOp.identity(sp, mode="float")
+    flo = FinitePropOp.identity(sp).to_float()
     with pytest.raises(ScalarModeError):
         rat + flo
     with pytest.raises(ScalarModeError):
@@ -657,8 +658,8 @@ def test_dense_csr_matvec_agree():
     dense = mixed.to_dense()
     assert dense.dtype == complex and mixed.to_csr().dtype == complex
     assert np.array_equal(dense, mixed.to_csr().toarray())
-    for mode in ("rational", "float"):
-        zero = FinitePropOp.zero(sp, mode=mode).to_csr()
+    for zero in (FinitePropOp.zero(sp), FinitePropOp.zero(sp).to_float()):
+        zero = zero.to_csr()
         assert zero.shape == (5, 5) and zero.dtype == float and zero.nnz == 0
 
 
@@ -690,7 +691,7 @@ def test_coo_arrays_match_the_entry_list():
     rational = random_rational_op(np.random.default_rng(4), sp)
     ops = [(rational, float), (rational.to_float(), float),
            ((1 + 1j) * rational.to_float(), complex),
-           (FinitePropOp.zero(sp), float), (FinitePropOp.zero(sp, mode="float"), float)]
+           (FinitePropOp.zero(sp), float), (FinitePropOp.zero(sp).to_float(), float)]
     for op, dtype in ops:
         keys = np.array(list(op.entries), dtype=np.int64).reshape(-1, 2)
         values = np.array(list(op.entries.values()), dtype=dtype)
@@ -799,9 +800,7 @@ def test_partial_translation_basics():
     assert t.graph == ((1, 0), (3, 2))
     op = t.as_operator()
     assert op.entries == {(1, 0): 1, (3, 2): 1}
-    assert t.as_operator("float").entries == {(1, 0): 1.0, (3, 2): 1.0}
-    with pytest.raises(ValueError):
-        t.as_operator("decimal")
+    assert t.as_operator().to_float().entries == {(1, 0): 1.0, (3, 2): 1.0}
     assert op @ op.adjoint() == FinitePropOp.diagonal(sp, {1: 1, 3: 1})
 
 
@@ -922,7 +921,8 @@ def test_operator_text_errors():
     with pytest.raises(OperatorParseError) as err:
         rf.operator_from_text(op_text + "entry a a 1\n", sp)  # duplicate
     assert err.value.line == 3
-    with pytest.raises(OperatorParseError):
+    with pytest.raises(OperatorParseError,
+                       match="^line 3: no point named 'q' in space 'pair'$"):
         rf.operator_from_text(op_text + "entry a q 1\n", sp)  # unknown point
     with pytest.raises(OperatorParseError) as err:
         rf.operator_from_text("operator pair rational 1.0\nentry a a x\n", sp)
@@ -936,6 +936,16 @@ def test_operator_text_errors():
             rf.operator_from_text(f"operator pair float 0.0\nentry a a 1.0\n"
                                   f"entry b b {tok}\n", sp)
         assert err.value.line == 3
+
+
+def test_operator_text_reads_back_in_time_linear_in_the_points():
+    # 16,384 points: a name lookup that scans the points took 4 s here
+    sp = rf.make_margulis(128)
+    op = FinitePropOp.identity(sp)
+    text = rf.operator_to_text(op)
+    start = time.perf_counter()
+    assert rf.operator_from_text(text, sp) == op
+    assert time.perf_counter() - start < 1.5
 
 
 def test_to_float_names_an_entry_beyond_float_range():
