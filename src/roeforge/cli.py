@@ -244,13 +244,15 @@ def _random_space(rng) -> FiniteSpace:
 
 
 def _random_op(rng, space: FiniteSpace, density: float = 0.3) -> FinitePropOp:
+    """Draw, for each pair (x, y) in one component in row-major order, an
+    entry with probability ``density``: the draws fix the corpora."""
     entries = {}
-    comp = space.component_of.tolist()
-    for x, cx in enumerate(comp):
-        for y, cy in enumerate(comp):
-            if cx == cy and rng.random() < density:
-                entries[(x, y)] = Fraction(int(rng.integers(-6, 7)),
-                                           int(rng.integers(1, 5)))
+    random, integers = rng.random, rng.integers
+    members = [space.component_points(m).tolist() for m in range(space.n_components)]
+    for x, cx in enumerate(space.component_of.tolist()):
+        for y in members[cx]:
+            if random() < density:
+                entries[(x, y)] = Fraction(int(integers(-6, 7)), int(integers(1, 5)))
     return FinitePropOp(space, entries)
 
 
@@ -272,9 +274,9 @@ def _verify_case(rng, space: FiniteSpace) -> None:
     ident = FinitePropOp.identity(space)
 
     s, t, u = (_random_op(rng, space) for _ in range(3))
-    st = s @ t
-    _need((s + t) @ u == s @ u + t @ u, "algebra-axioms", "product not distributive")
-    _need(st @ u == s @ (t @ u), "algebra-axioms", "product not associative")
+    st, tu = s @ t, t @ u
+    _need((s + t) @ u == s @ u + tu, "algebra-axioms", "product not distributive")
+    _need(st @ u == s @ tu, "algebra-axioms", "product not associative")
     _need(st.adjoint() == t.adjoint() @ s.adjoint(),
           "algebra-axioms", "adjoint not antimultiplicative")
     _need(st.propagation <= s.propagation + t.propagation + 1e-9,
@@ -340,6 +342,55 @@ def _verify_cases(seed: int, cases: int, fixed: FiniteSpace | None,
     return failures
 
 
+def _worker(run, k: int, send) -> None:
+    """Send back ``(True, run(k))``, or ``(False, exc)`` if it raised."""
+    try:
+        result = (True, run(k))
+    except Exception as exc:
+        result = (False, exc)
+    send.send(result)
+    send.close()
+
+
+def _forked(run, jobs: int) -> list[dict]:
+    """The failures of ``run(k)`` for each k < ``jobs``, each run in a forked
+    worker, merged in k order; the parent only waits.
+
+    A worker's exception is raised again here; a worker that dies without
+    an answer (killed by a signal, say) raises ChildProcessError.  Every
+    worker is reaped before this returns or raises, and any still running
+    then is killed first.
+    """
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for k in range(jobs):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, args=(run, k, send))
+            workers.append((proc, recv))
+            with send:      # the worker holds the only sending end
+                proc.start()
+        failures = []
+        for proc, recv in workers:
+            try:
+                ok, result = recv.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(
+                    f"a verify worker died with exit code {proc.exitcode}") from None
+            if not ok:
+                raise result
+            failures.extend(result)
+        return failures
+    finally:
+        for proc, recv in workers:
+            if proc.pid is not None:    # started
+                if proc.is_alive():
+                    proc.kill()
+                proc.join()
+            recv.close()
+
+
 def _cmd_verify(args) -> int:
     jobs = _jobs(args)
     if args.cases < 0:
@@ -367,11 +418,7 @@ def _cmd_verify(args) -> int:
         jobs = 1
     jobs = min(jobs, args.cases)
     run = partial(_verify_cases, args.seed, args.cases, fixed, jobs)
-    if jobs == 1:
-        failures = run(0)
-    else:
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            failures = [f for part in pool.map(run, range(jobs)) for f in part]
+    failures = run(0) if jobs == 1 else _forked(run, jobs)
     for name in _VERIFY_CHECKS:
         bad = sum(1 for f in failures if f["check"] == name)
         print(f"{name}\t{'FAIL' if bad else 'ok'}\t{bad} failure(s)")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -100,6 +101,7 @@ class FiniteSpace:
         offdiag = d[~np.eye(n, dtype=bool)]
         if offdiag.size and offdiag.min() <= 0:
             raise ValueError("off-diagonal distances must be positive")
+        np.fill_diagonal(d, 0.0)    # a -0.0 passes the check above; keep +0.0
         self._init(points, name, dist=d)
         # the finite-distance relation must be an equivalence relation; one
         # row per component only reads off its class correctly then
@@ -131,7 +133,9 @@ class FiniteSpace:
         comp.setflags(write=False)
         self.component_of = comp
         self.n_components = int(n_components)
+        self._component_points: dict[int, np.ndarray] = {}
         self._component_spaces: dict[int, FiniteSpace] = {}
+        self._index: dict[str, int] | None = None
 
     @classmethod
     def _built(cls, points: Sequence[str], name: str, **storage) -> "FiniteSpace":
@@ -160,9 +164,10 @@ class FiniteSpace:
         holds it, and otherwise one Dijkstra search per row; a space whose
         ``dist`` fits in one block builds ``dist`` and keeps it.  Entries
         on and above the diagonal equal those of ``dist`` bit for bit;
-        below it, callers apply the pair rule themselves.  Queries bounded
-        by a radius do not come here on a graph: they take
-        :meth:`_tube_blocks`.
+        below it, callers apply the pair rule themselves.  Queries that
+        the held matrix answers directly (:meth:`pairs_within`,
+        :func:`support_diameter`) and, on a graph, queries bounded by a
+        radius (:meth:`_tube_blocks`) do not come here.
         """
         n = self.n_points
         step = max(1, _CHUNK // n)
@@ -233,17 +238,27 @@ class FiniteSpace:
                 f"n_components={self.n_components})")
 
     def index_of(self, point_name: str) -> int:
+        """The index of the point named ``point_name``, from a name -> index
+        dict built on the first call."""
+        if self._index is None:
+            self._index = {p: i for i, p in enumerate(self.points)}
         try:
-            return self.points.index(point_name)
-        except ValueError:
+            return self._index[point_name]
+        except (KeyError, TypeError):   # an unhashable name names no point either
             raise KeyError(f"no point named {point_name!r} in space {self.name!r}") from None
 
     def component_points(self, component_id: int) -> np.ndarray:
-        """Ascending indices of the points in one coarse component."""
-        if not 0 <= component_id < self.n_components:
-            raise ValueError(f"component id {component_id} out of range "
-                             f"(space has {self.n_components})")
-        return np.flatnonzero(self.component_of == component_id)
+        """Ascending indices of the points in one coarse component, as a
+        read-only array built once per id."""
+        got = self._component_points.get(component_id)
+        if got is None:
+            if not 0 <= component_id < self.n_components:
+                raise ValueError(f"component id {component_id} out of range "
+                                 f"(space has {self.n_components})")
+            got = np.flatnonzero(self.component_of == component_id)
+            got.setflags(write=False)
+            self._component_points[component_id] = got
+        return got
 
     def component_space(self, component_id: int) -> "FiniteSpace":
         """The coarse component itself as a space (memoised per id)."""
@@ -260,21 +275,25 @@ class FiniteSpace:
         return got
 
     def pairs_within(self, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every ordered pair at distance <= radius, as row, column and distance arrays.
+        """Every ordered pair at finite distance <= radius, as row, column and
+        distance arrays.
 
-        Pairs come in row-major order and include the diagonal.  A space
-        that holds ``dist`` reads it; a graph-backed one searches from
-        each point only as far as the radius (:meth:`_tube_blocks`), so
-        the cost follows the number of pairs, not n².  Either way the
-        smaller index's search decides a pair, and the pair is mirrored.
+        Pairs come in row-major order and include the diagonal; a pair in
+        two components is never in a tube, an unbounded one included.  A
+        space that holds ``dist`` answers from it directly (it is symmetric
+        bit for bit).  A graph-backed one searches from each point only as
+        far as the radius (:meth:`_tube_blocks`), so the cost follows the
+        number of pairs, not n²; there the smaller index's search decides a
+        pair, and the pair is mirrored.
         """
         if not radius >= 0:  # NaN too: it would give an empty tube
             raise ValueError("radius must be >= 0")
-        if self._dist is None:
-            blocks = self._tube_blocks(radius)
-        else:
-            blocks = (_upper_pairs(lo, block, radius) for lo, block in self._distance_rows())
-        rows, cols, dists = map(np.concatenate, zip(*blocks))
+        radius = min(radius, sys.float_info.max)   # keeps +inf pairs out
+        n = self.n_points
+        if self._dist is not None:
+            rows, cols = np.divmod(np.flatnonzero(self._dist <= radius), n)
+            return rows, cols, self._dist[rows, cols]
+        rows, cols, dists = map(np.concatenate, zip(*self._tube_blocks(radius)))
         # mirror the pairs each row decides and sort back to row-major order
         off = rows != cols
         rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
@@ -441,9 +460,11 @@ def space_from_graph(points: Sequence[str],
     order = np.argsort(w, kind="stable")
     _, first = np.unique((lo * n + hi)[order], return_index=True)
     rows, cols, vals = lo[order[first]], hi[order[first]], w[order[first]]
-    graph = sp.csr_matrix((np.concatenate([vals, vals]),
-                           (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-                          shape=(n, n))
+    # both orientations of each edge, in row-major order: the CSR arrays as they are
+    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    at = np.argsort(rows * n + cols)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    graph = sp.csr_matrix((np.concatenate([vals, vals])[at], cols[at], indptr), shape=(n, n))
     return FiniteSpace._built(points, name, graph=graph)
 
 
@@ -477,7 +498,13 @@ def disjoint_union(spaces: Sequence[FiniteSpace], name: str | None = None) -> Fi
             d[at:at + s.n_points, at:at + s.n_points] = s.dist
             at += s.n_points
         return FiniteSpace._built(names, name, dist=d)
-    graph = sp.block_diag([s._graph for s in spaces], format="csr")
+    # the block-diagonal CSR: each part's arrays, shifted past the parts before it
+    starts = np.cumsum([0] + [s.n_points for s in spaces])
+    ends = np.cumsum([0] + [s._graph.nnz for s in spaces])
+    indptr = np.concatenate([[0]] + [s._graph.indptr[1:] + e for s, e in zip(spaces, ends)])
+    indices = np.concatenate([s._graph.indices + a for s, a in zip(spaces, starts)])
+    data = np.concatenate([s._graph.data for s in spaces])
+    graph = sp.csr_matrix((data, indices, indptr), shape=(total, total))
     return FiniteSpace._built(names, name, graph=graph)
 
 
@@ -535,6 +562,9 @@ def support_diameter(space: FiniteSpace, rows, cols) -> float:
     This is the one place that decides whether a support is controlled:
     an index outside the space, negative included, raises ValueError, and
     a pair of points at infinite distance raises UncontrolledSupportError.
+    A space that holds ``dist``, or would build it as its one block of
+    rows, reads the pairs off it directly; it is symmetric bit for bit, so
+    this is the pair rule's value.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -543,17 +573,20 @@ def support_diameter(space: FiniteSpace, rows, cols) -> float:
     if outside.any():
         i = int(np.argmax(outside))
         raise ValueError(f"pair ({rows[i]}, {cols[i]}) out of range for {n} points")
-    off = rows != cols
-    rows, cols = rows[off], cols[off]
+    # a pair on the diagonal is never apart, so the first pair apart is the
+    # same whether or not the diagonal is read
     apart = space.component_of[rows] != space.component_of[cols]
     if apart.any():
         i = int(np.argmax(apart))
         raise UncontrolledSupportError(
             f"pair ({space.points[rows[i]]}, {space.points[cols[i]]}) "
             "connects points at infinite distance")
+    if space._dist is not None or n * n <= _CHUNK:
+        return float(space.dist[rows, cols].max(initial=0.0))
     # one search per distinct smaller index (the pair rule of FiniteSpace):
     # sort the pairs by it, then read each block's pairs off the block
-    rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
+    off = rows != cols
+    rows, cols = np.minimum(rows[off], cols[off]), np.maximum(rows[off], cols[off])
     sources, at = np.unique(rows, return_inverse=True)
     order = np.argsort(at, kind="stable")
     at, cols = at[order], cols[order]

@@ -89,17 +89,24 @@ def _reduced(d: int, acc: dict):
     return _lowest(d, acc)
 
 
-def _rows_of(ratios: Mapping) -> dict:
-    """The rows of a mapping ``(x, y) -> (p, q)`` of :func:`_as_ratio`
-    values, zeros dropped.
+def _rows_of(entries: Mapping, mode: str) -> dict:
+    """The rows of ``entries``, each value read by :func:`_as_ratio`, zeros
+    dropped.
 
-    Over the lcm of a row's reduced denominators the numerators already
-    have no common factor with it, so no gcd is taken.
+    An int or a Fraction in rational mode is read in place.  Over the lcm
+    of a row's reduced denominators the numerators already have no common
+    factor with it, so no gcd is taken.
     """
+    exact = mode == MODE_RATIONAL
     grouped: dict[int, dict] = {}
-    for (x, y), (p, q) in ratios.items():
+    for (x, y), v in entries.items():
+        p, q = (v.as_integer_ratio() if exact and type(v) in _RATIONAL_TYPES
+                else _as_ratio(v, mode))
         if p:
-            grouped.setdefault(x, {})[y] = (p, q)
+            row = grouped.get(x)
+            if row is None:
+                grouped[x] = row = {}
+            row[y] = (p, q)
     rows = {}
     for x, row in grouped.items():
         d = math.lcm(*[q for _, q in row.values()])
@@ -127,15 +134,21 @@ def _row_sum(a: tuple, b: tuple) -> tuple:
     return d, acc
 
 
-def _row_product(left: tuple, right: dict):
+def _row_product(left: tuple, right: dict, ordered: bool):
     """Row ``left`` times the operator whose rows are ``right``; None if 0.
 
     The sum is taken over ``d`` times the lcm of the denominators of the
-    rows of ``right`` that ``left`` meets, over the columns of ``left`` in
-    ascending order, so that float sums round the same way every time.
+    rows of ``right`` that ``left`` meets.  With ``ordered`` (float rows)
+    it runs over the columns of ``left`` in ascending order, so that float
+    sums round the same way every time; integer sums do not depend on the
+    order.
     """
     d, row = left
-    met = [(row[z], right[z]) for z in sorted(row) if z in right]
+    if ordered:
+        met = [(row[z], right[z]) for z in sorted(row) if z in right]
+    else:
+        get = right.get
+        met = [(a, r) for z, a in row.items() if (r := get(z)) is not None]
     if not met:
         return None
     if d == 1 and len(met) == 1 and type(met[0][0]) is int and met[0][0] == 1:
@@ -252,8 +265,7 @@ class FinitePropOp:
         if not all(type(x) is int and type(y) is int for x, y in entries):
             entries = {(_integer(x, "point index"), _integer(y, "point index")): v
                        for (x, y), v in entries.items()}
-        ratios = {xy: _as_ratio(v, mode) for xy, v in entries.items()}
-        self._store(space, _rows_of(ratios), mode)
+        self._store(space, _rows_of(entries, mode), mode)
         self._propagation = support_diameter(space, *self._pairs())
 
     def _store(self, space: FiniteSpace, rows: Mapping, mode: str):
@@ -402,13 +414,14 @@ class FinitePropOp:
             return NotImplemented
         _check_compatible(self.space, self.mode, other)
         right = other._rows
+        ordered = self.mode == MODE_FLOAT
         rows, done = {}, {}
         for x, row in self._rows.items():
             # operators share rows (a projection's block shares one), and
             # each distinct stored row is multiplied once
             key = id(row)
             if key not in done:
-                done[key] = _row_product(row, right)
+                done[key] = _row_product(row, right, ordered)
             if done[key] is not None:
                 rows[x] = done[key]
         return FinitePropOp._sealed(self.space, rows, self.mode)
@@ -494,6 +507,10 @@ def restrict(t: FinitePropOp, m: int) -> FinitePropOp:
     products, adjoints and the identity, exactly in rational mode.
     """
     sub = t.space.component_space(m)
+    if sub.n_points == t.space.n_points:
+        # the component is the whole space: the indices stay, and the
+        # stored rows, never changed once stored, are shared
+        return FinitePropOp._sealed(sub, t._rows, t.mode)
     idx = t.space.component_points(m).tolist()
     pos = {g: i for i, g in enumerate(idx)}
     # a row keeps its denominator and numerators, so stays in lowest terms

@@ -2,7 +2,10 @@ import csv
 import gc
 import json
 import multiprocessing
+import os
+import signal
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -642,6 +645,63 @@ def test_verify_worker_error_exits_one(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_verify_case", broken)
     assert _verify_runs(capsys, ["--cases", "4"], jobs=(1, 2)) == [(1, "", "error: planted\n")] * 2
+
+
+class _RecordingFork:
+    """The fork context, keeping every worker process it makes."""
+
+    def __init__(self):
+        self.real = multiprocessing.get_context("fork")
+        self.workers = []
+
+    def Pipe(self, *args, **kwargs):
+        return self.real.Pipe(*args, **kwargs)
+
+    def Process(self, *args, **kwargs):
+        proc = self.real.Process(*args, **kwargs)
+        self.workers.append(proc)
+        return proc
+
+
+def _assert_all_reaped(workers):
+    for proc in workers:
+        assert proc.exitcode is not None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(proc.pid, os.WNOHANG)
+
+
+def test_verify_worker_error_stops_and_reaps_every_worker(capsys, monkeypatch):
+    # worker 0 raises at its first case while worker 1 is still at work
+    def broken(rng, space):
+        if _case_of(rng) == 0:
+            raise ValueError("planted")
+        time.sleep(60)
+
+    ctx = _RecordingFork()
+    monkeypatch.setattr(cli, "_verify_case", broken)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: ctx)
+    start = time.perf_counter()
+    assert main(["verify", "--cases", "4", "--jobs", "2"]) == 1
+    assert time.perf_counter() - start < 30
+    assert capsys.readouterr().err == "error: planted\n"
+    assert len(ctx.workers) == 2
+    _assert_all_reaped(ctx.workers)
+    assert ctx.workers[1].exitcode == -signal.SIGKILL
+
+
+def test_verify_worker_killed_by_a_signal_exits_one(capsys, monkeypatch):
+    def killed(rng, space):
+        if _case_of(rng) == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    ctx = _RecordingFork()
+    monkeypatch.setattr(cli, "_verify_case", killed)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: ctx)
+    assert main(["verify", "--cases", "4", "--jobs", "2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: a verify worker died with exit code {-signal.SIGKILL}\n"
+    _assert_all_reaped(ctx.workers)
 
 
 def test_verify_jobs_must_be_positive(capsys):

@@ -1,4 +1,5 @@
 import textwrap
+import time
 from fractions import Fraction
 from functools import partial
 
@@ -22,6 +23,78 @@ def test_finite_space_basics():
     assert sp.index_of("2") == 2
     assert sp.dist[0, 2] == 2.0
     assert "C4" in repr(sp)
+
+
+def test_index_of_reads_a_name_dict_built_once():
+    sp = rf.make_margulis(128)
+    start = time.perf_counter()
+    assert [sp.index_of(p) for p in sp.points] == list(range(sp.n_points))
+    # a tuple scan per name took 2.6 s over these 16,384 names
+    assert time.perf_counter() - start < 0.5
+    for missing in ("nope", 3, ["a"]):
+        with pytest.raises(KeyError) as err:
+            sp.index_of(missing)
+        assert err.value.args == (f"no point named {missing!r} in space 'Mg128'",)
+
+
+def test_component_points_are_read_only_and_built_once():
+    sp = rf.disjoint_union([rf.make_cycle(3), rf.make_complete(2)])
+    for m, want in enumerate([[0, 1, 2], [3, 4]]):
+        idx = sp.component_points(m)
+        assert idx.tolist() == want and not idx.flags.writeable
+        assert sp.component_points(m) is idx
+        with pytest.raises(ValueError):
+            idx[0] = 1
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match=f"component id {bad} out of range"):
+            sp.component_points(bad)
+
+
+def _weighted_graph_space(rng):
+    """A graph-backed space of one to three parts, weights that are not all
+    dyadic (so a sum's bits depend on its order), an isolated point or two."""
+    parts = []
+    for b in range(int(rng.integers(1, 4))):
+        n = int(rng.integers(1 if b else 2, 13))     # n > 1: one point fits a chunk of 1
+        m = int(rng.integers(0, 2 * n + 1))
+        edges = [(int(rng.integers(0, n)), int(rng.integers(0, n)),
+                  float(rng.choice([0.1, 0.2, 0.3, 0.7, 1.0, 1.1]))) for _ in range(m)]
+        parts.append(rf.space_from_graph([str(i) for i in range(n)], edges, name=f"b{b}"))
+    return parts[0] if len(parts) == 1 else rf.disjoint_union(parts)
+
+
+@pytest.mark.parametrize("share", [0.0, INF], ids=["rows", "sparse"])
+def test_held_matrix_answers_as_the_graph_does(share):
+    """Once ``dist`` is held, tubes and support diameters are read off it;
+    they must equal what the graph's searches gave before, bit for bit and
+    dtype for dtype, unbounded tubes of several components included."""
+    from roeforge import space as space_mod
+
+    rng = np.random.default_rng(29)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space_mod, "_DENSE_SHARE", share)
+        for _ in range(50):
+            g = _weighted_graph_space(rng)
+            rows, cols = np.nonzero(g.component_of[:, None] == g.component_of[None, :])
+            keep = rng.random(len(rows)) < 0.5
+            queries = [(rows, cols), (rows[keep], cols[keep]), (cols[keep], rows[keep])]
+            before = [g.pairs_within(r) for r in (1, 2, INF)]
+            with pytest.MonkeyPatch.context() as small:
+                # a chunk of one entry keeps support_diameter on the graph
+                small.setattr(space_mod, "_CHUNK", 1)
+                diameters = [space_mod.support_diameter(g, *q) for q in queries]
+            assert g._dist is None
+            g.dist
+            after = [g.pairs_within(r) for r in (1, 2, INF)]
+            for got, want in zip(after, before):
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert [type(d) for d in diameters] == [float] * 3
+            assert [np.float64(space_mod.support_diameter(g, *q)).tobytes() for q in queries] \
+                == [np.float64(d).tobytes() for d in diameters]
+            # an unbounded tube is every pair in one component, no more
+            assert before[2][0].tolist() == rows.tolist()
+            assert before[2][1].tolist() == cols.tolist()
 
 
 def test_distance_matrix_is_read_only():
@@ -505,5 +578,9 @@ def test_nan_radius_is_rejected():
                  partial(rf.tube_graph_edges, sp), partial(rf.edge_colouring, sp)):
         with pytest.raises(ValueError, match="radius"):
             call(float("nan"))
-    # an infinite radius is still a tube: every pair in a component
+    # an infinite radius is still a tube: every pair in a component, and
+    # no pair across two
     assert rf.edge_colouring(sp, INF).max_degree == 4
+    union = rf.disjoint_union([sp, rf.make_cycle(3)])
+    assert rf.edge_colouring(union, INF).max_degree == 4
+    assert rf.tube(union, INF).diameter == 2.0

@@ -309,6 +309,24 @@ def _op_of_kind(rng, sp, kind, density=0.5):
     return FinitePropOp(sp, entries)
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_restrict_to_a_whole_space_shares_its_rows(mode):
+    """On a one-component space the block is the whole operator: restrict
+    keeps the stored rows over the component space, and they equal the
+    relabelled rows of the reference."""
+    sp = rf.make_margulis(4)
+    op = random_rational_op(np.random.default_rng(5), sp, radius=2)
+    if mode == "float":
+        op = op.to_float() + 1j * op.adjoint().to_float()
+    got = rf.restrict(op, 0)
+    assert got.space is sp.component_space(0) and got.space is not sp
+    assert got._rows is op._rows and got.mode == op.mode
+    if mode == "rational":
+        _assert_matches(got, _reference_restrict(op, 0))
+    else:
+        _assert_float_matches(got, _reference_float_restrict(op, 0))
+
+
 def test_exact_product_kinds():
     """Each row is kept over the lcm of its own reduced denominators, not
     the operand's, and every pairing of kinds equals the Fraction loop."""
