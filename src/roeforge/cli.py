@@ -28,6 +28,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -274,14 +275,14 @@ def _verify_case(rng, space: FiniteSpace) -> None:
     ident = FinitePropOp.identity(space)
 
     s, t, u = (_random_op(rng, space) for _ in range(3))
-    st, tu = s @ t, t @ u
-    _need((s + t) @ u == s @ u + tu, "algebra-axioms", "product not distributive")
+    st, tu, s_t, s_adj = s @ t, t @ u, s + t, s.adjoint()
+    _need(s_t @ u == s @ u + tu, "algebra-axioms", "product not distributive")
     _need(st @ u == s @ tu, "algebra-axioms", "product not associative")
-    _need(st.adjoint() == t.adjoint() @ s.adjoint(),
+    _need(st.adjoint() == t.adjoint() @ s_adj,
           "algebra-axioms", "adjoint not antimultiplicative")
     _need(st.propagation <= s.propagation + t.propagation + 1e-9,
           "algebra-axioms", "propagation not subadditive under product")
-    _need(row_sum_diagonal(s + t) == row_sum_diagonal(s) + row_sum_diagonal(t),
+    _need(row_sum_diagonal(s_t) == row_sum_diagonal(s) + row_sum_diagonal(t),
           "row-sums", "row-sum map not additive")
 
     col = edge_colouring(space, radius)
@@ -312,12 +313,12 @@ def _verify_case(rng, space: FiniteSpace) -> None:
           "projection", "AP = PA = P fails")
 
     for m in range(space.n_components):
-        sub = space.component_space(m)
+        sub, s_m = space.component_space(m), restrict(s, m)
         _need(restrict(ident, m) == FinitePropOp.identity(sub),
               "restriction", "block extraction not unital")
-        _need(restrict(st, m) == restrict(s, m) @ restrict(t, m),
+        _need(restrict(st, m) == s_m @ restrict(t, m),
               "restriction", "block extraction not multiplicative")
-        _need(restrict(s.adjoint(), m) == restrict(s, m).adjoint(),
+        _need(restrict(s_adj, m) == s_m.adjoint(),
               "restriction", "block extraction not *-preserving")
         _need(restrict(p_op, m) == kazhdan_projection(sub),
               "restriction", "restricted P != component projection")
@@ -327,11 +328,10 @@ _VERIFY_CHECKS = ("algebra-axioms", "row-sums", "colouring",
                   "decomposition", "projection", "restriction")
 
 
-def _verify_cases(seed: int, cases: int, fixed: FiniteSpace | None,
-                  stride: int, start: int) -> list[dict]:
-    """Run cases start, start + stride, ... below ``cases``; return their failures."""
+def _verify_cases(seed: int, fixed: FiniteSpace | None, cases) -> list[dict]:
+    """Run the numbered ``cases``; return their failures."""
     failures = []
-    for i in range(start, cases, stride):
+    for i in cases:
         rng = np.random.default_rng([seed, i])
         space = fixed if fixed is not None else _random_space(rng)
         try:
@@ -342,48 +342,65 @@ def _verify_cases(seed: int, cases: int, fixed: FiniteSpace | None,
     return failures
 
 
-def _worker(run, k: int, send) -> None:
-    """Send back ``(True, run(k))``, or ``(False, exc)`` if it raised."""
+def _claimed(counter, cases: int):
+    """Case numbers below ``cases``, each taken from ``counter``, which the
+    workers share, so a worker that runs ahead takes more of them."""
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= cases:
+            return
+        yield i
+
+
+def _worker(run, cases: int, counter, send) -> None:
+    """Send back ``(True, failures)`` of the cases it claims, or
+    ``(False, exc)`` if one raised."""
     try:
-        result = (True, run(k))
+        result = (True, run(_claimed(counter, cases)))
     except Exception as exc:
         result = (False, exc)
     send.send(result)
     send.close()
 
 
-def _forked(run, jobs: int) -> list[dict]:
-    """The failures of ``run(k)`` for each k < ``jobs``, each run in a forked
-    worker, merged in k order; the parent only waits.
+def _forked(run, cases: int, jobs: int) -> list[dict]:
+    """The failures of ``run`` over cases 0 .. ``cases`` - 1, which ``jobs``
+    forked workers claim one at a time, in case order; the parent only waits.
 
-    A worker's exception is raised again here; a worker that dies without
-    an answer (killed by a signal, say) raises ChildProcessError.  Every
-    worker is reaped before this returns or raises, and any still running
-    then is killed first.
+    The first worker to answer with an exception has it raised here; one
+    that dies without an answer (killed by a signal, say) raises
+    ChildProcessError.  Every worker is reaped before this returns or
+    raises, and any still running then is killed first.
     """
     ctx = multiprocessing.get_context("fork")
-    workers = []
+    counter = ctx.Value("q", 0)
+    workers = {}
     try:
-        for k in range(jobs):
+        for _ in range(jobs):
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker, args=(run, k, send))
-            workers.append((proc, recv))
+            proc = ctx.Process(target=_worker, args=(run, cases, counter, send))
+            workers[recv] = proc
             with send:      # the worker holds the only sending end
                 proc.start()
-        failures = []
-        for proc, recv in workers:
-            try:
-                ok, result = recv.recv()
-            except EOFError:
-                proc.join()
-                raise ChildProcessError(
-                    f"a verify worker died with exit code {proc.exitcode}") from None
-            if not ok:
-                raise result
-            failures.extend(result)
-        return failures
+        failures, pending = [], list(workers)
+        while pending:
+            for recv in wait(pending):
+                pending.remove(recv)
+                try:
+                    ok, result = recv.recv()
+                except EOFError:
+                    proc = workers[recv]
+                    proc.join()
+                    raise ChildProcessError(
+                        f"a verify worker died with exit code {proc.exitcode}") from None
+                if not ok:
+                    raise result
+                failures.extend(result)
+        return sorted(failures, key=lambda f: f["case"])
     finally:
-        for proc, recv in workers:
+        for recv, proc in workers.items():
             if proc.pid is not None:    # started
                 if proc.is_alive():
                     proc.kill()
@@ -417,8 +434,8 @@ def _cmd_verify(args) -> int:
     if "fork" not in multiprocessing.get_all_start_methods():
         jobs = 1
     jobs = min(jobs, args.cases)
-    run = partial(_verify_cases, args.seed, args.cases, fixed, jobs)
-    failures = run(0) if jobs == 1 else _forked(run, jobs)
+    run = partial(_verify_cases, args.seed, fixed)
+    failures = run(range(args.cases)) if jobs == 1 else _forked(run, args.cases, jobs)
     for name in _VERIFY_CHECKS:
         bad = sum(1 for f in failures if f["check"] == name)
         print(f"{name}\t{'FAIL' if bad else 'ok'}\t{bad} failure(s)")

@@ -573,16 +573,19 @@ def support_diameter(space: FiniteSpace, rows, cols) -> float:
     if outside.any():
         i = int(np.argmax(outside))
         raise ValueError(f"pair ({rows[i]}, {cols[i]}) out of range for {n} points")
-    # a pair on the diagonal is never apart, so the first pair apart is the
-    # same whether or not the diagonal is read
-    apart = space.component_of[rows] != space.component_of[cols]
+    held = space._dist is not None or n * n <= _CHUNK
+    if held:
+        found = space.dist[rows, cols]
+        apart = found == math.inf   # the pairs in two components
+    else:
+        apart = space.component_of[rows] != space.component_of[cols]
     if apart.any():
         i = int(np.argmax(apart))
         raise UncontrolledSupportError(
             f"pair ({space.points[rows[i]]}, {space.points[cols[i]]}) "
             "connects points at infinite distance")
-    if space._dist is not None or n * n <= _CHUNK:
-        return float(space.dist[rows, cols].max(initial=0.0))
+    if held:
+        return float(found.max(initial=0.0))
     # one search per distinct smaller index (the pair rule of FiniteSpace):
     # sort the pairs by it, then read each block's pairs off the block
     off = rows != cols

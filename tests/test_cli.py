@@ -654,8 +654,8 @@ class _RecordingFork:
         self.real = multiprocessing.get_context("fork")
         self.workers = []
 
-    def Pipe(self, *args, **kwargs):
-        return self.real.Pipe(*args, **kwargs)
+    def __getattr__(self, name):
+        return getattr(self.real, name)
 
     def Process(self, *args, **kwargs):
         proc = self.real.Process(*args, **kwargs)
@@ -671,7 +671,7 @@ def _assert_all_reaped(workers):
 
 
 def test_verify_worker_error_stops_and_reaps_every_worker(capsys, monkeypatch):
-    # worker 0 raises at its first case while worker 1 is still at work
+    # the worker that claims case 0 raises while the other is still at work
     def broken(rng, space):
         if _case_of(rng) == 0:
             raise ValueError("planted")
@@ -686,7 +686,7 @@ def test_verify_worker_error_stops_and_reaps_every_worker(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: planted\n"
     assert len(ctx.workers) == 2
     _assert_all_reaped(ctx.workers)
-    assert ctx.workers[1].exitcode == -signal.SIGKILL
+    assert -signal.SIGKILL in [proc.exitcode for proc in ctx.workers]
 
 
 def test_verify_worker_killed_by_a_signal_exits_one(capsys, monkeypatch):
@@ -702,6 +702,36 @@ def test_verify_worker_killed_by_a_signal_exits_one(capsys, monkeypatch):
     assert out.out == ""
     assert out.err == f"error: a verify worker died with exit code {-signal.SIGKILL}\n"
     _assert_all_reaped(ctx.workers)
+
+
+def test_verify_workers_claim_the_cases_left():
+    # the worker that claims case 0 waits there until case 5 is done, so
+    # the other worker claims every other case; split by stride, the first
+    # worker would run cases 2 and 4 as well
+    released = multiprocessing.get_context("fork").Event()
+
+    def run(cases):
+        ran = []
+        for i in cases:
+            if i == 0:
+                assert released.wait(30)
+            ran.append({"case": i, "pid": os.getpid()})
+            if i == 5:
+                released.set()
+        return ran
+
+    got = cli._forked(run, 6, 2)
+    assert [f["case"] for f in got] == list(range(6))
+    assert [f["pid"] == got[0]["pid"] for f in got] == [True] + [False] * 5
+
+
+def test_verify_workers_claim_every_case_once():
+    # more workers than cores, racing for the shared counter: a lost update
+    # would run a case twice or skip one
+    def run(cases):
+        return [{"case": i} for i in cases]
+
+    assert [f["case"] for f in cli._forked(run, 400, 6)] == list(range(400))
 
 
 def test_verify_jobs_must_be_positive(capsys):

@@ -29,7 +29,7 @@ def test_index_of_reads_a_name_dict_built_once():
     sp = rf.make_margulis(128)
     start = time.perf_counter()
     assert [sp.index_of(p) for p in sp.points] == list(range(sp.n_points))
-    # a tuple scan per name took 2.6 s over these 16,384 names
+    # a tuple scan per name took 1.5 s over these 16,384 names, a dict 3 ms
     assert time.perf_counter() - start < 0.5
     for missing in ("nope", 3, ["a"]):
         with pytest.raises(KeyError) as err:
