@@ -384,14 +384,13 @@ def _forked(run, cases: int, jobs: int) -> list[dict]:
             workers[recv] = proc
             with send:      # the worker holds the only sending end
                 proc.start()
-        failures, pending = [], list(workers)
+        failures, pending = [], dict(workers)
         while pending:
-            for recv in wait(pending):
-                pending.remove(recv)
+            for recv in wait(list(pending)):
+                proc = pending.pop(recv)
                 try:
                     ok, result = recv.recv()
                 except EOFError:
-                    proc = workers[recv]
                     proc.join()
                     raise ChildProcessError(
                         f"a verify worker died with exit code {proc.exitcode}") from None
