@@ -289,9 +289,8 @@ class FiniteSpace:
         if not radius >= 0:  # NaN too: it would give an empty tube
             raise ValueError("radius must be >= 0")
         radius = min(radius, sys.float_info.max)   # keeps +inf pairs out
-        n = self.n_points
         if self._dist is not None:
-            rows, cols = np.divmod(np.flatnonzero(self._dist <= radius), n)
+            rows, cols = np.divmod(np.flatnonzero(self._dist <= radius), self.n_points)
             return rows, cols, self._dist[rows, cols]
         rows, cols, dists = map(np.concatenate, zip(*self._tube_blocks(radius)))
         # mirror the pairs each row decides and sort back to row-major order
