@@ -244,15 +244,15 @@ def _random_space(rng) -> FiniteSpace:
     return part("g")
 
 
-def _random_op(rng, space: FiniteSpace, density: float = 0.3) -> FinitePropOp:
+def _random_op(rng, space: FiniteSpace) -> FinitePropOp:
     """Draw, for each pair (x, y) in one component in row-major order, an
-    entry with probability ``density``: the draws fix the corpora."""
+    entry with probability 0.3: the draws fix the corpora."""
     entries = {}
     random, integers = rng.random, rng.integers
     members = [space.component_points(m).tolist() for m in range(space.n_components)]
     for x, cx in enumerate(space.component_of.tolist()):
         for y in members[cx]:
-            if random() < density:
+            if random() < 0.3:
                 entries[(x, y)] = Fraction(int(integers(-6, 7)), int(integers(1, 5)))
     return FinitePropOp(space, entries)
 

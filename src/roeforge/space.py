@@ -156,34 +156,25 @@ class FiniteSpace:
             self._dist = d
         return self._dist
 
-    def _distance_rows(self, rows=None):
-        """Yield ``(lo, block)``: the distances from ``rows[lo:lo + len(block)]``.
+    def _held_matrix(self):
+        """``dist`` if the space holds it or it fits in one ``_CHUNK`` (built
+        and kept then), else None.  Whole-space queries read it when they
+        get it, and otherwise Dijkstra rows (:meth:`_dijkstra_rows`)."""
+        if self._dist is None and self.n_points ** 2 > _CHUNK:
+            return None
+        return self.dist
 
-        ``rows`` defaults to every point.  Each block has at most
-        ``_CHUNK`` entries.  The blocks are rows of ``dist`` when the space
-        holds it, and otherwise one Dijkstra search per row; a space whose
-        ``dist`` fits in one block builds ``dist`` and keeps it.  Entries
+    def _dijkstra_rows(self, rows: np.ndarray):
+        """Yield ``(lo, block)``: the Dijkstra distances from ``rows[lo:lo +
+        len(block)]``, at most ``_CHUNK`` entries a block.
+
+        For a graph-backed space that :meth:`_held_matrix` refuses.  Entries
         on and above the diagonal equal those of ``dist`` bit for bit;
-        below it, callers apply the pair rule themselves.  Queries that
-        the held matrix answers directly (:meth:`pairs_within`,
-        :func:`support_diameter`) and, on a graph, queries bounded by a
-        radius (:meth:`_tube_blocks`) do not come here.
+        below it, callers apply the pair rule themselves.
         """
-        n = self.n_points
-        step = max(1, _CHUNK // n)
-        if self._dist is None and n * n <= _CHUNK:
-            self.dist  # computes the one block and keeps it
-        whole = rows is None
-        if whole:
-            rows = np.arange(n)
+        step = max(1, _CHUNK // self.n_points)
         for lo in range(0, len(rows), step):
-            if self._dist is None:
-                block = dijkstra(self._graph, indices=rows[lo:lo + step])
-            elif whole:
-                block = self._dist[lo:lo + step]
-            else:
-                block = self._dist[rows[lo:lo + step]]
-            yield lo, block
+            yield lo, dijkstra(self._graph, indices=rows[lo:lo + step])
 
     def _tube_blocks(self, radius: float):
         """Yield ``(rows, cols, dists)``: the pairs within ``radius`` that rows decide.
@@ -305,8 +296,11 @@ class FiniteSpace:
 
     def finite_diameter(self) -> float:
         """Largest finite distance in the space (0.0 for a single point)."""
+        d = self._held_matrix()
+        if d is not None:
+            return float(np.max(d, where=np.isfinite(d), initial=0.0))
         return max(float(block[np.isfinite(block) & _upper(lo, block)].max())
-                   for lo, block in self._distance_rows())
+                   for lo, block in self._dijkstra_rows(np.arange(self.n_points)))
 
 
 def _upper(lo: int, block: np.ndarray) -> np.ndarray:
@@ -561,9 +555,11 @@ def support_diameter(space: FiniteSpace, rows, cols) -> float:
     This is the one place that decides whether a support is controlled:
     an index outside the space, negative included, raises ValueError, and
     a pair of points at infinite distance raises UncontrolledSupportError.
-    A space that holds ``dist``, or would build it as its one block of
-    rows, reads the pairs off it directly; it is symmetric bit for bit, so
-    this is the pair rule's value.
+    A space that holds ``dist``, or builds it because it fits in one
+    ``_CHUNK`` (:meth:`FiniteSpace._held_matrix`), reads the pairs off it
+    directly; it is symmetric bit for bit, so this is the pair rule's
+    value.  Otherwise each distinct smaller index of a pair gets one
+    Dijkstra search, in row chunks.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -572,9 +568,9 @@ def support_diameter(space: FiniteSpace, rows, cols) -> float:
     if outside.any():
         i = int(np.argmax(outside))
         raise ValueError(f"pair ({rows[i]}, {cols[i]}) out of range for {n} points")
-    held = space._dist is not None or n * n <= _CHUNK
-    if held:
-        found = space.dist[rows, cols]
+    d = space._held_matrix()
+    if d is not None:
+        found = d[rows, cols]
         apart = found == math.inf   # the pairs in two components
     else:
         apart = space.component_of[rows] != space.component_of[cols]
@@ -583,7 +579,7 @@ def support_diameter(space: FiniteSpace, rows, cols) -> float:
         raise UncontrolledSupportError(
             f"pair ({space.points[rows[i]]}, {space.points[cols[i]]}) "
             "connects points at infinite distance")
-    if held:
+    if d is not None:
         return float(found.max(initial=0.0))
     # one search per distinct smaller index (the pair rule of FiniteSpace):
     # sort the pairs by it, then read each block's pairs off the block
@@ -593,7 +589,7 @@ def support_diameter(space: FiniteSpace, rows, cols) -> float:
     order = np.argsort(at, kind="stable")
     at, cols = at[order], cols[order]
     diameter = 0.0
-    for lo, block in space._distance_rows(sources):
+    for lo, block in space._dijkstra_rows(sources):
         a, b = np.searchsorted(at, (lo, lo + len(block)))
         diameter = max(diameter, float(block[at[a:b] - lo, cols[a:b]].max(initial=0.0)))
     return diameter
@@ -664,7 +660,8 @@ def is_generating(e: ControlledSet, n_max: int | None = None) -> GeneratingResul
     n_pts = space.n_points
     if n_max is None:
         n_max = max(1, n_pts * n_pts)
-    required = np.isfinite(space.dist)
+    comp = space.component_of
+    required = comp[:, None] == comp    # the pairs at finite distance
     cur = np.zeros((n_pts, n_pts), dtype=bool)
     for x, y in e.pairs:
         cur[x, y] = True

@@ -281,7 +281,6 @@ class FinitePropOp:
         """An operator whose support is controlled by construction, from the
         rows :meth:`_store` keeps: the package's own results skip the checks
         and run no numpy."""
-        _check_mode(mode)
         op = cls.__new__(cls)
         op._store(space, rows, mode)
         return op
@@ -324,10 +323,6 @@ class FinitePropOp:
         if self._propagation is None:
             self._propagation = support_diameter(self.space, *self._pairs())
         return self._propagation
-
-    def _keys(self):
-        """The support pairs, row by row."""
-        return ((x, y) for x, (_, row) in self._rows.items() for y in row)
 
     def _pairs(self):
         """Row and column index arrays of the support, row by row."""
@@ -377,7 +372,8 @@ class FinitePropOp:
 
     def support(self) -> ControlledSet:
         """The support as a controlled set (exact diameter = propagation)."""
-        return ControlledSet(self.space, frozenset(self._keys()), self.propagation)
+        pairs = frozenset((x, y) for x, (_, row) in self._rows.items() for y in row)
+        return ControlledSet(self.space, pairs, self.propagation)
 
     # -- algebra -----------------------------------------------------------
 
@@ -569,50 +565,31 @@ def row_sum_diagonal(op: FinitePropOp) -> FinitePropOp:
     return FinitePropOp._sealed(op.space, rows, op.mode)
 
 
-def _all_sums(op: FinitePropOp):
-    n = op.space.n_points
-    rows = [0] * n
-    cols = [0] * n
-    for x, _, y, v in _in_order(op._rows):
-        rows[x] += v
-        cols[y] += v
-    return rows, cols
-
-
-def _exact_uniform_sum(op: FinitePropOp):
-    """:func:`uniform_sum_value` in rational mode: the row sums of ``op`` and
-    of its adjoint, each a reduced ``(d, s)``, must all be one pair."""
-    n = op.space.n_points
-    found = set()
-    for lines in (op, op.adjoint()):
-        sums = [(d, s) for d, row in row_sum_diagonal(lines)._rows.values() for s in row.values()]
-        # row_sum_diagonal drops the lines that sum to 0
-        found.update(sums if len(sums) == n else [*sums, (1, 0)])
-    if len(found) != 1:
-        return None
-    (d, s), = found
-    return _exact_value(s, d)
-
-
 def uniform_sum_value(op: FinitePropOp):
     """The common row/column sum of ``op``, or None if sums differ.
 
     Operators with one common row and column sum form a unital
-    *-subalgebra, and on it this map is a homomorphism to scalars.  In
-    rational mode the comparison is exact; in float mode two sums agree
-    within the absolute tolerance ``_FLOAT_SUM_TOL``.
+    *-subalgebra, and on it this map is a homomorphism to scalars.  One
+    pass over the stored rows, in sorted pair order, adds each numerator
+    over m, the lcm of the row denominators (1 for a float or zero
+    operator), into its row's and its column's sum.  In rational mode
+    these are ints and must be equal; in float mode two sums agree within
+    the absolute tolerance ``_FLOAT_SUM_TOL``.
     """
-    if op.mode == MODE_RATIONAL:
-        return _exact_uniform_sum(op)
-    rows, cols = _all_sums(op)
+    n = op.space.n_points
+    rows, cols = [0] * n, [0] * n
+    m = math.lcm(*[d for d, _ in op._rows.values()])
+    for x, d, y, v in _in_order(op._rows):
+        if d != m:
+            v *= m // d
+        rows[x] += v
+        cols[y] += v
     c = rows[0]
-    for s in rows:
-        if abs(s - c) > _FLOAT_SUM_TOL:
+    tol = 0 if op.mode == MODE_RATIONAL else _FLOAT_SUM_TOL
+    for s in chain(rows, cols):
+        if abs(s - c) > tol:
             return None
-    for s in cols:
-        if abs(s - c) > _FLOAT_SUM_TOL:
-            return None
-    return c
+    return _exact_value(c, m)
 
 
 # -- partial translations and permutation operators ------------------------
@@ -756,13 +733,12 @@ def invariance_defect(v_op: FinitePropOp, xi) -> float:
     it acts).  ``v_op`` must be a 0/1 matrix with at most one 1 per row and
     per column, i.e. come from a partial translation.
     """
-    seen_rows = set()
-    seen_cols = set()
-    for (x, y), v in v_op.entries.items():
-        if v != 1 or x in seen_rows or y in seen_cols:
+    cols = set()
+    for d, row in v_op._rows.values():
+        # a row is (1, {y: 1}), each y in one row only
+        if d != 1 or list(row.values()) != [1] or not cols.isdisjoint(row):
             raise ValueError("operator is not a partial translation matrix")
-        seen_rows.add(x)
-        seen_cols.add(y)
+        cols.update(row)
     a = v_op.to_csr()
     xi = np.asarray(xi, dtype=a.dtype)
     if xi.shape != (v_op.space.n_points,):

@@ -153,6 +153,10 @@ def test_random_bounded_degree_space():
     assert np.array_equal(sp.dist, again.dist)
     empty = rf.random_bounded_degree_space(6, 3, seed=0, edge_prob=0.0)
     assert empty.n_components == 6
+    with pytest.raises(FamilyError, match="^need at least one point$"):
+        rf.random_bounded_degree_space(0, 3)
+    with pytest.raises(FamilyError, match="^max_degree must be >= 0$"):
+        rf.random_bounded_degree_space(6, -1)
 
 
 def _reference_bounded_degree_edges(n, max_degree, seed, edge_prob):
@@ -340,6 +344,11 @@ def test_load_manifest_errors():
         rf.load_manifest(json.dumps({"family": "cycle", "members": [2]}))
     with pytest.raises(ManifestError):
         rf.load_manifest(json.dumps([1, 2]))  # not an object
+    with pytest.raises(ManifestError, match="^'params' must be an object$"):
+        rf.load_manifest({"family": "cycle", "params": [8], "members": [8]})
+    for members in (8, "8", None):
+        with pytest.raises(ManifestError, match="^'members' must be an array$"):
+            rf.load_manifest({"family": "cycle", "members": members})
     with pytest.raises(ManifestError, match="'family' must be a string"):
         rf.load_manifest(json.dumps({"family": ["margulis"], "members": [4]}))
     with pytest.raises(ManifestError, match="member 1"):

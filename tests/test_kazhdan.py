@@ -714,6 +714,8 @@ def test_kmax_above_the_matvec_cap_is_refused():
     avg = averaging_for(sp)
     with pytest.raises(ValueError, match="kmax must be <= 20000"):
         rf.gap_report(avg, kmax=spectral._MATVEC_CAP + 1)
+    with pytest.raises(ValueError, match="^kmax must be >= 1$"):
+        rf.gap_report(avg, kmax=0)
     rep = rf.gap_report(avg, kmax=spectral._MATVEC_CAP)
     assert rep.components[0].curve[-1][0] == spectral._MATVEC_CAP
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import roeforge as rf
 from roeforge import SpaceParseError
 
-from helpers import assert_same_csr, reference_graph
+from helpers import assert_same_csr, random_space, reference_graph
 
 INF = float("inf")
 
@@ -317,6 +317,40 @@ def test_is_generating_respects_n_max():
     assert res.status == "inconclusive"
 
 
+def _reference_is_generating(e, n_max=None):
+    """:func:`is_generating` with the pairs to cover read off ``dist``."""
+    n = e.space.n_points
+    required = np.isfinite(e.space.dist)
+    base = np.zeros((n, n), dtype=bool)
+    for x, y in e.pairs:
+        base[x, y] = True
+    cur, seen = base, set()
+    for k in range(1, (n_max or max(1, n * n)) + 1):
+        if not np.any(required & ~cur):
+            return rf.GeneratingResult("generating", k)
+        if cur.tobytes() in seen:
+            return rf.GeneratingResult("not_generating")
+        seen.add(cur.tobytes())
+        cur = (base.astype(np.uint8) @ cur.astype(np.uint8)) > 0
+    return rf.GeneratingResult("inconclusive")
+
+
+def test_is_generating_matches_the_dist_reference():
+    rng = np.random.default_rng(12)
+    statuses = set()
+    for _ in range(60):
+        sp = random_space(rng)
+        pairs = [p for p in sorted(rf.tube(sp, 1).pairs) if rng.random() < 0.8]
+        # built directly: controlled() would read the pairs' distances
+        e = rf.ControlledSet(sp, frozenset(pairs), 1.0)
+        n_max = int(rng.integers(1, 6)) if rng.random() < 0.3 else None
+        got = rf.is_generating(e, n_max)
+        assert sp._dist is None     # no n x n Dijkstra matrix was built
+        assert got == _reference_is_generating(e, n_max)
+        statuses.add(got.status)
+    assert statuses == {"generating", "not_generating", "inconclusive"}
+
+
 def test_parse_space_file_single_block():
     text = textwrap.dedent("""\
         # a triangle with one heavy edge
@@ -359,6 +393,17 @@ def test_parse_space_file_error_lines():
     with pytest.raises(SpaceParseError, match="bad edge weight '1e400'") as err:
         rf.parse_space_file("space s\nedge a b 1\nedge b c 1e400\n")
     assert err.value.line == 3  # no float holds the weight
+    for text, line, msg in (("space\n", 1, "'space' takes exactly one name"),
+                            ("space s t\n", 1, "'space' takes exactly one name"),
+                            ("space s\npoint\n", 2, "'point' takes exactly one name"),
+                            ("space s\npoint a b\n", 2, "'point' takes exactly one name"),
+                            ("space s\nedge a b\nvertex c\n", 3,
+                             "unknown directive 'vertex'"),
+                            ("", None, "no spaces defined"),
+                            ("# edge a b\n\n", None, "no spaces defined")):
+        with pytest.raises(SpaceParseError, match=msg) as err:
+            rf.parse_space_file(text)
+        assert err.value.line == line
 
 
 def test_load_space(tmp_path):

@@ -130,6 +130,9 @@ def test_dense_power_norms_survives_tiny_norms():
 def test_dense_power_norms_k_one_is_plain_norm():
     m = np.diag([0.25, -0.75])
     assert dense_power_norms(m, [1])[1] == pytest.approx(0.75)
+    # nilpotent: the squared power and the running product both reach 0
+    assert dense_power_norms(np.array([[0.0, 1.0], [0.0, 0.0]]), [1, 2, 3]) \
+        == {1: 1.0, 2: 0.0, 3: 0.0}
 
 
 def test_eigvec_power_norms_match_matrix_power():

@@ -465,7 +465,9 @@ def _reference_float_restrict(t, m):
                           if x in pos})
 
 
-def _reference_float_uniform_sum(op, tol=1e-12):
+def _reference_float_uniform_sum(op, tol=transalg._FLOAT_SUM_TOL):
+    """The float twin of :func:`_reference_uniform_sum`: every row and
+    column sum added in sorted pair order, each within ``tol`` of row 0's."""
     n = op.space.n_points
     rows, cols = [0] * n, [0] * n
     for (x, y), v in op.entries.items():
@@ -787,19 +789,47 @@ def test_exact_uniform_sum_matches_fraction_loop():
         "one-point-int": FinitePropOp(one, {(0, 0): 3}),
         "one-point-fraction": FinitePropOp(one, {(0, 0): Fraction(-5, 7)}),
         "one-point-zero": FinitePropOp.zero(one),
+        # row 0 stores nothing, so the common sum read off it is 0
+        "row-0-empty": FinitePropOp(k4, {(1, 1): 1, (1, 2): -1, (2, 1): -1, (2, 2): 1}),
+        "row-0-empty-off": FinitePropOp(k4, {(x, x): Fraction(1, 2) for x in (1, 2, 3)}),
+        # distinct ~40-bit denominators, one per permutation or per entry
+        "wide": sum((Fraction(a, q) * p for a, q, p in zip(
+            (3, -5, 7), (2**40 + 15, 2**40 + 61, 2**41 - 1), perms)), FinitePropOp.zero(k4)),
+        "wide-off": FinitePropOp(k4, {(x, y): Fraction(x + y + 1, 2**40 + 4 * x + y)
+                                      for x in range(4) for y in range(4)}),
     }
     rng = np.random.default_rng(5)
     for i in range(20):
         ops[f"random-{i}"] = random_rational_op(rng, random_space(rng))
     uniform = {name for name, op in ops.items() if _reference_uniform_sum(op) is not None}
-    assert {"rows-only", "one-column-off"}.isdisjoint(uniform)
-    assert len(uniform) == 10
+    assert {"rows-only", "one-column-off", "row-0-empty-off", "wide-off"}.isdisjoint(uniform)
+    assert {"row-0-empty", "wide"} <= uniform
+    assert len(uniform) == 12
     for name, op in ops.items():
         got, want = rf.uniform_sum_value(op), _reference_uniform_sum(op)
         assert (got is None) == (want is None), name
         if want is not None:
             assert got == want, name
             assert type(got) is (int if want.denominator == 1 else Fraction), name
+
+
+def test_float_uniform_sum_matches_the_plain_loop():
+    rng = np.random.default_rng(9)
+    seen = set()
+    for _ in range(40):
+        sp = random_space(rng)
+        avg = averaging_for(sp).op.to_float()
+        tiny = FinitePropOp.diagonal(sp, {0: 1e-14}, "float")
+        near = avg + FinitePropOp.diagonal(sp, {0: 1e-3}, "float")
+        for op in (avg, avg + tiny, near, (0.5 - 2j) * avg, avg + 1j * tiny,
+                   _float_op(rng, sp, "real"), _float_op(rng, sp, "complex"),
+                   FinitePropOp.zero(sp).to_float(), avg - avg @ avg):
+            got, want = rf.uniform_sum_value(op), _reference_float_uniform_sum(op)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert _bits(got) == _bits(want)
+            seen.add(None if want is None else type(want))
+    assert seen == {None, int, float, complex}
 
 
 def test_uniform_sum_float_tolerance():
@@ -880,12 +910,19 @@ def test_invariance_defect_swap():
 
 def test_invariance_defect_requires_translation_structure():
     sp = pair_space()
-    not01 = FinitePropOp(sp, {(0, 1): Fraction(2)})
-    with pytest.raises(ValueError):
-        rf.invariance_defect(not01, [1.0, 0.0])
-    two_in_row = FinitePropOp(sp, {(0, 0): Fraction(1), (0, 1): Fraction(1)})
-    with pytest.raises(ValueError):
-        rf.invariance_defect(two_in_row, [1.0, 0.0])
+    malformed = [
+        FinitePropOp(sp, {(0, 1): Fraction(2)}),
+        FinitePropOp(sp, {(0, 0): Fraction(1), (0, 1): Fraction(1)}),   # two in a row
+        FinitePropOp(sp, {(0, 1): 1, (1, 1): 1}),                       # a repeated column
+        FinitePropOp(sp, {(0, 1): Fraction(1, 2), (1, 0): 1}),
+    ]
+    for op in malformed + [op.to_float() for op in malformed]:
+        with pytest.raises(ValueError, match="^operator is not a partial translation matrix$"):
+            rf.invariance_defect(op, [1.0, 0.0])
+    # the float and complex forms of a translation pass
+    v = PartialTranslation(sp, {0: 1}).as_operator()
+    for op in (v, v.to_float(), (1 + 0j) * v.to_float()):
+        assert rf.invariance_defect(op, [1.0, 0.0]) == pytest.approx(1.0)
 
 
 def test_single_pair_translations_enumeration():
@@ -954,6 +991,19 @@ def test_operator_text_errors():
             rf.operator_from_text(f"operator pair float 0.0\nentry a a 1.0\n"
                                   f"entry b b {tok}\n", sp)
         assert err.value.line == 3
+    header = re.escape("expected header 'operator <space> <mode> <propagation>'")
+    entry = re.escape("expected 'entry <x> <y> <value>'")
+    for text, line, msg in (("entry a a 1\n", 1, header),
+                            ("operator pair rational\n", 1, header),
+                            ("operator pair exact 1.0\n", 1, "unknown scalar mode 'exact'"),
+                            ("operator pair rational wide\n", 1, "bad propagation 'wide'"),
+                            (op_text + "entry a a\n", 3, entry),
+                            (op_text + "value a a 1\n", 3, entry),
+                            ("", None, "no operator header found"),
+                            ("# operator pair rational 1.0\n", None, "no operator header found")):
+        with pytest.raises(OperatorParseError, match=msg) as err:
+            rf.operator_from_text(text, sp)
+        assert err.value.line == line
 
 
 def test_operator_text_reads_back_in_time_linear_in_the_points():
