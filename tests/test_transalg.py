@@ -813,7 +813,14 @@ def test_exact_uniform_sum_matches_fraction_loop():
             assert type(got) is (int if want.denominator == 1 else Fraction), name
 
 
-def test_float_uniform_sum_matches_the_plain_loop():
+def test_uniform_sum_float_tolerance():
+    sp = pair_space()
+    op = FinitePropOp(sp, {(0, 0): 1.0, (1, 1): 1.0 + 1e-14}, mode="float")
+    assert rf.uniform_sum_value(op) == pytest.approx(1.0)
+    off = FinitePropOp(sp, {(0, 0): 1.0, (1, 1): 1.5}, mode="float")
+    assert rf.uniform_sum_value(off) is None
+    # float and complex operators, uniform, within the tolerance and past it,
+    # against the plain loop
     rng = np.random.default_rng(9)
     seen = set()
     for _ in range(40):
@@ -830,14 +837,6 @@ def test_float_uniform_sum_matches_the_plain_loop():
                 assert _bits(got) == _bits(want)
             seen.add(None if want is None else type(want))
     assert seen == {None, int, float, complex}
-
-
-def test_uniform_sum_float_tolerance():
-    sp = pair_space()
-    op = FinitePropOp(sp, {(0, 0): 1.0, (1, 1): 1.0 + 1e-14}, mode="float")
-    assert rf.uniform_sum_value(op) == pytest.approx(1.0)
-    off = FinitePropOp(sp, {(0, 0): 1.0, (1, 1): 1.5}, mode="float")
-    assert rf.uniform_sum_value(off) is None
 
 
 def test_partial_translation_basics():
