@@ -615,6 +615,14 @@ def tube(space: FiniteSpace, radius: float) -> ControlledSet:
     return ControlledSet(space, pairs, float(dists.max()))
 
 
+def _relation(e: ControlledSet) -> sp.csr_matrix:
+    """``e`` as an n x n boolean CSR matrix, the one form relations are composed
+    in: over bool, ``a @ b`` holds (x, y) when some (x, z) is in a and (z, y) in b."""
+    n = e.space.n_points
+    keys = np.array(list(e.pairs), dtype=np.int64).reshape(-1, 2)
+    return sp.csr_matrix((np.ones(len(keys), dtype=bool), tuple(keys.T)), shape=(n, n))
+
+
 def compose(e: ControlledSet, f: ControlledSet) -> ControlledSet:
     """Relational composition {(x, y) : exists z with (x,z) in e, (z,y) in f}.
 
@@ -623,14 +631,8 @@ def compose(e: ControlledSet, f: ControlledSet) -> ControlledSet:
     """
     if e.space is not f.space:
         raise SpaceMismatchError("cannot compose controlled sets over different spaces")
-    by_first: dict[int, list[int]] = {}
-    for z, y in f.pairs:
-        by_first.setdefault(z, []).append(y)
-    out = set()
-    for x, z in e.pairs:
-        for y in by_first.get(z, ()):
-            out.add((x, y))
-    return controlled(e.space, out)
+    out = (_relation(e) @ _relation(f)).tocoo()
+    return controlled(e.space, zip(out.row.tolist(), out.col.tolist()))
 
 
 @dataclass(frozen=True)
@@ -656,25 +658,22 @@ def is_generating(e: ControlledSet, n_max: int | None = None) -> GeneratingResul
     covered the answer is a certified "no".  ``n_max`` (default: number of
     points squared) bounds the search otherwise.
     """
-    space = e.space
-    n_pts = space.n_points
+    n_pts = e.space.n_points
     if n_max is None:
         n_max = max(1, n_pts * n_pts)
-    comp = space.component_of
-    required = comp[:, None] == comp    # the pairs at finite distance
-    cur = np.zeros((n_pts, n_pts), dtype=bool)
-    for x, y in e.pairs:
-        cur[x, y] = True
-    base = cur.copy()
+    comp = e.space.component_of
+    target = int(np.sum(np.bincount(comp) ** 2))  # the pairs at finite distance
+    base = cur = _relation(e)
     seen = set()
     for n in range(1, n_max + 1):
-        if not np.any(required & ~cur):
+        row_comp = np.repeat(comp, np.diff(cur.indptr))    # each pair's row's component
+        if np.count_nonzero(row_comp == comp[cur.indices]) == target:
             return GeneratingResult("generating", n)
-        key = cur.tobytes()
+        key = np.packbits(cur.toarray()).tobytes()  # the pair set itself, a bit a pair
         if key in seen:
             return GeneratingResult("not_generating")
         seen.add(key)
-        cur = (base.astype(np.uint8) @ cur.astype(np.uint8)) > 0
+        cur = base @ cur
     return GeneratingResult("inconclusive")
 
 

@@ -4,6 +4,8 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -769,6 +771,54 @@ def test_verify_reports_a_non_uniform_averaging_operator_as_a_failure(capsys, mo
     out = capsys.readouterr().out
     assert "projection\tFAIL\t1 failure(s)\n" in out
     assert out.endswith("FAIL (1/1 cases failed)\n")
+
+
+def test_verify_reports_a_failed_colouring_check(capsys, monkeypatch):
+    def clashing(col):
+        raise ValueError("planted clash")
+
+    monkeypatch.setattr(cli, "validate_colouring", clashing)
+    assert main(["verify", "--cases", "2", "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "colouring\tFAIL\t2 failure(s)\n" in captured.out
+    assert captured.out.endswith("FAIL (2/2 cases failed)\n")
+    smallest = json.loads(captured.err.split("\n", 1)[1])
+    assert smallest["check"] == "colouring" and smallest["detail"] == "planted clash"
+
+
+def test_verify_runs_in_process_without_fork_or_affinity(capsys, monkeypatch):
+    # a platform without fork (Windows, say) runs the cases in this process,
+    # and one without sched_getaffinity counts the jobs by os.cpu_count()
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli._default_jobs() == 2
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert main(["verify", "--cases", "3", "--seed", "5"]) == 0
+    assert capsys.readouterr().out.endswith("PASS (3 cases)\n")
+
+
+def _run_module(*argv):
+    """``python -m roeforge.cli *argv`` in a child, with this roeforge's
+    directory on the path: the CLI of a checkout that is not installed."""
+    src = os.path.dirname(os.path.dirname(rf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "roeforge.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+
+
+def test_module_entry_point_runs_without_an_install(tmp_path):
+    path = write(tmp_path, "s.space", SPLIT)
+    done = _run_module("components", path)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "component\tsize\n0\t2\n1\t3\n", "")
+    done = _run_module("components", "--no-such-flag", path)
+    assert done.returncode == 1 and done.stdout == ""
+    assert [line for line in done.stderr.splitlines() if "error:" in line] == [
+        "roeforge: error: unrecognized arguments: --no-such-flag"]
 
 
 def test_console_script_wiring():

@@ -76,6 +76,7 @@ def test_colouring_is_deterministic():
     b = rf.edge_colouring(rf.make_cycle(5), 1)
     pairs = list(zip(a.edges, a.colours.tolist()))
     assert pairs == list(zip(b.edges, b.colours.tolist()))
+    assert a != object()
     assert pairs == [((0, 1), 1), ((0, 4), 2), ((1, 2), 2), ((2, 3), 1), ((3, 4), 3)]
 
 
@@ -116,6 +117,10 @@ def test_validate_colouring_catches_clashes():
                                   colours=np.append(col.colours, 1))
     with pytest.raises(ValueError):
         rf.validate_colouring(missing)
+    for c in (0, col.n_colours + 1):
+        outside = dataclasses.replace(col, colours=np.full_like(col.colours, c))
+        with pytest.raises(ValueError, match=f"^colour {c} out of range 1..3$"):
+            rf.validate_colouring(outside)
 
 
 def test_colour_permutations_structure():

@@ -58,6 +58,11 @@ def test_random_regular_validation():
         rf.make_random_regular(5, 3)  # nd odd
     with pytest.raises(FamilyError):
         rf.make_random_regular(4, 4)  # d >= n
+    # K8 is the only simple 7-regular graph on 8 points, and a random pairing
+    # of the 56 stubs almost never gives it
+    with pytest.raises(FamilyError,
+                       match="^no simple 7-regular pairing on 8 points found in 1000 attempts$"):
+        rf.make_random_regular(8, 7)
 
 
 def test_margulis_shape():

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import roeforge as rf
-from roeforge import SpaceParseError
+from roeforge import SpaceMismatchError, SpaceParseError, UncontrolledSupportError
 
-from helpers import assert_same_csr, random_space, reference_graph
+from helpers import assert_same_csr, random_space, reference_graph, traced_peak
 
 INF = float("inf")
 
@@ -116,6 +116,11 @@ def test_construction_rejects_bad_matrices():
         rf.FiniteSpace(["a", "a"], [[0, 1], [1, 0]])  # duplicate names
     with pytest.raises(ValueError):
         rf.FiniteSpace([], np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=r"^distance matrix must be 2x2, got \(1, 3\)$"):
+        rf.FiniteSpace(["a", "b"], [[0, 1, 2]])
+    for name in ("", "two words", "tab\tname"):
+        with pytest.raises(ValueError, match="^space name must be a single non-empty token$"):
+            rf.FiniteSpace(["a"], [[0]], name=name)
 
 
 def test_finiteness_must_be_transitive():
@@ -142,6 +147,8 @@ def test_disjoint_union_qualifies_names():
     assert sp.points[0] == "C3:0"
     assert sp.points[3] == "K2:0"
     assert sp.dist[0, 3] == INF
+    with pytest.raises(ValueError, match="^disjoint_union needs at least one space$"):
+        rf.disjoint_union([])
 
 
 def test_union_of_a_matrix_part_and_a_graph_part():
@@ -185,6 +192,9 @@ def test_space_from_graph_distances():
 def test_space_from_graph_rejects_bad_indices():
     with pytest.raises(ValueError):
         rf.space_from_graph(["a"], [(0, 1, 1)])
+    for edges in ([(0, 1)], np.zeros((2, 4))):
+        with pytest.raises(ValueError, match=r"^edges must be \(u, v, w\) triples$"):
+            rf.space_from_graph(["a", "b"], edges)
 
 
 def test_space_from_graph_reports_the_first_bad_edge():
@@ -275,6 +285,8 @@ def test_controlled_set_operations():
     assert e.transpose().pairs == frozenset([(1, 0), (5, 2)])
     assert e.issubset(rf.tube(sp, 3))
     assert not e.issubset(rf.tube(sp, 1))
+    # the same pairs over another space are not a subset
+    assert not e.issubset(rf.tube(rf.make_cycle(6), 3))
 
 
 def test_compose_tubes():
@@ -290,6 +302,41 @@ def test_compose_definition():
     f = rf.controlled(sp, [(1, 2)])
     assert rf.compose(e, f).pairs == frozenset([(0, 2)])
     assert rf.compose(f, e).pairs == frozenset()
+    with pytest.raises(SpaceMismatchError):
+        rf.compose(e, rf.controlled(rf.make_cycle(5), [(1, 2)]))
+
+
+def _reference_compose(e, f):
+    """:func:`compose` as a dict join over the pairs of ``f`` by their first point."""
+    by_first = {}
+    for z, y in f.pairs:
+        by_first.setdefault(z, []).append(y)
+    return rf.controlled(e.space, {(x, y) for x, z in e.pairs for y in by_first.get(z, ())})
+
+
+def test_compose_matches_the_dict_join():
+    rng = np.random.default_rng(32)
+
+    def thinned(sp):
+        keep = rng.random()
+        pairs = [p for p in sorted(rf.tube(sp, int(rng.integers(1, 3))).pairs)
+                 if rng.random() < keep]
+        return rf.controlled(sp, pairs)
+
+    for _ in range(200):
+        sp = random_space(rng)
+        e, f = thinned(sp), thinned(sp)
+        assert rf.compose(e, f) == _reference_compose(e, f)
+    empty = rf.controlled(sp, [])
+    for a, b in ((empty, e), (e, empty), (empty, empty)):
+        assert rf.compose(a, b) == _reference_compose(a, b) == empty
+    # built directly, a set can hold a pair in two components; composed,
+    # that pair is uncontrolled either way
+    sp = rf.disjoint_union([rf.make_cycle(3), rf.make_complete(2)])
+    across = rf.ControlledSet(sp, frozenset({(0, 3), (1, 2)}), 1.0)
+    for compose in (rf.compose, _reference_compose):
+        with pytest.raises(UncontrolledSupportError):
+            compose(across, rf.tube(sp, 0))
 
 
 def test_is_generating_cycle():
@@ -297,6 +344,13 @@ def test_is_generating_cycle():
     res = rf.is_generating(rf.tube(sp, 1))
     assert res.status == "generating"
     assert res.n == 3  # compositions needed to cover the diameter
+    # n/2 powers of a 400 x 400 relation: a dense product per power took
+    # 8-10 s and 31 MiB on a 2-core machine; a sparse one follows the pairs
+    start = time.perf_counter()
+    res, peak = traced_peak(rf.is_generating, rf.tube(rf.make_cycle(400), 1))
+    assert res == rf.GeneratingResult("generating", 200)
+    assert time.perf_counter() - start < 3
+    assert peak < 20 * 2**20
 
 
 def test_is_generating_certified_failure():
@@ -337,18 +391,29 @@ def _reference_is_generating(e, n_max=None):
 
 def test_is_generating_matches_the_dist_reference():
     rng = np.random.default_rng(12)
-    statuses = set()
-    for _ in range(60):
+    seen, crossed = set(), 0
+    for i in range(90):
         sp = random_space(rng)
         pairs = [p for p in sorted(rf.tube(sp, 1).pairs) if rng.random() < 0.8]
+        if i % 3 == 1:      # no diagonal
+            pairs = [(x, y) for x, y in pairs if x != y]
+        elif i % 3 == 2:    # pairs across components, which no power has to cover
+            comp = sp.component_of
+            across = [(x, y) for x, y in rng.integers(0, sp.n_points, size=(3, 2)).tolist()
+                      if comp[x] != comp[y]]
+            pairs += across
+            crossed += bool(across)
         # built directly: controlled() would read the pairs' distances
         e = rf.ControlledSet(sp, frozenset(pairs), 1.0)
         n_max = int(rng.integers(1, 6)) if rng.random() < 0.3 else None
         got = rf.is_generating(e, n_max)
         assert sp._dist is None     # no n x n Dijkstra matrix was built
         assert got == _reference_is_generating(e, n_max)
-        statuses.add(got.status)
-    assert statuses == {"generating", "not_generating", "inconclusive"}
+        seen.add((i % 3, got.status))
+    # each kind of relation meets every status
+    assert seen == {(kind, status) for kind in range(3)
+                    for status in ("generating", "not_generating", "inconclusive")}
+    assert crossed > 10
 
 
 def test_parse_space_file_single_block():
@@ -587,7 +652,6 @@ def test_tube_queries_match_dijkstra_on_both_sides(share, weighted_parts, chunk,
     (lambda: rf.make_margulis(32), 3904, 9),
 ], ids=["box", "Mg32"])
 def test_box_space_colouring_builds_no_dense_metric(make, n_edges, n_colours):
-    from helpers import traced_peak
     from roeforge.space import _CHUNK
 
     def build():

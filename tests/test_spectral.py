@@ -133,6 +133,9 @@ def test_dense_power_norms_k_one_is_plain_norm():
     # nilpotent: the squared power and the running product both reach 0
     assert dense_power_norms(np.array([[0.0, 1.0], [0.0, 0.0]]), [1, 2, 3]) \
         == {1: 1.0, 2: 0.0, 3: 0.0}
+    for ks in ([], [0, 1], [-1]):
+        with pytest.raises(ValueError, match="^powers must be >= 1$"):
+            dense_power_norms(m, ks)
 
 
 def test_eigvec_power_norms_match_matrix_power():
@@ -175,6 +178,8 @@ def test_matvec_power_norm_matches_dense():
         want = spectral_norm(np.linalg.matrix_power(d, k))
         assert got == pytest.approx(want, rel=1e-8)
         assert count % k == 0
+    with pytest.raises(ValueError, match="^power must be >= 1$"):
+        matvec_power_norm(lambda x: csr @ x, 20, 0, seed=1234)
 
 
 def test_residual_is_certified():

@@ -119,6 +119,8 @@ def test_mode_validation():
         FinitePropOp(sp, {}, mode="decimal")
     with pytest.raises(TypeError):
         FinitePropOp(sp, {(0, 1): 0.5}, mode="rational")
+    with pytest.raises(TypeError, match="^float mode takes numeric entries, got str$"):
+        FinitePropOp(sp, {(0, 1): "0.5"}, mode="float")
     # rationals are coerced on the way into float mode, not rejected
     assert FinitePropOp(sp, {(0, 1): Fraction(1, 2)}, mode="float").entries == {(0, 1): 0.5}
     # float mode takes finite values only; rational mode takes any size
@@ -140,6 +142,7 @@ def test_identity_diagonal_zero():
     assert ident @ ident == ident
     diag = FinitePropOp.diagonal(sp, {0: Fraction(2), 2: Fraction(-1)})
     assert diag.nnz == 2
+    assert repr(diag) == "FinitePropOp('C3', mode='rational', nnz=2, propagation=0.0)"
     zero = FinitePropOp.zero(sp)
     assert zero.nnz == 0 and zero.propagation == 0.0
     assert ident + zero == ident
@@ -631,6 +634,8 @@ def test_scalar_multiplication_by_fraction():
     sp = pair_space()
     op = FinitePropOp(sp, {(0, 1): Fraction(3, 2)})
     assert (Fraction(2, 3) * op).entries == {(0, 1): Fraction(1)}
+    with pytest.raises(TypeError, match="^use @ for operator products, \\* for scalars$"):
+        op * op
 
 
 def test_adjoint_transposes_and_conjugates():
@@ -665,6 +670,14 @@ def test_cross_space_operations_rejected():
     b = FinitePropOp.identity(rf.make_cycle(4))
     with pytest.raises(SpaceMismatchError):
         a + b
+    # nor do the operators take other types: each method defers, and Python refuses
+    other = object()
+    for binary in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x @ y):
+        with pytest.raises(TypeError):
+            binary(a, other)
+    translation = PartialTranslation(rf.make_cycle(3), {0: 1})
+    for x in (a, translation, PermutationOp.identity(rf.make_cycle(3))):
+        assert x != other and not x == other
 
 
 def test_dense_csr_matvec_agree():
@@ -842,6 +855,7 @@ def test_uniform_sum_float_tolerance():
 def test_partial_translation_basics():
     sp = rf.make_cycle(4)
     t = PartialTranslation(sp, {0: 1, 2: 3})
+    assert repr(t) == "PartialTranslation('C4', |domain|=2, propagation=1.0)"
     assert t.domain == (0, 2)
     assert t.image == (1, 3)
     assert t.graph == ((1, 0), (3, 2))
@@ -866,6 +880,7 @@ def test_partial_translation_rejects_uncontrolled():
 def test_permutation_op():
     sp = rf.make_cycle(4)
     swap = PermutationOp.from_swaps(sp, [(0, 1), (2, 3)])
+    assert repr(swap) == "PermutationOp('C4', moved=4)"
     assert swap.is_involution
     assert swap.op @ swap.op == FinitePropOp.identity(sp)
     assert swap.adjoint() == swap
@@ -878,6 +893,9 @@ def test_permutation_rejects_non_bijection():
     sp = rf.make_cycle(3)
     with pytest.raises(ValueError):
         PermutationOp(sp, [0, 0, 1])
+    for swaps in ([(0, 1), (1, 2)], [(1, 1)]):
+        with pytest.raises(ValueError, match="^swap pairs must be disjoint$"):
+            PermutationOp.from_swaps(sp, swaps)
 
 
 @pytest.mark.parametrize("pair, message", [
@@ -905,6 +923,8 @@ def test_invariance_defect_swap():
     v = PermutationOp.from_swaps(sp, [(0, 1)]).op
     assert rf.invariance_defect(v, [1.0, -1.0]) == pytest.approx(2 * math.sqrt(2))
     assert rf.invariance_defect(v, [1.0, 1.0]) == pytest.approx(0.0)
+    with pytest.raises(ValueError, match=r"^vector has shape \(3,\), expected \(2,\)$"):
+        rf.invariance_defect(v, [1.0, 0.0, 0.0])
 
 
 def test_invariance_defect_requires_translation_structure():
@@ -939,6 +959,11 @@ def test_invariant_subspace_is_component_constants():
     for col in basis.T:
         assert np.allclose(col[:3], col[0])
         assert np.allclose(col[3:], col[3])
+    # no test operator, or only the identity, fixes every vector
+    for ops in ([], [FinitePropOp.identity(sp)]):
+        assert np.array_equal(rf.invariant_subspace_basis(sp, ops=ops), np.eye(5))
+    with pytest.raises(SpaceMismatchError, match="different space"):
+        rf.invariant_subspace_basis(sp, ops=[FinitePropOp.identity(rf.make_cycle(5))])
 
 
 def test_invariant_subspace_default_family_size_cap():
